@@ -26,6 +26,6 @@ from .stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                       stringy_euler)
 from .jets import JetSpec, cylinder_measure, jet_space_class, oracle_integral
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

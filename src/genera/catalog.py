@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import ExactDivisionError, MultiPoly, TruncSeries
+from .rings import MultiPoly, TruncSeries, coeff_div_exact
 
 Y = MultiPoly.var("y")
 
@@ -93,18 +93,6 @@ def builtin_series(name: str, order: int = 16) -> CharSeries:
     raise ValueError(f"unknown series {name!r}; choose from {SERIES_NAMES}")
 
 
-def _unit_divide(value, a):
-    """Divide a coefficient by the unit a (exact polynomial division when
-    a is a nonconstant polynomial such as 1 + y)."""
-    if isinstance(a, (int, Fraction)) or a.is_constant():
-        scalar = a if isinstance(a, (int, Fraction)) else a.constant_value()
-        if scalar == 0:
-            raise ExactDivisionError("constant term is not a unit")
-        return value / scalar
-    value = MultiPoly._coerce(value)
-    return value.laurent_div_exact(a)
-
-
 def genus_on_projective(f: CharSeries, n: int):
     """Value of the genus of f on n-dimensional projective space."""
     if n < 0:
@@ -112,11 +100,12 @@ def genus_on_projective(f: CharSeries, n: int):
     if n > f.series.order:
         raise ValueError(
             f"series order {f.series.order} too small; need at least {n}")
-    coeff = (f.series ** (n + 1))[n]
+    # [z^n] f^(n+1) reads f only through z^n
+    coeff = (f.series.truncate(n) ** (n + 1))[n]
     a = f.series.constant_term()
     if f.normalized and a == 1:
         return coeff
-    return _unit_divide(coeff, a)
+    return coeff_div_exact(coeff, a)
 
 
 def genus_logarithm(f: CharSeries, order: int) -> TruncSeries:
@@ -146,7 +135,7 @@ def rescaled_series(f: CharSeries, a) -> CharSeries:
     coeffs = []
     for k, c in enumerate(f.series.coeffs):
         if k == 0:
-            coeffs.append(_unit_divide(c, a) if not (
+            coeffs.append(coeff_div_exact(c, a) if not (
                 isinstance(a, (int, Fraction)) and a == 1) else c)
         else:
             p = MultiPoly.const(1)

@@ -53,11 +53,14 @@ def _emit(args, text_value, json_value):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}", EXIT_VALIDATION) from exc
+    if not isinstance(data, dict):
+        raise CliError(f"{path} must hold a JSON object", EXIT_VALIDATION)
+    return data
 
 
 def _parse_class(text: str) -> k0.K0Class:
@@ -122,23 +125,34 @@ def cmd_k0(args) -> int:
     raise CliError(f"unknown k0 action {args.action!r}", EXIT_VALIDATION)
 
 
+def _tower_field(data: dict, key: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise CliError(f"tower datum misses key {key!r}",
+                       EXIT_VALIDATION) from None
+
+
 def _run_pro(args, data: dict) -> int:
     mode = data.get("mode")
+    if mode not in ("euler", "class"):
+        raise CliError("tower mode must be 'euler' or 'class'",
+                       EXIT_VALIDATION)
+    level = int(_tower_field(data, "level"))
     if mode == "euler":
-        tower = k0.TowerDatum(eulers=tuple(int(e) for e in data["eulers"]))
-        value = k0.pro_euler(tower, int(data["level"]), int(data["chi"]))
+        tower = k0.TowerDatum(eulers=tuple(
+            int(e) for e in _tower_field(data, "eulers")))
+        value = k0.pro_euler(tower, level, int(_tower_field(data, "chi")))
         _emit(args, str(value), {"mode": "euler", "value": str(value)})
         return EXIT_OK
-    if mode == "class":
-        gamma = _parse_class(data["gamma"])
-        tower = k0.TowerDatum(gamma=gamma)
-        num, left = k0.pro_grothendieck(tower, int(data["level"]),
-                                        _parse_class(data["value"]))
-        text = str(num) if left == 0 else f"({num}) / ({gamma})^{left}"
-        _emit(args, text, {"mode": "class", "numerator": str(num),
-                           "denominator_power": left})
-        return EXIT_OK
-    raise CliError("tower mode must be 'euler' or 'class'", EXIT_VALIDATION)
+    gamma = _parse_class(_tower_field(data, "gamma"))
+    tower = k0.TowerDatum(gamma=gamma)
+    num, left = k0.pro_grothendieck(
+        tower, level, _parse_class(_tower_field(data, "value")))
+    text = str(num) if left == 0 else f"({num}) / ({gamma})^{left}"
+    _emit(args, text, {"mode": "class", "numerator": str(num),
+                       "denominator_power": left})
+    return EXIT_OK
 
 
 def cmd_pro(args) -> int:

@@ -433,6 +433,19 @@ def coeff_inverse(c):
     raise TypeError(f"no inverse for {c!r}")
 
 
+def coeff_div_exact(value, a):
+    """value / a where the quotient is known to exist in the coefficient
+    ring: scalar division when a is a scalar or a constant polynomial,
+    exact (Laurent) polynomial division when a is any other polynomial."""
+    if isinstance(a, MultiPoly):
+        if not a.is_constant():
+            return MultiPoly._coerce(value).laurent_div_exact(a)
+        a = a.constant_value()
+    if a == 0:
+        raise ExactDivisionError("division by a zero coefficient")
+    return value / a
+
+
 class TruncSeries:
     """Truncated univariate formal power series, exact through z^order.
 
@@ -536,16 +549,42 @@ class TruncSeries:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
+        """The n-th power, truncated at the series' order.
+
+        For n >= 0 this is the J.C.P. Miller recurrence (Knuth, TAOCP
+        vol. 2, section 4.7): with f = z^v (a_v + a_(v+1) z + ...) and
+        a_v != 0, the coefficients g_k of g = (f / z^v)^n follow from
+        f g' = n f' g as
+
+            k a_v g_k = sum_{j>=1} ((n+1) j - k) a_(v+j) g_(k-j),
+
+        starting at g_0 = a_v^n, so the cost is O(order^2) coefficient
+        products whatever n is.  The division by k a_v is exact: scalar
+        when a_v is a scalar or a constant polynomial, exact polynomial
+        division otherwise (the quotient is a coefficient of g, hence a
+        polynomial even when a_v is not a unit, such as 1 + y).  The
+        result is g shifted by v n.  Negative n powers the inverse.
+        """
         if n < 0:
             return self.invert() ** (-n)
-        out = TruncSeries.one(self.var, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return TruncSeries.one(self.var, self.order)
+        out = [coeff_zero()] * (self.order + 1)
+        v = next((k for k, c in enumerate(self.coeffs)
+                  if not _is_zero_coeff(c)), None)
+        if v is None or v * n > self.order:
+            return TruncSeries(self.var, self.order, out)
+        a = self.coeffs[v:]
+        g = [a[0] ** n]
+        for k in range(1, self.order - v * n + 1):
+            acc = coeff_zero()
+            for j in range(1, k + 1):
+                weight = (n + 1) * j - k
+                if weight and not _is_zero_coeff(a[j]):
+                    acc = acc + a[j] * g[k - j] * weight
+            g.append(coeff_div_exact(acc, a[0] * k))
+        out[v * n:] = g
+        return TruncSeries(self.var, self.order, out)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """Substitute ``inner`` (zero constant term) into this series."""
@@ -715,6 +754,11 @@ class RationalFunction:
     def reciprocal(self):
         return RationalFunction(self.denominator, self.numerator)
 
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.reciprocal() ** (-n)
+        return RationalFunction(self.numerator ** n, self.denominator ** n)
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -722,7 +766,15 @@ class RationalFunction:
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __hash__(self):
-        return hash((self.numerator, self.denominator))
+        # Several-variable fractions are not reduced, so equal values can
+        # have different numerators; hash what all of them share: the
+        # degree of numerator minus denominator in each variable.
+        if self.numerator.is_zero():
+            return hash(0)
+        names = sorted(set(self.numerator.vars) | set(self.denominator.vars))
+        shifts = ((name, self.numerator.degree_in(name)
+                   - self.denominator.degree_in(name)) for name in names)
+        return hash(tuple((name, d) for name, d in shifts if d))
 
     def is_polynomial(self) -> bool:
         return self.denominator.is_constant()

@@ -108,15 +108,19 @@ def product_datum(d1: ResolutionDatum, d2: ResolutionDatum) -> ResolutionDatum:
     if d1.index_r != d2.index_r or d1.flavor != d2.flavor:
         raise ValidationError("factors must share flavor and index")
     k1 = len(d1.components)
-    components = d1.components + tuple(
-        (f"{name}'", a) if any(name == n for n, _ in d1.components)
-        else (name, a) for name, a in d2.components)
+    used = {name for name, _ in d1.components}
+    components = list(d1.components)
+    for name, a in d2.components:
+        while name in used:
+            name += "'"
+        used.add(name)
+        components.append((name, a))
     strata = {}
     for s1 in d1.subsets():
         for s2 in d2.subsets():
             key = frozenset(s1 | {i + k1 for i in s2})
             strata[key] = d1.strata[s1] * d2.strata[s2]
-    return ResolutionDatum(d1.flavor, d1.index_r, components, strata)
+    return ResolutionDatum(d1.flavor, d1.index_r, tuple(components), strata)
 
 
 # ---------------------------------------------------------------------
@@ -445,10 +449,15 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed resolution datum: {exc}") from exc
     atoms = {"L": LEFSCHETZ}
-    for spec in data.get("atoms", ()):
-        e_poly = parse_expr(spec["e"], variables=("u", "v"))
-        atoms[spec["name"]] = Atom(spec["name"], int(spec["dim"]), e_poly)
-    components = tuple((c["name"], Fraction(str(c["a"]))) for c in comp_list)
+    try:
+        for spec in data.get("atoms", ()):
+            e_poly = parse_expr(spec["e"], variables=("u", "v"))
+            atoms[spec["name"]] = Atom(spec["name"], int(spec["dim"]), e_poly)
+        components = tuple((c["name"], Fraction(str(c["a"])))
+                           for c in comp_list)
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"malformed atom or component entry: {exc!r}") from exc
     index = {name: i for i, (name, _) in enumerate(components)}
     strata = {}
     for entry in strata_list:

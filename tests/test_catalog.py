@@ -1,6 +1,7 @@
 """Characteristic series catalog and genus evaluation."""
 
 from fractions import Fraction
+from math import comb as binomial
 
 import pytest
 
@@ -112,3 +113,26 @@ def test_twisted_chi_y():
     assert t1 == 1 - Y - 2 * k - 2 * k * Y
     t2 = twisted_chi_y(2, 4)
     assert t2.substitute("k", 0) == chi_y_poly(2)
+
+
+def ahat_closed_form(n):
+    if n % 2:
+        return 0
+    k = n // 2
+    return Fraction((-1) ** k * binomial(2 * k, k), 16 ** k)
+
+
+CLOSED_FORMS = {
+    "hirzebruch": chi_y_poly,
+    "todd": lambda n: 1,
+    "lgenus": lambda n: 1 if n % 2 == 0 else 0,
+    "chern": lambda n: n + 1,
+    "ahat": ahat_closed_form,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_genus_grid_closed_forms(name):
+    f = builtin_series(name, 20)
+    for n in range(21):
+        assert genus_on_projective(f, n) == CLOSED_FORMS[name](n), (name, n)

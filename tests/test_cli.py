@@ -111,6 +111,36 @@ def test_validation_error_from_datum(tmp_path, capsys):
     assert code == EXIT_VALIDATION
 
 
+GOOD_DATUM = {
+    "flavor": "stringy", "index_r": 1,
+    "components": [{"name": "E", "a": "1"}],
+    "strata": [{"subset": [], "class": "L^2 - 1"},
+               {"subset": ["E"], "class": "L + 1"}],
+}
+
+
+@pytest.mark.parametrize("argv, data", [
+    (("stringy", "integral"), {**GOOD_DATUM, "atoms": [{"name": "C", "dim": 1}]}),
+    (("stringy", "integral"), {**GOOD_DATUM, "atoms": [{"e": "u*v", "dim": 1}]}),
+    (("stringy", "integral"), {**GOOD_DATUM, "atoms": [{"name": "C", "e": "u*v"}]}),
+    (("stringy", "integral"), {**GOOD_DATUM, "components": [{"a": "1"}]}),
+    (("stringy", "integral"), {**GOOD_DATUM, "components": [{"name": "E"}]}),
+    (("pro",), {"mode": "euler", "eulers": [2, 2], "level": 2}),
+    (("pro",), {"mode": "euler", "eulers": [2, 2], "chi": 4}),
+    (("pro",), {"mode": "euler", "level": 2, "chi": 4}),
+    (("k0", "pro"), {"mode": "class", "level": 2, "value": "L"}),
+    (("pro",), [1, 2]),
+    (("k0", "blowup-check"), [1, 2]),
+])
+def test_malformed_input_exits_3(tmp_path, capsys, argv, data):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == EXIT_VALIDATION
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_emit_table():
     assert emit_table([], header=("a", "bb")) == "a  bb\n-  --"
     text = emit_table([[1, "xx"], [22, "y"]], header=("n", "v"))

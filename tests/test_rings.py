@@ -137,6 +137,13 @@ def test_rational_function_equality():
         RationalFunction(X, MultiPoly.const(0))
 
 
+def test_rational_function_hash_agrees_with_equality():
+    a, b = RationalFunction(X * Y, X * Y * Z), RationalFunction(1, Z)
+    assert a == b
+    assert len({a, b}) == 1
+    assert len({RationalFunction(0, X * Y), RationalFunction(0)}) == 1
+
+
 def test_binom_frac():
     assert binom_frac(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binom_frac(5, 2) == 10

@@ -1,0 +1,83 @@
+"""TruncSeries powers: the power recurrence against repeated products."""
+
+from fractions import Fraction
+
+import pytest
+
+from genera.rings import MultiPoly, RationalFunction, TruncSeries
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
+
+X = MultiPoly.var("x")
+Y = MultiPoly.var("y")
+
+
+def repeated_product(f, n):
+    out = TruncSeries.one(f.var, f.order)
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+nonzero_fractions = fractions.filter(bool)
+polys_in_y = st.builds(lambda cs: sum((c * Y ** i for i, c in enumerate(cs)),
+                                      MultiPoly.const(0)),
+                       st.lists(fractions, min_size=1, max_size=3))
+
+
+@st.composite
+def series(draw, coeffs, lead, shifted=True):
+    """A series z^v (lead + ...); v runs up to past the order when shifted,
+    and is 0 otherwise."""
+    order = draw(st.integers(0, 6))
+    v = draw(st.integers(0, order + 1)) if shifted else 0
+    tail = draw(st.lists(coeffs, min_size=order + 1, max_size=order + 1))
+    cs = [Fraction(0)] * v + [draw(lead)] + tail
+    return TruncSeries("z", order, cs[:order + 1])
+
+
+fraction_series = series(fractions, nonzero_fractions)
+poly_series = series(polys_in_y, st.sampled_from(
+    [1 + Y, Y, 2 * Y ** 2 - 1, MultiPoly.const(3)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(fraction_series, st.integers(0, 7))
+def test_power_fraction_coefficients(f, n):
+    assert f ** n == repeated_product(f, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_series, st.integers(0, 6))
+def test_power_polynomial_coefficients(f, n):
+    assert f ** n == repeated_product(f, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(fractions, nonzero_fractions, shifted=False),
+       st.integers(-5, -1))
+def test_negative_power_is_power_of_inverse(f, n):
+    assert f ** n == repeated_product(f.invert(), -n)
+    assert f ** n * f ** (-n) == TruncSeries.one("z", f.order)
+
+
+def test_power_edge_cases():
+    zero = TruncSeries.zero("z", 4)
+    assert zero ** 0 == TruncSeries.one("z", 4)
+    assert zero ** 3 == zero
+    z2 = TruncSeries.from_coeffs("z", [0, 0, 1 + Y], 4)
+    assert z2 ** 3 == zero                          # v n = 6 > order
+    assert z2 ** 2 == TruncSeries.from_coeffs(
+        "z", [0, 0, 0, 0, (1 + Y) ** 2], 4)         # v n = order
+    ghrr_like = TruncSeries.from_coeffs("z", [1 + Y, Fraction(1, 2), Y], 5)
+    assert ghrr_like ** 21 == repeated_product(ghrr_like, 21)
+
+
+def test_power_rational_function_coefficients():
+    f = TruncSeries.from_coeffs(
+        "z", [RationalFunction(1, 1 + X), RationalFunction(X),
+              RationalFunction(1, X)], 3)
+    assert f ** 3 == repeated_product(f, 3)

@@ -99,6 +99,13 @@ def test_fubini_product():
         stringy_euler(blowup_datum()) * stringy_euler(a1_datum())
 
 
+def test_repeated_product_renames_uniquely():
+    d = load_datum(str(FIXTURES / "blowup_c2.json"))
+    triple = product_datum(product_datum(d, d), d)
+    assert [name for name, _ in triple.components] == ["E", "E'", "E''"]
+    assert stringy_euler(triple) == stringy_euler(d) ** 3
+
+
 def test_fractional_index():
     # one component, a = 1/2, r = 2: denominator (L^{3/2} - 1) via t
     datum = ResolutionDatum("stringy", 2, (("E", Fraction(1, 2)),), {
