@@ -244,67 +244,33 @@ class LineCombo:
             self.terms.items(), key=lambda t: str(t[0])))
 
 
-class QSeries:
-    """Truncated series in q with LineCombo (or ring element) coefficients."""
-
-    __slots__ = ("order_q", "coeffs")
-
-    def __init__(self, order_q: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != order_q + 1:
-            raise ValueError("coefficient list must have length order_q + 1")
-        self.order_q = order_q
-        self.coeffs = coeffs
-
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
-    def q0(self):
-        return self.coeffs[0]
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        if self.order_q != other.order_q:
-            raise ValueError("q-series orders differ")
-        out = [LineCombo({}) for _ in range(self.order_q + 1)]
-        for i, a in enumerate(self.coeffs):
-            for j in range(self.order_q + 1 - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return QSeries(self.order_q, out)
-
-    @classmethod
-    def one(cls, order_q: int) -> "QSeries":
-        return cls(order_q, [LineCombo.scalar(1)]
-                   + [LineCombo({}) for _ in range(order_q)])
-
-
-def _line_factor(alpha: MultiPoly, q_order: int, ring: GradedRing) -> QSeries:
+def _line_factor(alpha: MultiPoly, q_order: int, ring: GradedRing) -> TruncSeries:
     """q-series elliptic factor of a single line with first Chern class alpha:
     (1 + y[-a]) * prod_n (1 + y q^n [-a])(1 + 1/y q^n [a]) S_{q^n}([-a]) S_{q^n}([a])."""
-    y = Y
     yinv = MultiPoly(("y",), {(-1,): Fraction(1)})
     minus = ring.reduce(-alpha)
     plus = ring.reduce(alpha)
-    out = QSeries(q_order, [LineCombo.line(minus, y) + 1]
-                  + [LineCombo({}) for _ in range(q_order)])
+    zero = LineCombo({})
+    out = TruncSeries("q", q_order,
+                      [LineCombo.line(minus, Y) + 1] + [zero] * q_order)
     for n in range(1, q_order + 1):
-        lam_dual = [LineCombo.scalar(1)] + [LineCombo({})] * q_order
-        lam = [LineCombo.scalar(1)] + [LineCombo({})] * q_order
-        if n <= q_order:
-            lam_dual[n] = LineCombo.line(minus, y)
-            lam[n] = LineCombo.line(plus, yinv)
-        s_dual = [LineCombo({}) for _ in range(q_order + 1)]
-        s = [LineCombo({}) for _ in range(q_order + 1)]
+        lam_dual = [LineCombo.scalar(1)] + [zero] * q_order
+        lam = [LineCombo.scalar(1)] + [zero] * q_order
+        lam_dual[n] = LineCombo.line(minus, Y)
+        lam[n] = LineCombo.line(plus, yinv)
+        s_dual = [zero] * (q_order + 1)
+        s = [zero] * (q_order + 1)
         for m in range(0, q_order // n + 1):
-            s_dual[m * n] = s_dual[m * n] + LineCombo.line(ring.reduce(minus * m))
-            s[m * n] = s[m * n] + LineCombo.line(ring.reduce(plus * m))
-        for factor in (QSeries(q_order, lam_dual), QSeries(q_order, lam),
-                       QSeries(q_order, s_dual), QSeries(q_order, s)):
-            out = out * factor
+            s_dual[m * n] = LineCombo.line(ring.reduce(minus * m))
+            s[m * n] = LineCombo.line(ring.reduce(plus * m))
+        for factor in (lam_dual, lam, s_dual, s):
+            out = out * TruncSeries("q", q_order, factor)
     return out
 
 
-def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> QSeries:
-    """ELL(E) = Lambda_y(E^*) tensor W(E) as a q-series of line combinations.
+def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> TruncSeries:
+    """ELL(E) = Lambda_y(E^*) tensor W(E) as a series in q whose
+    coefficients are line combinations.
 
     Requires a split bundle (rank 0 is the empty product).  The q^0
     coefficient is Lambda_y(E^*).  Other normalizations in the literature
@@ -313,12 +279,11 @@ def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> QSeries:
     """
     if q_order < 0:
         raise ValueError("q_order must be >= 0")
-    if bundle.rank == 0:
-        return QSeries.one(q_order)
-    if bundle.split_roots is None:
+    out = TruncSeries("q", q_order,
+                      [LineCombo.scalar(1)] + [LineCombo({})] * q_order)
+    if bundle.rank and bundle.split_roots is None:
         raise ValueError("the elliptic class needs declared split roots")
-    out = QSeries.one(q_order)
-    for alpha in bundle.split_roots:
+    for alpha in bundle.split_roots or ():
         out = out * _line_factor(alpha, q_order, bundle.ring)
     return out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import MultiPoly, TruncSeries, coeff_div_exact
+from .rings import MultiPoly, TruncSeries, coeff_div_exact, exp_coeffs
 
 Y = MultiPoly.var("y")
 
@@ -163,13 +163,7 @@ def unnormalize_invariance_check(f: CharSeries, a, n_max: int | None = None) -> 
 def ghrr_integrand(order: int) -> CharSeries:
     """(1 + y e^{-z}) * z/(1 - e^{-z}): the non-normalized series whose
     genus is chi_y; its constant term is 1 + y."""
-    # e^{-z}
-    fact = 1
-    em = [Fraction(1)]
-    for k in range(1, order + 1):
-        fact *= k
-        em.append(Fraction((-1) ** k, fact))
-    emz = TruncSeries("z", order, em)
+    emz = TruncSeries("z", order, exp_coeffs(-1, order))
     series = (emz * Y + 1) * _todd_series(order)
     return CharSeries("ghrr-integrand", series, normalized=False)
 
@@ -184,12 +178,7 @@ def twisted_chi_y(n: int, k_order: int) -> MultiPoly:
     f = ghrr_integrand(order).series  # (1+y e^{-z}) z/(1-e^{-z})
     kvar = MultiPoly.var("k")
     # e^{-k(n+1)z} truncated in z (k degree grows with z degree)
-    fact = 1
-    ek = [MultiPoly.const(1)]
-    for j in range(1, order + 1):
-        fact *= j
-        ek.append((kvar * (-(n + 1))) ** j * Fraction(1, fact))
-    expk = TruncSeries("z", order, ek)
+    expk = TruncSeries("z", order, exp_coeffs(kvar * (-(n + 1)), order))
     total = expk * (f ** (n + 1))
     top = MultiPoly._coerce(total[n])
     value = top.laurent_div_exact(1 + Y) if n >= 0 else top

@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (stringy.ValidationError, k0.ValidationError) as exc:
+    except k0.ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except stringy.ConsistencyError as exc:

@@ -35,10 +35,6 @@ class GradedRing:
             kept[expo] = coeff
         return MultiPoly(poly.vars, kept)
 
-    def is_homogeneous(self, poly, degree: int) -> bool:
-        return all(self.weighted_degree(poly.vars, e) == degree
-                   for e in poly.terms)
-
     def has_positive_weight(self, poly) -> bool:
         """True when every term has weighted degree >= 1 (nilpotent)."""
         poly = self.reduce(poly) if isinstance(poly, MultiPoly) else MultiPoly.const(poly)

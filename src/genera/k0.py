@@ -37,43 +37,44 @@ class Atom:
             raise ValidationError(
                 f"E-polynomial degree exceeds 2*dim for atom {self.name!r}")
 
-    def __hash__(self):
-        return hash((self.name, self.dim))
-
-    def __eq__(self, other):
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self.name == other.name and self.dim == other.dim
-
 
 LEFSCHETZ = Atom("L", 1, U * V)
 
 
 class K0Class:
-    """Integer combination of commutative atom-monomials."""
+    """Integer polynomial in atom names: ``poly`` is a MultiPoly whose
+    variables are atom names, and ``atoms`` maps each of them to its Atom.
 
-    __slots__ = ("terms",)
+    The constructor is the boundary check: integer coefficients, no
+    negative exponents, and an atom for every variable.  Arithmetic is
+    MultiPoly's; two different atoms with one name cannot meet.
+    """
 
-    def __init__(self, terms: dict):
-        clean = {}
-        for mono, coeff in terms.items():
-            mono = tuple(sorted(((a, e) for a, e in mono if e),
-                                key=lambda t: t[0].name))
-            if coeff:
-                clean[mono] = clean.get(mono, 0) + coeff
-        self.terms = {m: c for m, c in clean.items() if c}
+    __slots__ = ("poly", "atoms")
+
+    def __init__(self, poly: MultiPoly, atoms: dict):
+        for expo, coeff in poly.terms.items():
+            if coeff.denominator != 1:
+                raise ValidationError("K0 classes have integer coefficients")
+            if min(expo, default=0) < 0:
+                raise ValidationError("negative atom powers are not in K0")
+        for name in poly.vars:
+            if name not in atoms:
+                raise ValidationError(f"unknown atom {name!r}")
+        self.poly = poly
+        self.atoms = {name: atoms[name] for name in poly.vars}
 
     @classmethod
     def zero(cls) -> "K0Class":
-        return cls({})
+        return cls(MultiPoly.const(0), {})
 
     @classmethod
     def point(cls, coeff: int = 1) -> "K0Class":
-        return cls({(): coeff})
+        return cls(MultiPoly.const(coeff), {})
 
     @classmethod
     def atom(cls, a: Atom, power: int = 1, coeff: int = 1) -> "K0Class":
-        return cls({((a, power),): coeff})
+        return cls(MultiPoly.monomial({a.name: power}, coeff), {a.name: a})
 
     @staticmethod
     def _coerce(x):
@@ -85,25 +86,31 @@ class K0Class:
             return K0Class.atom(x)
         return None
 
+    def _merged_atoms(self, other: "K0Class") -> dict:
+        atoms = dict(self.atoms)
+        for name, a in other.atoms.items():
+            have = atoms.setdefault(name, a)
+            if have is not a and have != a:
+                raise ValidationError(
+                    f"two different atoms are named {name!r}")
+        return atoms
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return K0Class(out)
+        return K0Class(self.poly + other.poly, self._merged_atoms(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return K0Class({m: -c for m, c in self.terms.items()})
+        return K0Class(-self.poly, self.atoms)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return K0Class(self.poly - other.poly, self._merged_atoms(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -112,97 +119,53 @@ class K0Class:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                powers = {}
-                for a, e in m1 + m2:
-                    powers[a] = powers.get(a, 0) + e
-                key = tuple(sorted(powers.items(), key=lambda t: t[0].name))
-                out[key] = out.get(key, 0) + c1 * c2
-        return K0Class(out)
+        return K0Class(self.poly * other.poly, self._merged_atoms(other))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in K0")
-        out = K0Class.point()
-        for _ in range(n):
-            out = out * self
-        return out
+        return K0Class(self.poly ** n, self.atoms)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self.poly == other.poly and self.atoms == other.atoms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: str(t[0]))))
+        return hash(self.poly)
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def atoms(self):
-        return {a for mono in self.terms for a, _ in mono}
+        return self.poly.is_zero()
 
     def map_atoms(self, fn) -> MultiPoly:
         """Ring morphism determined by atom -> MultiPoly."""
-        out = MultiPoly.const(0)
-        for mono, coeff in self.terms.items():
-            part = MultiPoly.const(coeff)
-            for a, e in mono:
-                part = part * fn(a) ** e
-            out = out + part
-        return out
+        return self.poly.substitute_map(
+            {name: fn(a) for name, a in self.atoms.items()})
 
     def divide_monomial(self, other: "K0Class", power: int):
         """Cancel other^power when other is a single atom-monomial dividing
         every term; returns (reduced, remaining_power)."""
         if power == 0 or self.is_zero():
             return self, 0
-        if len(other.terms) != 1:
+        if len(other.poly.terms) != 1:
             return self, power
-        (mono, coeff), = other.terms.items()
+        (mono, coeff), = other.poly.terms.items()
         if coeff != 1:
             return self, power
-        divisor = dict(mono)
         k = power
-        for m, _ in self.terms.items():
-            have = dict(m)
-            for a, e in divisor.items():
-                avail = have.get(a, 0) // e
-                k = min(k, avail)
+        for name, e in zip(other.poly.vars, mono):
+            k = min(k, min(self.poly.coefficients_in(name)) // e)
         if k == 0:
             return self, power
-        out = {}
-        for m, c in self.terms.items():
-            have = dict(m)
-            for a, e in divisor.items():
-                have[a] = have.get(a, 0) - e * k
-            out[tuple(sorted(have.items(), key=lambda t: t[0].name))] = c
-        return K0Class(out), power - k
+        return (K0Class(self.poly * other.poly.monomial_inverse() ** k,
+                        self._merged_atoms(other)), power - k)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        def mono_str(m):
-            return "*".join(a.name if e == 1 else f"{a.name}^{e}" for a, e in m)
-        items = sorted(self.terms.items(),
-                       key=lambda t: (sum(e for _, e in t[0]), mono_str(t[0])))
-        parts = []
-        for mono, coeff in items:
-            ms = mono_str(mono)
-            if not ms:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = ms
-            else:
-                body = f"{abs(coeff)}*{ms}"
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return "-" + text[2:] if text.startswith("- ") else text[2:]
+        poly = self.poly
+        return poly.text(lambda expo: (sum(expo), poly.monomial_text(expo)))
 
     __repr__ = __str__
 
@@ -221,22 +184,7 @@ def projective_space_class(n: int) -> K0Class:
 
 def poly_to_class(poly: MultiPoly, atoms: dict) -> K0Class:
     """Interpret a polynomial in atom names as a K0 class."""
-    out = K0Class.zero()
-    for expo, coeff in poly.terms.items():
-        if coeff.denominator != 1:
-            raise ValidationError("K0 classes have integer coefficients")
-        mono = tuple((atoms[v], e) for v, e in zip(poly.vars, expo) if e)
-        for v, e in zip(poly.vars, expo):
-            if e and v not in atoms:
-                raise ValidationError(f"unknown atom {v!r}")
-            if e < 0:
-                raise ValidationError("negative atom powers are not in K0")
-        out = out + K0Class({mono: coeff.numerator})
-    return out
-
-
-def k0_mul(a: K0Class, b: K0Class) -> K0Class:
-    return a * b
+    return K0Class(poly, atoms)
 
 
 def e_polynomial(a: K0Class) -> MultiPoly:

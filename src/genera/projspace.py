@@ -48,14 +48,6 @@ class ProjSpaceRing(GradedRing):
         return out
 
 
-def integrate(ring: ProjSpaceRing, elt) -> MultiPoly:
-    return ring.integrate(elt)
-
-
-def tangent_class(ring: ProjSpaceRing, f: CharSeries) -> MultiPoly:
-    return ring.tangent_class(f)
-
-
 def count_monomials(n_vars: int, degree: int) -> int:
     """Dimension of the space of degree-d monomials in n_vars variables,
     by direct enumeration (the sheaf-cohomology oracle for O(d) on P^n)."""

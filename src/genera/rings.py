@@ -24,6 +24,15 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
+def exp_coeffs(a, order: int) -> list:
+    """The coefficients a^j / j! of e^(a z) for j = 0..order; a is a
+    rational or a polynomial."""
+    out = [Fraction(1)]
+    for j in range(1, order + 1):
+        out.append(out[-1] * a / j)
+    return out
+
+
 def binom_frac(a: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(a, k) for rational a."""
     a = as_fraction(a)
@@ -216,37 +225,40 @@ class MultiPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes like it
         h = self._hash
         if h is None:
-            h = hash((self.vars, tuple(sorted(self.terms.items()))))
+            h = hash(self.constant_value()) if not self.vars else \
+                hash((self.vars, tuple(sorted(self.terms.items()))))
             object.__setattr__(self, "_hash", h)
         return h
 
     # -- substitution -------------------------------------------------
     def substitute(self, name: str, value) -> "MultiPoly":
         """Substitute ``value`` (polynomial or scalar) for a variable."""
-        if name not in self.vars:
-            return self
-        value = self._coerce(value)
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        out = MultiPoly.const(0)
-        powers = {}
-
-        def value_pow(k):
-            if k not in powers:
-                powers[k] = value ** k
-            return powers[k]
-
-        for expo, coeff in self.terms.items():
-            mono = MultiPoly(rest, {expo[:i] + expo[i + 1:]: coeff})
-            out = out + mono * value_pow(expo[i])
-        return out
+        return self.substitute_map({name: value})
 
     def substitute_map(self, mapping: dict) -> "MultiPoly":
-        out = self
-        for name, value in mapping.items():
-            out = out.substitute(name, value)
+        """Substitute every named variable at once: a value that contains
+        a substituted name keeps it, as in a ring morphism."""
+        names = [n for n in self.vars if n in mapping]
+        if not names:
+            return self
+        values = {n: self._coerce(mapping[n]) for n in names}
+        keep = [i for i, n in enumerate(self.vars) if n not in mapping]
+        rest = tuple(self.vars[i] for i in keep)
+        moved = [(n, self.vars.index(n)) for n in names]
+        powers = {}
+        out = MultiPoly.const(0)
+        for expo, coeff in self.terms.items():
+            term = MultiPoly(rest, {tuple(expo[i] for i in keep): coeff})
+            for n, i in moved:
+                if expo[i]:
+                    key = (n, expo[i])
+                    if key not in powers:
+                        powers[key] = values[n] ** expo[i]
+                    term = term * powers[key]
+            out = out + term
         return out
 
     def coefficients_in(self, name: str) -> dict:
@@ -380,17 +392,19 @@ class MultiPoly:
         return poly
 
     # -- serialization ------------------------------------------------
-    def __str__(self):
+    def monomial_text(self, expo) -> str:
+        """The monomial with these exponents, as ``x^2*y``."""
+        return "*".join(v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(self.vars, expo) if e != 0)
+
+    def text(self, key) -> str:
+        """The polynomial as text, its terms sorted by ``key(exponents)``."""
         if not self.terms:
             return "0"
-        items = sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
         parts = []
-        for expo, coeff in items:
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, expo)
-                if e != 0
-            )
+        for expo in sorted(self.terms, key=key):
+            coeff = self.terms[expo]
+            mono = self.monomial_text(expo)
             if not mono:
                 body = _frac_str(abs(coeff))
             elif abs(coeff) == 1:
@@ -400,6 +414,9 @@ class MultiPoly:
             parts.append(("- " if coeff < 0 else "+ ") + body)
         text = " ".join(parts)
         return "-" + text[2:] if text.startswith("- ") else text[2:]
+
+    def __str__(self):
+        return self.text(lambda expo: (sum(expo), expo))
 
     def __repr__(self):
         return f"MultiPoly({self})"

@@ -17,15 +17,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from .expr import parse_expr
-from .k0 import Atom, K0Class, LEFSCHETZ, euler_of_class, e_polynomial, \
-    poly_to_class
-from .rings import MultiPoly, RationalFunction, TruncSeries, binom_frac
+from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
+    e_polynomial, poly_to_class
+from .rings import MultiPoly, RationalFunction, TruncSeries, binom_frac, \
+    exp_coeffs
 
 MAX_COMPONENTS = 16
-
-
-class ValidationError(ValueError):
-    """Resolution datum violating a structural requirement."""
 
 
 class ConsistencyError(ArithmeticError):
@@ -349,15 +346,6 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
 # per-component Jacobian factor of the degree-level elliptic limit
 
 
-def _exp_neg_e(order: int) -> list:
-    fact = 1
-    out = [Fraction(1)]
-    for kk in range(1, order + 1):
-        fact *= kk
-        out.append(Fraction((-1) ** kk, fact))
-    return out
-
-
 def _series_quotient(num, den, var: str, order: int) -> TruncSeries:
     """num/den as a TruncSeries with RationalFunction coefficients."""
     d0 = RationalFunction(den[0])
@@ -389,7 +377,7 @@ def jacobian_factor_limit(a, e_order: int) -> TruncSeries:
     if a == 0:
         return TruncSeries("e", e_order,
                            [RationalFunction(1)] + [RationalFunction(0)] * e_order)
-    exp = _exp_neg_e(e_order)
+    exp = exp_coeffs(-1, e_order)
     num1 = [(y - 1) * (MultiPoly.const(1 if kk == 0 else 0) - ya1 * exp[kk])
             for kk in range(e_order + 1)]
     den = [(ya1 - 1) * (MultiPoly.const(1 if kk == 0 else 0) - y * exp[kk])
@@ -452,7 +440,10 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     try:
         for spec in data.get("atoms", ()):
             e_poly = parse_expr(spec["e"], variables=("u", "v"))
-            atoms[spec["name"]] = Atom(spec["name"], int(spec["dim"]), e_poly)
+            atom = Atom(spec["name"], int(spec["dim"]), e_poly)
+            if atoms.setdefault(atom.name, atom) != atom:
+                raise ValidationError(
+                    f"atom {atom.name!r} conflicts with an earlier definition")
         components = tuple((c["name"], Fraction(str(c["a"])))
                            for c in comp_list)
     except (KeyError, TypeError) as exc:

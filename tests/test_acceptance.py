@@ -207,7 +207,8 @@ def test_criterion_11_lambda_elliptic_jacobian():
     ring = GradedRing({"a": 1, "b": 1}, 4)
     e = FormalBundle(ring, 2, split_roots=(MultiPoly.var("a"),
                                            MultiPoly.var("b")))
-    assert elliptic_class_qseries(e, 2).q0() == lambda_y_dual_lines(e)
+    assert elliptic_class_qseries(e, 2).constant_term() == \
+        lambda_y_dual_lines(e)
     # q^0 elliptic genus of P^n = chi_y: pair ch(Lambda_y of the dual
     # hyperplane lines) against the Todd class, divide by the trivial
     # summand's contribution 1 + y
@@ -215,7 +216,7 @@ def test_criterion_11_lambda_elliptic_jacobian():
         ring = ProjSpaceRing([n])
         h = ring.h()
         lines = FormalBundle(ring, n + 1, split_roots=(h,) * (n + 1))
-        q0 = elliptic_class_qseries(lines, 0).q0()
+        q0 = elliptic_class_qseries(lines, 0).constant_term()
         integrand = q0.ch(ring)
         todd = builtin_series("todd", max(n, 1)).series.evaluate(h)
         for _ in range(n + 1):

@@ -123,9 +123,9 @@ def test_lambda_is_chern_polynomial():
 def test_elliptic_q0_is_lambda_y_dual():
     ring, e = split_pair(4)
     ell = elliptic_class_qseries(e, 2)
-    assert ell.q0() == lambda_y_dual_lines(e)
+    assert ell.constant_term() == lambda_y_dual_lines(e)
     line = FormalBundle(ring, 1, split_roots=(MultiPoly.var("a"),))
-    assert elliptic_class_qseries(line, 3).q0() == \
+    assert elliptic_class_qseries(line, 3).constant_term() == \
         lambda_y_dual_lines(line)
 
 
@@ -134,7 +134,7 @@ def test_elliptic_rank_zero():
     trivial = FormalBundle(ring, 0, chern=[])
     ell = elliptic_class_qseries(trivial, 2)
     from genera.bundles import LineCombo
-    assert ell.q0() == LineCombo.scalar(1)
+    assert ell.constant_term() == LineCombo.scalar(1)
     assert ell[1] == LineCombo({})
 
 

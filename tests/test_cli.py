@@ -88,6 +88,39 @@ def test_pro(capsys):
     assert code == EXIT_OK and out.strip() == "1 + L + L^2"
 
 
+SEVERAL_ATOMS = {
+    "flavor": "stringy", "index_r": 1,
+    "atoms": [{"name": "C", "dim": 1, "e": "1 - 2*u - 2*v + u*v"},
+              {"name": "T", "dim": 1, "e": "u*v - 1"}],
+    "components": [{"name": "E", "a": "1"}, {"name": "F", "a": "2"}],
+    "strata": [{"subset": [], "class": "C*T + L^2 - 3 + T^2"},
+               {"subset": ["E"], "class": "C + T - 1"},
+               {"subset": ["F"], "class": "2*C*L - C*T + L^2*T"},
+               {"subset": ["E", "F"], "class": "1"}],
+}
+
+
+def test_stringy_with_several_atoms(tmp_path, capsys):
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(SEVERAL_ATOMS))
+    code, out, _ = run(capsys, "stringy", "integral", str(path), "--relative")
+    assert code == EXIT_OK
+    assert out == (
+        "stratum  class\n"
+        "-------  --------------------\n"
+        "{}       -3 + C*T + L^2 + T^2\n"
+        "{E}      -1 + C + T\n"
+        "{F}      2*C*L - C*T + L^2*T\n"
+        "{E, F}   1\n")
+    code, out, _ = run(capsys, "stringy", "efun", str(path))
+    assert code == EXIT_OK
+    assert out == (
+        "(-2 - 2*v - 2*u + 2*u^2*v^2 + 2*u^2*v^3 + 2*u^3*v^2 + 6*u^3*v^3"
+        " + 2*u^3*v^4 + 2*u^4*v^3 - 3*u^4*v^4 - 2*u^4*v^5 - 2*u^5*v^4"
+        " - 5*u^5*v^5 + 2*u^5*v^6 + 2*u^6*v^5 - u^6*v^6 - 2*u^6*v^7"
+        " - 2*u^7*v^6 + 3*u^7*v^7) / (1 - u^2*v^2 - u^3*v^3 + u^5*v^5)\n")
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "stringy", "integral", "missing.json")
     assert code == EXIT_IO
@@ -123,6 +156,11 @@ GOOD_DATUM = {
     (("stringy", "integral"), {**GOOD_DATUM, "atoms": [{"name": "C", "dim": 1}]}),
     (("stringy", "integral"), {**GOOD_DATUM, "atoms": [{"e": "u*v", "dim": 1}]}),
     (("stringy", "integral"), {**GOOD_DATUM, "atoms": [{"name": "C", "e": "u*v"}]}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "atoms": [{"name": "L", "dim": 1, "e": "u"}]}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "atoms": [{"name": "C", "dim": 1, "e": "u*v"},
+                              {"name": "C", "dim": 1, "e": "u*v - 1"}]}),
     (("stringy", "integral"), {**GOOD_DATUM, "components": [{"a": "1"}]}),
     (("stringy", "integral"), {**GOOD_DATUM, "components": [{"name": "E"}]}),
     (("pro",), {"mode": "euler", "eulers": [2, 2], "level": 2}),

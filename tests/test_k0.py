@@ -59,6 +59,20 @@ def test_atom_invariants():
     assert euler_of_class(K0Class.atom(torus)) == 0
 
 
+def test_one_atom_per_name():
+    from genera import stringy
+    assert stringy.ValidationError is ValidationError
+    fake_l = Atom("L", 1, U)
+    assert fake_l != LEFSCHETZ
+    assert Atom("L", 1, U * V) == LEFSCHETZ
+    assert hash(Atom("L", 1, U * V)) == hash(LEFSCHETZ)
+    with pytest.raises(ValidationError):
+        K0Class.atom(fake_l) + lefschetz(1)
+    with pytest.raises(ValidationError):
+        K0Class.atom(fake_l) * lefschetz(2)
+    assert K0Class.atom(fake_l) != lefschetz(1)
+
+
 def test_poly_to_class_roundtrip():
     from genera.expr import parse_expr
     poly = parse_expr("L^2 - 2*L + 1", variables=("L",))
@@ -66,6 +80,29 @@ def test_poly_to_class_roundtrip():
     assert cls == (lefschetz(1) - 1) * (lefschetz(1) - 1)
     with pytest.raises(ValidationError):
         poly_to_class(parse_expr("1/2"), {"L": LEFSCHETZ})
+    with pytest.raises(ValidationError):
+        poly_to_class(parse_expr("L^-1", variables=("L",)), {"L": LEFSCHETZ})
+    with pytest.raises(ValidationError):
+        poly_to_class(parse_expr("C + 1", variables=("C",)), {"L": LEFSCHETZ})
+
+
+def several_atoms():
+    return {"C": Atom("C", 1, 1 - 2 * U - 2 * V + U * V), "L": LEFSCHETZ,
+            "T": Atom("T", 1, U * V - 1)}
+
+
+def class_of(text, atoms):
+    from genera.expr import parse_expr
+    return poly_to_class(parse_expr(text, variables=tuple(atoms)), atoms)
+
+
+def test_class_text_with_several_atoms():
+    # terms by total degree, then by the text of the monomial
+    cls = class_of("T^2 - 3 + L + C + C^2 + 2*C*L - C*T + L^2*T",
+                   several_atoms())
+    assert str(cls) == "-3 + C + L + 2*C*L - C*T + C^2 + T^2 + L^2*T"
+    assert str(K0Class.zero()) == "0"
+    assert str(-lefschetz(2) + 1) == "1 - L^2"
 
 
 def test_blowup_relation():
@@ -202,6 +239,20 @@ def test_pro_grothendieck():
     assert num == lefschetz(3) and left == 0
     num, left = pro_grothendieck(tower, 1, lefschetz(5))
     assert num == lefschetz(5) and left == 0
+
+
+def test_pro_grothendieck_point_and_two_atom_gamma():
+    atoms = several_atoms()
+    value = class_of("T^2 - 3 + L + C*T", atoms)
+    assert pro_grothendieck(TowerDatum(gamma=K0Class.point()), 3, value) \
+        == (value, 0)
+    tower = TowerDatum(gamma=class_of("C*T", atoms))
+    assert pro_grothendieck(tower, 3, class_of("C^2*T^3 + C^3*T^2", atoms)) \
+        == (class_of("T + C", atoms), 0)
+    assert pro_grothendieck(tower, 4, class_of("C*T^2 + C^3*T^2", atoms)) \
+        == (class_of("T + C^2*T", atoms), 2)
+    assert pro_grothendieck(tower, 3, class_of("C*T + 1", atoms)) \
+        == (class_of("C*T + 1", atoms), 2)
 
 
 def test_naive_motivic_measure():

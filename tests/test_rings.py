@@ -45,6 +45,19 @@ def test_poly_basics():
     assert p.substitute("y", 1) == X ** 2 + 2 * X + 1
 
 
+def test_substitute_map_is_simultaneous():
+    # every name is replaced at once, so the values are not substituted into
+    assert (X ** 2 * Y).substitute_map({"x": Y, "y": X}) == Y ** 2 * X
+    assert (X + Y).substitute_map({"x": X * Y, "y": 2}) == X * Y + 2
+    assert (X * Z).substitute_map({"x": Y, "w": X}) == Y * Z
+
+
+def test_constant_hashes_like_its_scalar():
+    assert len({MultiPoly.const(3), 3}) == 1
+    assert len({MultiPoly.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert hash(MultiPoly.const(0)) == hash(0)
+
+
 def test_laurent_monomials():
     inv = X ** (-2)
     assert inv * X ** 2 == MultiPoly.const(1)
