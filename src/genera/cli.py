@@ -166,13 +166,17 @@ def cmd_stringy(args) -> int:
             raise CliError("compare needs a second datum file", EXIT_VALIDATION)
         other = stringy.load_datum(args.file2)
         report = stringy.invariance_check(datum, other)
-        rows = [(label, v1, v2, flag) for label, (v1, v2, flag) in (
-            ("integral", report.integral), ("E-function", report.e_function),
-            ("chi_y", report.chi_y), ("euler", report.euler))]
-        text = emit_table(rows, header=("invariant", "first", "second", "equal"))
+        # chi_y is None (not defined) unless both data have index 1
+        rows = (("integral", report.integral),
+                ("E-function", report.e_function),
+                ("chi_y", report.chi_y), ("euler", report.euler))
+        text = emit_table([(label, *(row or ("n/a",) * 3))
+                           for label, row in rows],
+                          header=("invariant", "first", "second", "equal"))
         _emit(args, text, {
-            label: {"first": str(v1), "second": str(v2), "equal": flag}
-            for label, v1, v2, flag in rows})
+            label: None if row is None else
+            {"first": str(row[0]), "second": str(row[1]), "equal": row[2]}
+            for label, row in rows})
         return EXIT_OK if report.all_equal else EXIT_MATH
     if args.action == "integral":
         if args.relative:

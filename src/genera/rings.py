@@ -201,6 +201,10 @@ class MultiPoly:
             return NotImplemented
         if n < 0:
             return self.monomial_inverse() ** (-n)
+        if len(self.terms) == 1:
+            (expo, coeff), = self.terms.items()
+            return MultiPoly(self.vars,
+                             {tuple(e * n for e in expo): coeff ** n})
         out = MultiPoly.const(1)
         base = self
         while n:
@@ -248,18 +252,34 @@ class MultiPoly:
         keep = [i for i, n in enumerate(self.vars) if n not in mapping]
         rest = tuple(self.vars[i] for i in keep)
         moved = [(n, self.vars.index(n)) for n in names]
+        out_vars = tuple(sorted(set(rest).union(
+            *(value.vars for value in values.values()))))
+        rest_place = [out_vars.index(v) for v in rest]
+        one = MultiPoly.const(1)
         powers = {}
-        out = MultiPoly.const(0)
+        out = {}
         for expo, coeff in self.terms.items():
-            term = MultiPoly(rest, {tuple(expo[i] for i in keep): coeff})
+            factor = one
             for n, i in moved:
                 if expo[i]:
                     key = (n, expo[i])
                     if key not in powers:
                         powers[key] = values[n] ** expo[i]
-                    term = term * powers[key]
-            out = out + term
-        return out
+                    factor = powers[key] if factor is one \
+                        else factor * powers[key]
+            # coeff * (kept part of the monomial) * factor, added into one
+            # dict: summing MultiPolys would copy the sum once per term
+            base = [0] * len(out_vars)
+            for j, i in zip(rest_place, keep):
+                base[j] = expo[i]
+            place = [out_vars.index(v) for v in factor.vars]
+            for e, c in factor.terms.items():
+                new = base[:]
+                for j, x in zip(place, e):
+                    new[j] += x
+                new = tuple(new)
+                out[new] = out.get(new, 0) + coeff * c
+        return MultiPoly(out_vars, out)
 
     def coefficients_in(self, name: str) -> dict:
         """Split into {power: polynomial in the remaining variables}."""
@@ -783,11 +803,14 @@ class RationalFunction:
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __hash__(self):
-        # Several-variable fractions are not reduced, so equal values can
-        # have different numerators; hash what all of them share: the
-        # degree of numerator minus denominator in each variable.
-        if self.numerator.is_zero():
-            return hash(0)
+        # A fraction equal to a polynomial hashes like it.  Several-variable
+        # fractions are not reduced, so equal values can have different
+        # numerators; hash what all of them share: the degree of numerator
+        # minus denominator in each variable.
+        try:
+            return hash(self.as_polynomial())
+        except ExactDivisionError:
+            pass
         names = sorted(set(self.numerator.vars) | set(self.denominator.vars))
         shifts = ((name, self.numerator.degree_in(name)
                    - self.denominator.degree_in(name)) for name in names)
@@ -797,7 +820,16 @@ class RationalFunction:
         return self.denominator.is_constant()
 
     def as_polynomial(self) -> MultiPoly:
-        return self.numerator.laurent_div_exact(self.denominator)
+        """The Laurent polynomial equal to this fraction; raises
+        ExactDivisionError when there is none."""
+        # a monomial factor of the denominator is a unit: move it to the
+        # numerator, so the division is exact whenever the value is a
+        # Laurent polynomial
+        den = self.denominator
+        low = {name: min(e[i] for e in den.terms)
+               for i, name in enumerate(den.vars)}
+        unit = MultiPoly.monomial(low).monomial_inverse()
+        return (self.numerator * unit).laurent_div_exact(den * unit)
 
     def substitute(self, name, value) -> "RationalFunction":
         return RationalFunction(self.numerator.substitute(name, value),

@@ -128,23 +128,23 @@ def rewrite_uv(poly: MultiPoly, r: int) -> MultiPoly:
     """Canonical representative modulo u*v = t^r: in every monomial,
     min(deg_u, deg_v) is moved into the t exponent."""
     poly = MultiPoly._coerce(poly)
-    out = MultiPoly.const(0)
-    u = MultiPoly.var("u")
-    v = MultiPoly.var("v")
-    t = MultiPoly.var("t")
-    iu = poly.vars.index("u") if "u" in poly.vars else None
-    iv = poly.vars.index("v") if "v" in poly.vars else None
+    if "u" not in poly.vars or "v" not in poly.vars:
+        return poly
+    names = tuple(sorted(set(poly.vars) | {"t"}))
+    place = [names.index(var) for var in poly.vars]
+    iu, iv, it = (names.index(var) for var in "uvt")
+    out = {}
     for expo, coeff in poly.terms.items():
-        du = expo[iu] if iu is not None else 0
-        dv = expo[iv] if iv is not None else 0
-        m = min(du, dv)
-        mono = MultiPoly.const(coeff) * u ** (du - m) * v ** (dv - m) \
-            * t ** (r * m)
-        for var, e in zip(poly.vars, expo):
-            if var not in ("u", "v"):
-                mono = mono * MultiPoly.var(var) ** e
-        out = out + mono
-    return out
+        new = [0] * len(names)
+        for i, e in zip(place, expo):
+            new[i] = e
+        m = min(new[iu], new[iv])
+        new[iu] -= m
+        new[iv] -= m
+        new[it] += r * m
+        key = tuple(new)
+        out[key] = out.get(key, 0) + coeff
+    return MultiPoly(names, out)
 
 
 @dataclass(frozen=True)
@@ -206,12 +206,45 @@ def _realize_in_l(cls: K0Class, lpoly: MultiPoly) -> MultiPoly:
     return cls.map_atoms(fn)
 
 
+def _by_mask(d: ResolutionDatum) -> list:
+    """The open strata as a table indexed by bitmask: bit i of the index
+    is set when component i is in the subset."""
+    k = len(d.components)
+    return [d.strata[frozenset(i for i in range(k) if m >> i & 1)]
+            for m in range(1 << k)]
+
+
+def _superset_sums(table: list) -> list:
+    """out[S] = sum of table[J] over every bitmask J containing S, by one
+    pass per component (Yates' zeta transform): O(k * 2^k) additions."""
+    out = list(table)
+    bit = 1
+    while bit < len(out):
+        for m in range(len(out)):
+            if not m & bit:
+                out[m] = out[m] + out[m | bit]
+        bit <<= 1
+    return out
+
+
+def _fold(table: list, ins: list, outs: list):
+    """Sum over bitmasks I of table[I] * prod_{i in I} ins[i] *
+    prod_{i not in I} outs[i], folding out one component at a time from
+    the highest; each step halves the table, 2^(k+1) - 2 products in all."""
+    for i in reversed(range(len(ins))):
+        half = 1 << i
+        a, d = ins[i], outs[i]
+        table = [table[m] * d + table[m + half] * a for m in range(half)]
+    return table[0]
+
+
 def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     """Sum over strata of [E_I^o] * prod_{i in I} (L-1)/(L^{a_i+1}-1),
     as an exact rational function of L (of t with t^r = L when r > 1).
 
     The closed-stratum form sum [E_I] * prod((L-1)/(L^{a_i+1}-1) - 1) is
     computed alongside and must agree; a mismatch raises ConsistencyError.
+    The closed strata [E_I] are the superset sums of the open ones.
     """
     r = d.index_r
     lname = "L" if r == 1 else "t"
@@ -226,20 +259,10 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     for f in dens:
         den = den * f
 
-    open_num = MultiPoly.const(0)
-    closed_num = MultiPoly.const(0)
-    for subset in d.subsets():
-        open_term = _realize_in_l(d.open_stratum(subset), lpoly)
-        closed_term = _realize_in_l(d.closed_stratum(subset), lpoly)
-        for i in range(k):
-            if i in subset:
-                open_term = open_term * lm1
-                closed_term = closed_term * (lm1 - dens[i])
-            else:
-                open_term = open_term * dens[i]
-                closed_term = closed_term * dens[i]
-        open_num = open_num + open_term
-        closed_num = closed_num + closed_term
+    open_table = [_realize_in_l(cls, lpoly) for cls in _by_mask(d)]
+    open_num = _fold(open_table, [lm1] * k, dens)
+    closed_num = _fold(_superset_sums(open_table),
+                       [lm1 - f for f in dens], dens)
     if open_num != closed_num:
         raise ConsistencyError(
             "open- and closed-stratum forms of the motivic integral differ")
@@ -258,17 +281,21 @@ def stringy_E(d: ResolutionDatum) -> StringyValue:
     k = len(d.components)
     ms = [int(r * (d.discrepancy(i) + 1)) for i in range(k)]
     dens = [t ** m - 1 for m in ms]
-    uvm1 = t ** r - 1
     den = MultiPoly.const(1)
     for f in dens:
         den = den * f
-    num = MultiPoly.const(0)
-    for subset in d.subsets():
-        term = rewrite_uv(e_polynomial(d.open_stratum(subset)), r)
-        for i in range(k):
-            term = term * (uvm1 if i in subset else dens[i])
-        num = num + term
-    return StringyValue(rewrite_uv(num, r), den, r)
+    # each term is canonical and the factors are polynomials in t alone,
+    # so the sum needs no second rewrite
+    table = [rewrite_uv(e_polynomial(cls), r) for cls in _by_mask(d)]
+    return StringyValue(_fold(table, [t ** r - 1] * k, dens), den, r)
+
+
+def _chi_y_of(e: StringyValue) -> RationalFunction:
+    """An index-1 stringy E-function at (u, v) = (-y, 1), so t = uv = -y."""
+    my = -MultiPoly.var("y")
+    sub = {"u": my, "v": Fraction(1), "t": my}
+    return RationalFunction(e.num.substitute_map(sub),
+                            e.den.substitute_map(sub))
 
 
 def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
@@ -276,11 +303,7 @@ def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
     if d.index_r != 1:
         raise ValidationError(
             "chi_y specialization needs Gorenstein index 1")
-    e = stringy_E(d)
-    my = -MultiPoly.var("y")
-    sub = {"u": my, "v": Fraction(1), "t": my}
-    return RationalFunction(e.num.substitute_map(sub),
-                            e.den.substitute_map(sub))
+    return _chi_y_of(stringy_E(d))
 
 
 def _one_plus_s_power(expo: Fraction, order: int) -> TruncSeries:
@@ -289,26 +312,21 @@ def _one_plus_s_power(expo: Fraction, order: int) -> TruncSeries:
                        [binom_frac(expo, j) for j in range(order + 1)])
 
 
-def stringy_euler(d: ResolutionDatum) -> Fraction:
-    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1).
-
-    Verified against the removable-singularity limit of stringy_E at
-    u = v = 1 (substituting uv = 1 + s and reading the s^0 term); a
-    disagreement raises ConsistencyError.
-    """
+def _euler_formula(d: ResolutionDatum) -> Fraction:
+    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1)."""
     k = len(d.components)
-    direct = Fraction(0)
-    for subset in d.subsets():
-        term = Fraction(euler_of_class(d.open_stratum(subset)))
-        for i in subset:
-            term /= (d.discrepancy(i) + 1)
-        direct += term
+    table = [Fraction(euler_of_class(cls)) for cls in _by_mask(d)]
+    return _fold(table, [1 / (d.discrepancy(i) + 1) for i in range(k)],
+                 [1] * k)
 
-    # limit path: every numerator term vanishes to order k in s, the
-    # denominator to exactly order k
-    e = stringy_E(d)
+
+def _euler_limit(e: StringyValue, k: int) -> Fraction:
+    """The removable-singularity limit of a stringy E-function with k
+    components at u = v = 1: substitute uv = 1 + s and read the s^0 term.
+    Every numerator term vanishes to order k in s, the denominator to
+    exactly order k."""
     order = k + 2
-    r = d.index_r
+    r = e.r
 
     def poly_series(poly: MultiPoly) -> TruncSeries:
         out = TruncSeries.zero("s", order)
@@ -335,11 +353,28 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
         raise ConsistencyError("denominator does not vanish to order k")
     if any(num_c[:k]):
         raise ConsistencyError("numerator does not vanish to order k")
-    limit = num_c[k] / den_c[k]
+    return num_c[k] / den_c[k]
+
+
+def _checked_euler(d: ResolutionDatum, e: StringyValue) -> Fraction:
+    """The formula path of the stringy Euler number, checked against the
+    limit of d's E-function e; a disagreement raises ConsistencyError."""
+    direct = _euler_formula(d)
+    limit = _euler_limit(e, len(d.components))
     if limit != direct:
         raise ConsistencyError(
             f"stringy Euler paths disagree: formula {direct}, limit {limit}")
     return direct
+
+
+def stringy_euler(d: ResolutionDatum) -> Fraction:
+    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1).
+
+    Verified against the removable-singularity limit of stringy_E at
+    u = v = 1 (substituting uv = 1 + s and reading the s^0 term); a
+    disagreement raises ConsistencyError.
+    """
+    return _checked_euler(d, stringy_E(d))
 
 
 # ---------------------------------------------------------------------
@@ -401,23 +436,29 @@ def jacobian_factor_limit(a, e_order: int) -> TruncSeries:
 class InvarianceReport:
     integral: tuple       # (value1, value2, equal)
     e_function: tuple
-    chi_y: tuple
+    chi_y: tuple | None   # None: not defined at Gorenstein index r > 1
     euler: tuple
 
     @property
     def all_equal(self) -> bool:
-        return all(flag for _, _, flag in
-                   (self.integral, self.e_function, self.chi_y, self.euler))
+        return all(row[2] for row in
+                   (self.integral, self.e_function, self.chi_y, self.euler)
+                   if row is not None)
 
 
 def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceReport:
-    """Compare the four invariants of two resolution data for one pair."""
+    """Compare the four invariants of two resolution data for one pair;
+    chi_y only when both have index 1.  One E-function per datum feeds
+    its chi_y and the limit check of its Euler number."""
     i1, i2 = motivic_integral(d1), motivic_integral(d2)
     e1, e2 = stringy_E(d1), stringy_E(d2)
-    c1, c2 = stringy_chi_y(d1), stringy_chi_y(d2)
-    x1, x2 = stringy_euler(d1), stringy_euler(d2)
+    chi_y = None
+    if d1.index_r == d2.index_r == 1:
+        c1, c2 = _chi_y_of(e1), _chi_y_of(e2)
+        chi_y = (c1, c2, c1 == c2)
+    x1, x2 = _checked_euler(d1, e1), _checked_euler(d2, e2)
     return InvarianceReport((i1, i2, i1 == i2), (e1, e2, e1 == e2),
-                            (c1, c2, c1 == c2), (x1, x2, x1 == x2))
+                            chi_y, (x1, x2, x1 == x2))
 
 
 # ---------------------------------------------------------------------

@@ -179,6 +179,31 @@ def test_malformed_input_exits_3(tmp_path, capsys, argv, data):
     assert "Traceback" not in err
 
 
+def test_stringy_compare_at_index_two(tmp_path, capsys):
+    # chi_y is not defined at index 2: the other three rows decide
+    path = FIXTURES / "index2_half.json"
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**json.loads(path.read_text()), "strata": [
+        {"subset": [], "class": "L^2 - 1"},
+        {"subset": ["E"], "class": "L + 2"}]}))
+    code, out, err = run(capsys, "stringy", "compare", str(path), str(path),
+                         "--output", "json")
+    assert code == EXIT_OK and err == ""
+    report = json.loads(out)
+    assert report["chi_y"] is None
+    assert [report[key]["equal"] for key in
+            ("integral", "E-function", "euler")] == [True, True, True]
+    code, out, err = run(capsys, "stringy", "compare", str(path), str(path))
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[4].split() == ["chi_y", "n/a", "n/a", "n/a"]
+    code, out, err = run(capsys, "stringy", "compare", str(path),
+                         str(changed), "--output", "json")
+    assert code == EXIT_MATH
+    assert "Traceback" not in err
+    assert json.loads(out)["euler"] == {
+        "first": "4/3", "second": "2", "equal": False}
+
+
 def test_emit_table():
     assert emit_table([], header=("a", "bb")) == "a  bb\n-  --"
     text = emit_table([[1, "xx"], [22, "y"]], header=("n", "v"))

@@ -52,6 +52,32 @@ def test_substitute_map_is_simultaneous():
     assert (X * Z).substitute_map({"x": Y, "w": X}) == Y * Z
 
 
+def test_substitute_map_against_term_by_term_sum():
+    rng = random.Random(11)
+    for _ in range(40):
+        p = random_poly(rng, nterms=6)
+        mapping = {name: random_poly(rng, nterms=2, max_exp=2)
+                   for name in rng.sample(("x", "y", "z", "w"), 2)}
+        expected = MultiPoly.const(0)
+        for expo, coeff in p.terms.items():
+            term = MultiPoly.const(coeff)
+            for name, e in zip(p.vars, expo):
+                value = mapping.get(name, MultiPoly.var(name))
+                for _ in range(e):
+                    term = term * value
+            expected = expected + term
+        assert p.substitute_map(mapping) == expected
+
+
+def test_power_of_a_monomial():
+    mono = MultiPoly.monomial({"x": 2, "y": -1}, Fraction(-2, 3))
+    out = MultiPoly.const(1)
+    for n in range(6):
+        assert mono ** n == out
+        assert mono ** (-n) * out == 1
+        out = out * mono
+
+
 def test_constant_hashes_like_its_scalar():
     assert len({MultiPoly.const(3), 3}) == 1
     assert len({MultiPoly.const(Fraction(1, 2)), Fraction(1, 2)}) == 1
@@ -155,6 +181,20 @@ def test_rational_function_hash_agrees_with_equality():
     assert a == b
     assert len({a, b}) == 1
     assert len({RationalFunction(0, X * Y), RationalFunction(0)}) == 1
+
+
+def test_rational_function_hashes_like_its_polynomial():
+    assert hash(RationalFunction(3)) == hash(3)
+    assert hash(RationalFunction(X * Y, Y)) == hash(X)
+    assert len({RationalFunction(X * Y, Y), RationalFunction(X), X}) == 1
+    # a monomial denominator is a unit in the Laurent ring
+    assert RationalFunction(1, X ** 2) == X ** (-2)
+    assert len({RationalFunction(1, X ** 2), X ** (-2)}) == 1
+    assert RationalFunction(X * Y + X, X * Y ** 2 + X * Y) == Y ** (-1)
+    assert len({RationalFunction(X * Y + X, X * Y ** 2 + X * Y),
+                Y ** (-1)}) == 1
+    # a value that is no Laurent polynomial keeps the degree-shift hash
+    assert hash(RationalFunction(1, X + 1)) == hash(RationalFunction(Y, X * Y + Y))
 
 
 def test_binom_frac():

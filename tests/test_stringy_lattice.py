@@ -1,0 +1,174 @@
+"""The subset-lattice sums of stringy.py against per-subset reference
+sums, on seeded random resolution data with k = 0..7 components and
+index r in {1, 2}."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from genera import stringy
+from genera.k0 import (Atom, K0Class, LEFSCHETZ, e_polynomial,
+                       euler_of_class, poly_to_class)
+from genera.rings import MultiPoly, RationalFunction
+from genera.stringy import (ConsistencyError, ResolutionDatum,
+                            invariance_check, motivic_integral, rewrite_uv,
+                            stringy_E, stringy_euler)
+
+L = MultiPoly.var("L")
+C = Atom("C", 1, MultiPoly.var("u") * MultiPoly.var("v")
+         - MultiPoly.var("u") - MultiPoly.var("v") + 1)
+ATOMS = {"L": LEFSCHETZ, "C": C}
+CASES = [(k, r) for k in range(8) for r in (1, 2)]
+
+
+def random_datum(k: int, r: int, seed: int, with_curve=False):
+    """Strata classes of degree <= 3 in L (and C), discrepancies a > -1
+    with r * a integral."""
+    rng = random.Random(seed)
+    names = ("L", "C") if with_curve else ("L",)
+
+    def random_class():
+        poly = MultiPoly.const(rng.randint(-3, 3))
+        for _ in range(3):
+            mono = MultiPoly.monomial(
+                {n: rng.randint(0, 2) for n in names}, rng.randint(-4, 4))
+            poly = poly + mono
+        return poly_to_class(poly, ATOMS)
+
+    components = tuple(
+        (f"E{i}", Fraction(rng.randint(1 - r, 3 * r), r)) for i in range(k))
+    strata = {}
+    for m in range(1 << k):
+        strata[frozenset(i for i in range(k) if m >> i & 1)] = random_class()
+    return ResolutionDatum("stringy", r, components, strata)
+
+
+def reference_integral(d: ResolutionDatum) -> RationalFunction:
+    """One product of k factors per subset."""
+    r, k = d.index_r, len(d.components)
+    lvar = MultiPoly.var("L" if r == 1 else "t")
+    lpoly = lvar ** r
+    dens = [lvar ** int(r * (d.discrepancy(i) + 1)) - 1 for i in range(k)]
+    den = MultiPoly.const(1)
+    for f in dens:
+        den = den * f
+    num = MultiPoly.const(0)
+    for subset in d.subsets():
+        term = d.open_stratum(subset).poly.substitute_map({"L": lpoly})
+        for i in range(k):
+            term = term * (lpoly - 1 if i in subset else dens[i])
+        num = num + term
+    return RationalFunction(num, den)
+
+
+def reference_E(d: ResolutionDatum):
+    """(numerator, denominator) of the E-function, one product of k
+    factors per subset."""
+    r, k = d.index_r, len(d.components)
+    t = MultiPoly.var("t")
+    dens = [t ** int(r * (d.discrepancy(i) + 1)) - 1 for i in range(k)]
+    den = MultiPoly.const(1)
+    for f in dens:
+        den = den * f
+    num = MultiPoly.const(0)
+    for subset in d.subsets():
+        term = rewrite_uv(e_polynomial(d.open_stratum(subset)), r)
+        for i in range(k):
+            term = term * (t ** r - 1 if i in subset else dens[i])
+        num = num + term
+    return rewrite_uv(num, r), den
+
+
+@pytest.mark.parametrize("k,r", CASES)
+def test_integral_matches_per_subset_sum(k, r):
+    d = random_datum(k, r, seed=100 * k + r)
+    assert str(motivic_integral(d)) == str(reference_integral(d))
+
+
+@pytest.mark.parametrize("k,r", CASES)
+def test_E_matches_per_subset_sum(k, r):
+    d = random_datum(k, r, seed=200 * k + r, with_curve=True)
+    e = stringy_E(d)
+    assert (e.num, e.den) == reference_E(d)
+
+
+@pytest.mark.parametrize("k,r", CASES)
+def test_euler_matches_per_subset_sum(k, r):
+    d = random_datum(k, r, seed=400 * k + r, with_curve=True)
+    expected = Fraction(0)
+    for subset in d.subsets():
+        term = Fraction(euler_of_class(d.open_stratum(subset)))
+        for i in subset:
+            term /= d.discrepancy(i) + 1
+        expected += term
+    assert stringy_euler(d) == expected
+
+
+@pytest.mark.parametrize("k,r", CASES)
+def test_superset_sums_are_closed_strata(k, r):
+    d = random_datum(k, r, seed=300 * k + r)
+    table = stringy._superset_sums(stringy._by_mask(d))
+    lpoly = MultiPoly.var("t") ** r if r > 1 else L
+    for m, closed in enumerate(table):
+        subset = frozenset(i for i in range(k) if m >> i & 1)
+        assert closed == d.closed_stratum(subset)
+        assert stringy._realize_in_l(closed, lpoly) == \
+            stringy._realize_in_l(d.closed_stratum(subset), lpoly)
+
+
+def superset_sums_skipping(skip):
+    """The superset-sum pass with component ``skip`` left out."""
+    def sums(table):
+        out = list(table)
+        for i in range(len(table).bit_length() - 1):
+            if i == skip:
+                continue
+            bit = 1 << i
+            for m in range(len(out)):
+                if not m & bit:
+                    out[m] = out[m] + out[m | bit]
+        return out
+    return sums
+
+
+@pytest.mark.parametrize("r", (1, 2))
+def test_open_closed_check_is_live(monkeypatch, r):
+    d = random_datum(4, r, seed=7 + r)
+    expected = motivic_integral(d)
+    # the patched pass, skipping nothing, is the real one
+    monkeypatch.setattr(stringy, "_superset_sums", superset_sums_skipping(None))
+    assert motivic_integral(d) == expected
+    for skip in range(4):
+        monkeypatch.setattr(stringy, "_superset_sums",
+                            superset_sums_skipping(skip))
+        with pytest.raises(ConsistencyError):
+            motivic_integral(d)
+
+
+@pytest.mark.parametrize("r", (1, 2))
+def test_one_E_function_per_datum_in_compare(monkeypatch, r):
+    calls = []
+    real = stringy.stringy_E
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(stringy, "stringy_E", counted)
+    d1, d2 = random_datum(3, r, seed=11), random_datum(2, r, seed=12)
+    report = invariance_check(d1, d2)
+    assert calls == [d1, d2]
+    assert (report.chi_y is None) == (r > 1)
+    assert report.euler == (stringy_euler(d1), stringy_euler(d2),
+                            stringy_euler(d1) == stringy_euler(d2))
+
+
+def test_index_two_report_skips_chi_y():
+    d = random_datum(3, 2, seed=5)
+    report = invariance_check(d, d)
+    assert report.chi_y is None and report.all_equal
+    strata = dict(d.strata)
+    strata[frozenset({0})] = strata[frozenset({0})] + K0Class.point()
+    changed = ResolutionDatum(d.flavor, d.index_r, d.components, strata)
+    assert not invariance_check(d, changed).all_equal
