@@ -203,9 +203,11 @@ def euler_of_class(a: K0Class) -> int:
 
     The source text states E(-1,-1) = chi; mixed-Hodge additivity forces
     E(1,1) = chi_c, which is what every worked value here requires, so
-    E(1,1) it is (flagged, not silently reconciled).
+    E(1,1) it is (flagged, not silently reconciled).  Each atom enters
+    through its own chi, its E-polynomial at (1, 1).
     """
-    val = e_polynomial(a).substitute_map({"u": Fraction(1), "v": Fraction(1)})
+    at_one = {"u": Fraction(1), "v": Fraction(1)}
+    val = a.map_atoms(lambda atom: atom.e_poly.substitute_map(at_one))
     out = val.constant_value()
     if out.denominator != 1:
         raise ValidationError("Euler characteristic must be an integer")

@@ -106,6 +106,9 @@ class MultiPoly:
         return None
 
     def _align(self, other):
+        """Shared variables and copies of both term dicts over them."""
+        if self.vars == other.vars:
+            return self.vars, dict(self.terms), dict(other.terms)
         names = tuple(sorted(set(self.vars) | set(other.vars)))
 
         def remap(poly):
@@ -205,14 +208,19 @@ class MultiPoly:
             (expo, coeff), = self.terms.items()
             return MultiPoly(self.vars,
                              {tuple(e * n for e in expo): coeff ** n})
-        out = MultiPoly.const(1)
+        if n == 0:
+            return MultiPoly.const(1)
+        # binary powering from the lowest set bit, with no square after
+        # the highest one
+        out = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def monomial_inverse(self) -> "MultiPoly":
         """Inverse of a single-term polynomial (Laurent)."""
@@ -815,9 +823,6 @@ class RationalFunction:
         shifts = ((name, self.numerator.degree_in(name)
                    - self.denominator.degree_in(name)) for name in names)
         return hash(tuple((name, d) for name, d in shifts if d))
-
-    def is_polynomial(self) -> bool:
-        return self.denominator.is_constant()
 
     def as_polynomial(self) -> MultiPoly:
         """The Laurent polynomial equal to this fraction; raises

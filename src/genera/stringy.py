@@ -12,6 +12,7 @@ variable t with the rewrite rule u*v -> t^r.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -65,12 +66,10 @@ class ResolutionDatum:
             if self.flavor == "arc" and (a.denominator != 1 or a < 0):
                 raise ValidationError(
                     "arc flavor needs nonnegative integer discrepancies")
-        k = len(self.components)
-        for size in range(k + 1):
-            for subset in combinations(range(k), size):
-                if frozenset(subset) not in self.strata:
-                    missing = "{" + ", ".join(names[i] for i in subset) + "}"
-                    raise ValidationError(f"missing stratum entry {missing}")
+        for subset in self.subsets():
+            if subset not in self.strata:
+                missing = ", ".join(names[i] for i in sorted(subset))
+                raise ValidationError(f"missing stratum entry {{{missing}}}")
 
     def discrepancy(self, i: int) -> Fraction:
         return Fraction(self.components[i][1])
@@ -150,26 +149,35 @@ def rewrite_uv(poly: MultiPoly, r: int) -> MultiPoly:
 @dataclass(frozen=True)
 class StringyValue:
     """Exact fraction num/den with u*v = t^r; den is a polynomial in t
-    (a product of factors t^{r(a_i+1)} - 1, up to sign)."""
+    (a product of factors t^{r(a_i+1)} - 1, up to sign).
+
+    The constructor rewrites num to its canonical form modulo u*v = t^r.
+    A canonical polynomial times a polynomial in t alone stays canonical,
+    so == is plain cross-multiplication, and the hash is that of the
+    reduced fraction.  num and den themselves stay unreduced."""
 
     num: MultiPoly
     den: MultiPoly
     r: int
 
+    def __post_init__(self):
+        den = MultiPoly._coerce(self.den)
+        if set(den.vars) - {"t"}:
+            raise ValidationError(
+                f"stringy denominator must be a polynomial in t, got {den}")
+        object.__setattr__(self, "num", rewrite_uv(self.num, self.r))
+        object.__setattr__(self, "den", den)
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
-            other = StringyValue(MultiPoly._coerce(other),
-                                 MultiPoly.const(1), self.r)
+            other = StringyValue(other, 1, self.r)
         if not isinstance(other, StringyValue):
             return NotImplemented
-        if self.r != other.r:
-            return False
-        lhs = rewrite_uv(self.num * other.den, self.r)
-        rhs = rewrite_uv(other.num * self.den, self.r)
-        return lhs == rhs
+        return self.r == other.r and \
+            self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash((self.r,))
+        return hash((self.r, RationalFunction(self.num, self.den)))
 
     def __str__(self):
         num, den = self.num, self.den
@@ -186,8 +194,7 @@ class StringyValue:
 
 def stringy_value_from_expr(text: str, r: int = 1) -> StringyValue:
     """Parse a polynomial in u, v (and t) as a StringyValue."""
-    poly = parse_expr(text, variables=("u", "v", "t"))
-    return StringyValue(rewrite_uv(poly, r), MultiPoly.const(1), r)
+    return StringyValue(parse_expr(text, variables=("u", "v", "t")), 1, r)
 
 
 # ---------------------------------------------------------------------
@@ -238,6 +245,15 @@ def _fold(table: list, ins: list, outs: list):
     return table[0]
 
 
+def _factors(d: ResolutionDatum, var: MultiPoly):
+    """The factors var^{r(a_i+1)} - 1, one per component, and their
+    product; r(a_i + 1) is an integer by the datum's validation."""
+    r = d.index_r
+    factors = [var ** int(r * (d.discrepancy(i) + 1)) - 1
+               for i in range(len(d.components))]
+    return factors, math.prod(factors, start=MultiPoly.const(1))
+
+
 def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     """Sum over strata of [E_I^o] * prod_{i in I} (L-1)/(L^{a_i+1}-1),
     as an exact rational function of L (of t with t^r = L when r > 1).
@@ -251,13 +267,8 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     lvar = MultiPoly.var(lname)
     lpoly = lvar ** r
     k = len(d.components)
-    # m_i = r(a_i + 1), the integer exponent of the denominator factor
-    ms = [int(r * (d.discrepancy(i) + 1)) for i in range(k)]
-    dens = [lvar ** m - 1 for m in ms]
+    dens, den = _factors(d, lvar)
     lm1 = lpoly - 1
-    den = MultiPoly.const(1)
-    for f in dens:
-        den = den * f
 
     open_table = [_realize_in_l(cls, lpoly) for cls in _by_mask(d)]
     open_num = _fold(open_table, [lm1] * k, dens)
@@ -278,16 +289,11 @@ def stringy_E(d: ResolutionDatum) -> StringyValue:
     (uv-1)/((uv)^{a_i+1}-1), with (uv)^{1/r} carried by t."""
     r = d.index_r
     t = MultiPoly.var("t")
-    k = len(d.components)
-    ms = [int(r * (d.discrepancy(i) + 1)) for i in range(k)]
-    dens = [t ** m - 1 for m in ms]
-    den = MultiPoly.const(1)
-    for f in dens:
-        den = den * f
-    # each term is canonical and the factors are polynomials in t alone,
-    # so the sum needs no second rewrite
+    dens, den = _factors(d, t)
+    # canonical terms keep the fold small; times factors in t alone they
+    # stay canonical, so the constructor's rewrite of the sum changes nothing
     table = [rewrite_uv(e_polynomial(cls), r) for cls in _by_mask(d)]
-    return StringyValue(_fold(table, [t ** r - 1] * k, dens), den, r)
+    return StringyValue(_fold(table, [t ** r - 1] * len(dens), dens), den, r)
 
 
 def _chi_y_of(e: StringyValue) -> RationalFunction:
@@ -381,18 +387,6 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
 # per-component Jacobian factor of the degree-level elliptic limit
 
 
-def _series_quotient(num, den, var: str, order: int) -> TruncSeries:
-    """num/den as a TruncSeries with RationalFunction coefficients."""
-    d0 = RationalFunction(den[0])
-    out = []
-    for kk in range(order + 1):
-        acc = RationalFunction(num[kk])
-        for j in range(kk):
-            acc = acc - out[j] * RationalFunction(den[kk - j])
-        out.append(acc / d0)
-    return TruncSeries(var, order, out)
-
-
 def jacobian_factor_limit(a, e_order: int) -> TruncSeries:
     """(y-1)(1 - y^{a+1} e^{-e}) / ((y^{a+1}-1)(1 - y e^{-e})) as a series
     in the nilpotent variable e with rational-function-in-y coefficients.
@@ -410,19 +404,13 @@ def jacobian_factor_limit(a, e_order: int) -> TruncSeries:
     y = MultiPoly.var("y")
     ya1 = y ** (int(a) + 1)
     if a == 0:
-        return TruncSeries("e", e_order,
-                           [RationalFunction(1)] + [RationalFunction(0)] * e_order)
-    exp = exp_coeffs(-1, e_order)
-    num1 = [(y - 1) * (MultiPoly.const(1 if kk == 0 else 0) - ya1 * exp[kk])
-            for kk in range(e_order + 1)]
-    den = [(ya1 - 1) * (MultiPoly.const(1 if kk == 0 else 0) - y * exp[kk])
-           for kk in range(e_order + 1)]
-    form1 = _series_quotient(num1, den, "e", e_order)
-
-    num2 = [(y - ya1) * (MultiPoly.const(1 if kk == 0 else 0) - exp[kk])
-            for kk in range(e_order + 1)]
-    tail = _series_quotient(num2, den, "e", e_order)
-    form2 = tail + 1
+        return TruncSeries.one("e", e_order).map_coeffs(RationalFunction)
+    # e^{-e}, over rational functions of y so that the inverse exists
+    exp = TruncSeries("e", e_order, exp_coeffs(-1, e_order)).map_coeffs(
+        RationalFunction)
+    inv = ((1 - exp * y) * (ya1 - 1)).invert()
+    form1 = (1 - exp * ya1) * (y - 1) * inv
+    form2 = (1 - exp) * (y - ya1) * inv + 1
     if form1 != form2:
         raise ConsistencyError("the two Jacobian-factor forms disagree")
     return form1

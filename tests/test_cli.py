@@ -127,9 +127,6 @@ def test_exit_codes(capsys):
     assert "missing.json" in err
     code, _, _ = run(capsys, "k0", "chiy", "1 +")
     assert code == EXIT_VALIDATION
-    code, _, _ = run(capsys, "genus", "--series", "todd", "--n", "3",
-                     "--order", "0")
-    assert code == EXIT_VALIDATION
 
 
 def test_validation_error_from_datum(tmp_path, capsys):

@@ -69,3 +69,12 @@ def test_constant_class_hashes_like_its_integer():
     for n in (-2, 0, 3):
         assert K0Class.point(n) == n and hash(K0Class.point(n)) == hash(n)
     assert len({K0Class.point(3), 3}) == 1
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(classes())
+def test_euler_is_the_e_polynomial_at_one(a):
+    # euler_of_class substitutes each atom's chi; this path reads the
+    # whole E-polynomial
+    at_one = e_polynomial(a).substitute_map({"u": 1, "v": 1})
+    assert euler_of_class(a) == at_one

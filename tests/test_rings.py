@@ -78,6 +78,38 @@ def test_power_of_a_monomial():
         out = out * mono
 
 
+def test_power_against_repeated_product():
+    rng = random.Random(17)
+    for p in (X + 1, random_poly(rng, nterms=3, max_exp=2), MultiPoly.const(0)):
+        out = MultiPoly.const(1)
+        for n in range(18):
+            assert p ** n == out, n
+            out = out * p
+
+
+def test_power_skips_the_unused_products(monkeypatch):
+    calls = []
+    real = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    p = (X + 1) ** 16
+    monkeypatch.undo()
+    # four squarings, no multiplication by 1 and no square past the top bit
+    assert len(calls) == 4
+    assert p == (X + 1) ** 8 * (X + 1) ** 8
+
+
+def test_arithmetic_leaves_operands_unchanged():
+    a, b = (X + Y) * (X - Y), X + Y
+    before = (dict(a.terms), dict(b.terms))
+    assert a + b - b == a and a.div_exact(b) == X - Y
+    assert (dict(a.terms), dict(b.terms)) == before
+
+
 def test_constant_hashes_like_its_scalar():
     assert len({MultiPoly.const(3), 3}) == 1
     assert len({MultiPoly.const(Fraction(1, 2)), Fraction(1, 2)}) == 1

@@ -1,13 +1,15 @@
 """Stringy invariants from resolution data."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from genera import stringy
 from genera.k0 import K0Class, chi_y_of_class, lefschetz
-from genera.rings import MultiPoly, RationalFunction
+from genera.rings import MultiPoly, RationalFunction, TruncSeries
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             ValidationError, datum_from_dict,
                             invariance_check, jacobian_factor_limit,
@@ -66,6 +68,37 @@ def test_rewrite_uv_canonical():
     assert rewrite_uv(u * v, 1) == t
     assert rewrite_uv(u ** 2 * v, 2) == u * t ** 2
     assert rewrite_uv(u + v, 3) == u + v
+
+
+def test_stringy_value_is_canonical_when_built():
+    u, v, t = (MultiPoly.var(n) for n in "uvt")
+    assert StringyValue(u ** 2 * v, 1, 2).num == u * t ** 2
+    assert StringyValue(u * v - 1, t - 1, 1) == StringyValue(1, 1, 1)
+    with pytest.raises(ValidationError):
+        StringyValue(MultiPoly.const(1), u - 1, 1)
+    with pytest.raises(ValidationError):
+        StringyValue(t, t * v + 1, 1)
+
+
+def test_fixture_E_functions_hash_by_value():
+    values = [stringy_E(load_datum(str(FIXTURES / name))) for name in (
+        "identity_c2.json", "blowup_c2.json", "a1_cone.json",
+        "blowup_c2_bad.json", "index2_half.json")]
+    assert len(set(values)) == 4
+    assert len({hash(e) for e in values}) == 4
+    assert values[0] == values[1] and hash(values[0]) == hash(values[1])
+
+
+def test_equal_stringy_values_hash_alike():
+    pairs = [(stringy_value_from_expr("u*v"), stringy_value_from_expr("t")),
+             (stringy_value_from_expr("u^3*v^2 + 1", 2),
+              stringy_value_from_expr("u*t^4 + 1", 2)),
+             (stringy_E(blowup_datum()), stringy_value_from_expr("(u*v)^2")),
+             (stringy_E(a1_datum()), stringy_value_from_expr("t^2 + t"))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({a for pair in pairs for a in pair}) == len(pairs)
+    assert stringy_value_from_expr("t", 2) != stringy_value_from_expr("t")
 
 
 def test_stringy_E_fixtures():
@@ -140,6 +173,58 @@ def test_jacobian_factor_limit():
                for k, c in enumerate(flat.coeffs))
     with pytest.raises(ValidationError):
         jacobian_factor_limit(-1, 4)
+
+
+def long_division(num, den, var, order):
+    """num/den by long division, coefficient lists to a TruncSeries."""
+    d0 = RationalFunction(den[0])
+    out = []
+    for kk in range(order + 1):
+        acc = RationalFunction(num[kk])
+        for j in range(kk):
+            acc = acc - out[j] * RationalFunction(den[kk - j])
+        out.append(acc / d0)
+    return TruncSeries(var, order, out)
+
+
+def test_jacobian_factor_against_long_division():
+    order = 6
+    exp = [Fraction((-1) ** k, math.factorial(k)) for k in range(order + 1)]
+    one = [1] + [0] * order
+    for a in range(5):
+        ya1 = Y ** (a + 1)
+        num = [(Y - 1) * (c - ya1 * e) for c, e in zip(one, exp)]
+        den = [(ya1 - 1) * (c - Y * e) for c, e in zip(one, exp)]
+        series = jacobian_factor_limit(a, order)
+        if a == 0:
+            expected = [RationalFunction(c) for c in one]
+        else:
+            expected = long_division(num, den, "e", order).coeffs
+        assert len(series.coeffs) == order + 1
+        for got, want in zip(series.coeffs, expected):
+            assert got == want, a
+
+
+def test_jacobian_check_is_live(monkeypatch):
+    real = TruncSeries.invert
+
+    def perturbed(self):
+        out = real(self)
+        return out + TruncSeries.from_coeffs(out.var, [0] * out.order + [1])
+
+    monkeypatch.setattr(TruncSeries, "invert", perturbed)
+    with pytest.raises(ConsistencyError):
+        jacobian_factor_limit(2, 4)
+
+
+def test_euler_check_is_live(monkeypatch):
+    d = load_datum(str(FIXTURES / "index2_half.json"))
+    real = stringy._euler_formula
+    monkeypatch.setattr(stringy, "_euler_formula", lambda d: real(d) + 1)
+    with pytest.raises(ConsistencyError):
+        stringy_euler(d)
+    with pytest.raises(ConsistencyError):
+        invariance_check(blowup_datum(), blowup_datum())
 
 
 def test_jacobian_factor_e1_value():
