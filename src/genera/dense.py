@@ -1,0 +1,189 @@
+"""Dense univariate Laurent polynomials with integer coefficients.
+
+The motivic sums of ``jets`` and ``stringy`` are polynomials in one
+variable, L, or t with t^r = L, with integer coefficients.  ``Dense``
+holds such a polynomial as its lowest exponent and a tuple of ints, so
+its arithmetic runs on plain ints and lists.  ``MultiPoly`` stays the
+general multivariate type: values cross into ``Dense`` by ``from_poly``
+and leave it by ``to_poly``, and public results stay ``MultiPoly``.
+"""
+
+from __future__ import annotations
+
+from .rings import MultiPoly
+
+
+class Dense:
+    """sum_i coeffs[i] * var^(low + i) with int coefficients; immutable.
+
+    ``coeffs`` has no zero at either end, and the zero polynomial has no
+    coefficients and ``low`` 0.  A constant equals the int it holds,
+    whatever its ``var``, and hashes like it; products are schoolbook.
+    """
+
+    __slots__ = ("var", "low", "coeffs")
+
+    def __init__(self, var: str, low: int, coeffs):
+        coeffs = tuple(coeffs)
+        start, end = 0, len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        while start < end and not coeffs[start]:
+            start += 1
+        if start or end < len(coeffs):
+            coeffs = coeffs[start:end]
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "low", low + start if coeffs else 0)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Dense is immutable")
+
+    # -- conversion ---------------------------------------------------
+    @classmethod
+    def from_poly(cls, poly: MultiPoly, var: str) -> "Dense":
+        """The MultiPoly ``poly``, which must be in ``var`` alone (or
+        constant) with integer coefficients."""
+        if poly.vars not in ((), (var,)):
+            raise ValueError(f"not a polynomial in {var} alone: {poly}")
+        if not poly.terms:
+            return cls(var, 0, ())
+        expos = [e[0] if e else 0 for e in poly.terms]
+        low = min(expos)
+        out = [0] * (max(expos) - low + 1)
+        for e, c in zip(expos, poly.terms.values()):
+            if c.denominator != 1:
+                raise ValueError(f"not an integer polynomial: {poly}")
+            out[e - low] = c.numerator
+        return cls(var, low, out)
+
+    def to_poly(self) -> MultiPoly:
+        low = self.low
+        return MultiPoly((self.var,), {(low + i,): c for i, c in
+                                       enumerate(self.coeffs) if c})
+
+    # -- helpers ------------------------------------------------------
+    def _coerce(self, x):
+        if isinstance(x, Dense):
+            return x
+        if isinstance(x, int):
+            return Dense(self.var, 0, (x,))
+        return None
+
+    def is_constant(self) -> bool:
+        return not self.low and len(self.coeffs) <= 1
+
+    def _shared_var(self, other: "Dense") -> str:
+        if self.var == other.var or other.is_constant():
+            return self.var
+        if self.is_constant():
+            return other.var
+        raise ValueError(f"polynomials in {self.var} and {other.var} "
+                         f"do not mix")
+
+    # -- arithmetic ---------------------------------------------------
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        var = self._shared_var(other)
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
+        low = min(self.low, other.low)
+        out = [0] * (max(self.low + len(a), other.low + len(b)) - low)
+        i = self.low - low
+        out[i:i + len(a)] = a
+        j = other.low - low
+        out[j:j + len(b)] = [x + y for x, y in zip(out[j:j + len(b)], b)]
+        return Dense(var, low, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dense(self.var, self.low, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        var = self._shared_var(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return Dense(var, 0, ())
+        n = len(a)
+        out = [b[0] * x for x in a] + [0] * (len(b) - 1)
+        for j in range(1, len(b)):
+            c = b[j]
+            if c:
+                out[j:j + n] = [o + c * x for o, x in zip(out[j:j + n], a)]
+        return Dense(var, self.low + other.low, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        """The n-th power by the J.C.P. Miller recurrence (Knuth, TAOCP
+        vol. 2, section 4.7): with a_0 the lowest coefficient,
+        k a_0 g_k = sum_{j>=1} ((n+1) j - k) a_j g_(k-j), an exact
+        division over Z because g has integer coefficients; n >= 0."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            raise ValueError("negative powers are not supported")
+        a = self.coeffs
+        if n == 0:
+            return Dense(self.var, 0, (1,))
+        if len(a) <= 1:
+            return Dense(self.var, self.low * n, [c ** n for c in a])
+        m = len(a) - 1
+        a0 = a[0]
+        g = [a0 ** n]
+        for k in range(1, m * n + 1):
+            acc = 0
+            for j in range(1, min(k, m) + 1):
+                acc += ((n + 1) * j - k) * a[j] * g[k - j]
+            g.append(acc // (k * a0))
+        return Dense(self.var, self.low * n, g)
+
+    def shift(self, k: int) -> "Dense":
+        """This polynomial times var^k."""
+        return Dense(self.var, self.low + k, self.coeffs)
+
+    def scale(self, r: int, var: str | None = None) -> "Dense":
+        """Substitute var^r for the variable (r >= 1), renaming the
+        variable to ``var`` when one is given."""
+        out = [0] * ((len(self.coeffs) - 1) * r + 1) if self.coeffs else []
+        out[::r] = self.coeffs
+        return Dense(var or self.var, self.low * r, out)
+
+    # -- comparison ---------------------------------------------------
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.low == other.low and \
+            (self.var == other.var or self.is_constant())
+
+    def __hash__(self):
+        if self.is_constant():
+            return hash(self.coeffs[0] if self.coeffs else 0)
+        return hash((self.var, self.low, self.coeffs))
+
+    def __repr__(self):
+        return f"Dense({self.to_poly()})"

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .dense import Dense
 from .k0 import K0Class, lefschetz
 from .rings import MultiPoly, RationalFunction
 from .stringy import ResolutionDatum, motivic_integral
@@ -23,6 +24,9 @@ MAX_DIM = 4
 MAX_LEVEL = 64
 
 L = MultiPoly.var("L")
+ZERO = Dense("L", 0, ())
+ONE = Dense("L", 0, (1,))
+L_MINUS_1 = Dense("L", 0, (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -50,16 +54,15 @@ def jet_space_class(spec: JetSpec) -> MultiPoly:
     return L ** (spec.dimension * (spec.level + 1))
 
 
-def _coordinate_cell(order: int, n: int) -> MultiPoly:
+def _coordinate_cell(order: int, n: int) -> Dense:
     """Class in L_n(C) of the jets with contact order exactly ``order``
     along {x = 0}: the first ``order`` coefficients vanish, the next one
     does not, the remaining n - order are free."""
-    return (L - 1) * L ** (n - order)
+    return L_MINUS_1.shift(n - order)
 
 
-def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
-    """Measure of {ord(E) = p}: the class of the cut-out subset of the
-    level-n jet space times L^(-n*d).  Stabilization requires n >= p."""
+def _measure(spec: JetSpec, p: int) -> Dense:
+    """cylinder_measure as a dense polynomial in L."""
     if p < 0:
         raise ValueError("contact order must be nonnegative")
     n, d = spec.level, spec.dimension
@@ -68,8 +71,8 @@ def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
             f"truncation level {n} too small for contact order {p} "
             f"(stabilization needs level >= order)")
     positive = [i for i in range(d) if spec.exponents[i] > 0]
-    free_part = L ** ((n + 1) * (d - len(positive)))
-    total = MultiPoly.const(0)
+    free_part = ONE.shift((n + 1) * (d - len(positive)))
+    total = ZERO
     # orders p_i <= p whenever a_i >= 1 and sum a_i p_i = p
     for orders in product(range(p + 1), repeat=len(positive)):
         if sum(spec.exponents[i] * o
@@ -79,7 +82,13 @@ def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
         for o in orders:
             cell = cell * _coordinate_cell(o, n)
         total = total + cell
-    return total * L ** (-n * d)
+    return total.shift(-n * d)
+
+
+def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
+    """Measure of {ord(E) = p}: the class of the cut-out subset of the
+    level-n jet space times L^(-n*d).  Stabilization requires n >= p."""
+    return _measure(spec, p).to_poly()
 
 
 def partition_check(spec: JetSpec) -> bool:
@@ -87,15 +96,14 @@ def partition_check(spec: JetSpec) -> bool:
     remainder per coordinate) partition the jet space: measures add up
     to L^d."""
     n, d = spec.level, spec.dimension
-    total = MultiPoly.const(0)
+    total = ZERO
     # per-coordinate order in 0..n, or the all-zero remainder cell
     for orders in product(range(n + 2), repeat=d):
-        cell = MultiPoly.const(1)
+        cell = ONE
         for o in orders:
-            cell = cell * (_coordinate_cell(o, n) if o <= n
-                           else MultiPoly.const(1))
+            cell = cell * (_coordinate_cell(o, n) if o <= n else ONE)
         total = total + cell
-    return total * L ** (-n * d) == L ** d
+    return total.shift(-n * d) == ONE.shift(d)
 
 
 def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
@@ -122,14 +130,14 @@ def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
 def closed_integral(spec: JetSpec) -> RationalFunction:
     """Exact geometric-series summation of sum_p measure(p) * L^(-p):
     per coordinate, (L-1) L^(a+1) / (L^(a+1) - 1) when a > 0, else L."""
-    out = RationalFunction(1)
+    num, den = ONE, ONE
     for a in spec.exponents:
         if a > 0:
-            out = out * RationalFunction((L - 1) * L ** (a + 1),
-                                         L ** (a + 1) - 1)
+            num = num * L_MINUS_1.shift(a + 1)
+            den = den * (ONE.shift(a + 1) - 1)
         else:
-            out = out * RationalFunction(L)
-    return out
+            num = num.shift(1)
+    return RationalFunction(num.to_poly(), den.to_poly())
 
 
 def oracle_integral(spec: JetSpec, p_max: int):
@@ -140,12 +148,12 @@ def oracle_integral(spec: JetSpec, p_max: int):
         raise ValueError("p_max must be nonnegative")
     level = max(spec.level, p_max)
     working = JetSpec(spec.dimension, spec.exponents, level)
-    partial = MultiPoly.const(0)
+    partial = ZERO
     for p in range(p_max + 1):
-        partial = partial + cylinder_measure(working, p) * L ** (-p)
+        partial = partial + _measure(working, p).shift(-p)
     closed = closed_integral(spec)
     stratum_sum = motivic_integral(coordinate_datum(spec))
-    return partial, closed, closed == stratum_sum
+    return partial.to_poly(), closed, closed == stratum_sum
 
 
 def tail_bound_check(spec: JetSpec, p_max: int) -> bool:

@@ -204,14 +204,23 @@ def euler_of_class(a: K0Class) -> int:
     The source text states E(-1,-1) = chi; mixed-Hodge additivity forces
     E(1,1) = chi_c, which is what every worked value here requires, so
     E(1,1) it is (flagged, not silently reconciled).  Each atom enters
-    through its own chi, its E-polynomial at (1, 1).
+    through its own chi, its E-polynomial at (1, 1), which must be an
+    integer; the class is then evaluated at those integers.
     """
-    at_one = {"u": Fraction(1), "v": Fraction(1)}
-    val = a.map_atoms(lambda atom: atom.e_poly.substitute_map(at_one))
-    out = val.constant_value()
-    if out.denominator != 1:
-        raise ValidationError("Euler characteristic must be an integer")
-    return out.numerator
+    chis = []
+    for name in a.poly.vars:
+        # an E-polynomial at (1, 1) is the sum of its coefficients
+        chi = sum(a.atoms[name].e_poly.terms.values(), Fraction(0))
+        if chi.denominator != 1:
+            raise ValidationError("Euler characteristic must be an integer")
+        chis.append(chi.numerator)
+    out = 0
+    for expo, coeff in a.poly.terms.items():
+        term = coeff.numerator
+        for chi, e in zip(chis, expo):
+            term *= chi ** e
+        out += term
+    return out
 
 
 def blowup_relation_check(x: K0Class, y: K0Class, bl: K0Class,

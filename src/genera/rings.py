@@ -380,44 +380,11 @@ class MultiPoly:
             return self.content_normalized()[1]
         if not names:
             return MultiPoly.const(1)
-        if any(e < 0 for p in (self, other) for expo in p.terms for e in expo):
+        if _has_negative_exponent(self) or _has_negative_exponent(other):
             return None
-        name = names.pop()
-
-        def to_list(p):
-            d = p.degree_in(name)
-            cs = [Fraction(0)] * (d + 1)
-            for expo, coeff in p.terms.items():
-                cs[expo[0] if p.vars else 0] = coeff
-            return cs
-
-        a, b = to_list(self), to_list(other)
-
-        def strip(c):
-            while c and c[-1] == 0:
-                c.pop()
-            return c
-
-        a, b = strip(a[:]), strip(b[:])
-        while b:
-            # a mod b
-            while len(a) >= len(b):
-                f = a[-1] / b[-1]
-                off = len(a) - len(b)
-                for i, bc in enumerate(b):
-                    a[off + i] -= f * bc
-                strip(a)
-                if not a:
-                    break
-            a, b = b, a
-        if not a:
-            return MultiPoly.const(1)
-        lead = a[-1]
-        poly = MultiPoly.const(0)
-        for i, c in enumerate(a):
-            if c:
-                poly = poly + MultiPoly.monomial({name: i}, c / lead)
-        return poly
+        g = _int_gcd(_int_coeffs(self)[0], _int_coeffs(other)[0])
+        return MultiPoly(self.vars or other.vars,
+                         {(i,): Fraction(c, g[-1]) for i, c in enumerate(g)})
 
     # -- serialization ------------------------------------------------
     def monomial_text(self, expo) -> str:
@@ -452,6 +419,101 @@ class MultiPoly:
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+# ---------------------------------------------------------------------
+# univariate integer coefficient lists (lowest power first), for the gcd
+# and the reduction of one-variable fractions
+
+def _has_negative_exponent(poly: MultiPoly) -> bool:
+    return any(e < 0 for expo in poly.terms for e in expo)
+
+
+def _int_coeffs(poly: MultiPoly):
+    """(coefficients, d): d times a polynomial in at most one variable,
+    with nonnegative exponents, as a list of ints; d is the lcm of the
+    coefficient denominators."""
+    d = math.lcm(*(c.denominator for c in poly.terms.values()))
+    out = [0] * (poly.total_degree() + 1)
+    for expo, c in poly.terms.items():
+        out[expo[0] if expo else 0] = c.numerator * (d // c.denominator)
+    return out, d
+
+
+def _primitive(a: list) -> list:
+    g = math.gcd(*a)
+    return [c // g for c in a]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """The remainder of lead(b)^(deg a - deg b + 1) * a by b, over Z."""
+    lead, db = b[-1], len(b)
+    while len(a) >= db:
+        c, off = a[-1], len(a) - db
+        a = [x * lead for x in a[:-1]]
+        for i in range(db - 1):
+            a[off + i] -= c * b[i]
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _int_gcd(a: list, b: list) -> list:
+    """Primitive gcd of two nonzero integer polynomials by primitive
+    pseudo-remainder sequences (Knuth, TAOCP vol. 2, section 4.6.1)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _int_div_exact(a: list, b: list) -> list:
+    """a / b over Z; raises ExactDivisionError unless b divides a in Z[x]
+    (by Gauss's lemma it does whenever b is primitive and divides a over
+    Q)."""
+    a, db, lead = list(a), len(b), b[-1]
+    if len(a) < db:
+        raise ExactDivisionError("nonzero remainder in exact division")
+    quot = [0] * (len(a) - db + 1)
+    for k in reversed(range(len(quot))):
+        q, rem = divmod(a[k + db - 1], lead)
+        if rem:
+            raise ExactDivisionError("nonzero remainder in exact division")
+        quot[k] = q
+        if q:
+            for i in range(db - 1):
+                a[k + i] -= q * b[i]
+    if any(a[:db - 1]):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return quot
+
+
+def _reduced_univariate(numerator: MultiPoly, denominator: MultiPoly):
+    """(numerator, denominator) in lowest terms, the denominator an
+    integer polynomial with content 1 and positive leading coefficient;
+    None unless both are polynomials in at most one shared variable."""
+    names = tuple(set(numerator.vars) | set(denominator.vars))
+    if len(names) > 1 or _has_negative_exponent(numerator) or \
+            _has_negative_exponent(denominator):
+        return None
+    if numerator.is_zero():
+        return numerator, MultiPoly.const(1)
+    n, dn = _int_coeffs(numerator)
+    d, dd = _int_coeffs(denominator)
+    g = _int_gcd(n, d)
+    n, d = _int_div_exact(n, g), _int_div_exact(d, g)
+    c = math.gcd(*d) if d[-1] > 0 else -math.gcd(*d)
+    # n/dn over (c * (d/c))/dd is (n*dd / (dn*c)) over d/c; the exponent
+    # keys are () when both are constants
+    return (MultiPoly(names, {(i,)[:len(names)]: Fraction(x * dd, dn * c)
+                              for i, x in enumerate(n) if x}),
+            MultiPoly(names, {(i,)[:len(names)]: x // c
+                              for i, x in enumerate(d) if x}))
 
 
 # ---------------------------------------------------------------------
@@ -733,12 +795,12 @@ class RationalFunction:
         denominator = _to_poly(denominator)
         if denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = numerator.gcd_univariate(denominator)
-        if g is not None and not g.is_constant():
-            numerator = numerator.div_exact(g)
-            denominator = denominator.div_exact(g)
-        unit, denominator = denominator.content_normalized()
-        numerator = numerator / unit
+        reduced = _reduced_univariate(numerator, denominator)
+        if reduced is None:
+            unit, denominator = denominator.content_normalized()
+            numerator = numerator / unit
+        else:
+            numerator, denominator = reduced
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .dense import Dense
 from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
     e_polynomial, poly_to_class
 from .rings import MultiPoly, RationalFunction, TruncSeries, binom_frac, \
     exp_coeffs
 
-MAX_COMPONENTS = 16
+MAX_COMPONENTS = 14
 
 
 class ConsistencyError(ArithmeticError):
@@ -201,16 +202,17 @@ def stringy_value_from_expr(text: str, r: int = 1) -> StringyValue:
 # motivic integral (variable L, classes realized through atoms)
 
 
-def _realize_in_l(cls: K0Class, lpoly: MultiPoly) -> MultiPoly:
-    """Realize a class as a polynomial in the integral variable, mapping
-    the Lefschetz atom to lpoly; any other atom is out of scope here."""
-    def fn(atom: Atom):
-        if atom == LEFSCHETZ:
-            return lpoly
-        raise ValidationError(
-            f"motivic integral needs classes polynomial in L, got atom "
-            f"{atom.name!r}")
-    return cls.map_atoms(fn)
+def _realize_in_l(cls: K0Class, lpoly: MultiPoly) -> Dense:
+    """Realize a class as a dense polynomial in the integral variable,
+    mapping the Lefschetz atom to lpoly, a power var^r of that variable;
+    any other atom is out of scope here."""
+    for atom in cls.atoms.values():
+        if atom != LEFSCHETZ:
+            raise ValidationError(
+                f"motivic integral needs classes polynomial in L, got atom "
+                f"{atom.name!r}")
+    (var,), ((r,),) = lpoly.vars, lpoly.terms
+    return Dense.from_poly(cls.poly, "L").scale(r, var)
 
 
 def _by_mask(d: ResolutionDatum) -> list:
@@ -245,13 +247,14 @@ def _fold(table: list, ins: list, outs: list):
     return table[0]
 
 
-def _factors(d: ResolutionDatum, var: MultiPoly):
+def _factors(d: ResolutionDatum, var: str):
     """The factors var^{r(a_i+1)} - 1, one per component, and their
-    product; r(a_i + 1) is an integer by the datum's validation."""
+    product, as dense polynomials; r(a_i + 1) is an integer by the
+    datum's validation."""
     r = d.index_r
-    factors = [var ** int(r * (d.discrepancy(i) + 1)) - 1
+    factors = [Dense(var, int(r * (d.discrepancy(i) + 1)), (1,)) - 1
                for i in range(len(d.components))]
-    return factors, math.prod(factors, start=MultiPoly.const(1))
+    return factors, math.prod(factors, start=Dense(var, 0, (1,)))
 
 
 def motivic_integral(d: ResolutionDatum) -> RationalFunction:
@@ -264,11 +267,10 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     """
     r = d.index_r
     lname = "L" if r == 1 else "t"
-    lvar = MultiPoly.var(lname)
-    lpoly = lvar ** r
+    lpoly = MultiPoly.var(lname) ** r
     k = len(d.components)
-    dens, den = _factors(d, lvar)
-    lm1 = lpoly - 1
+    dens, den = _factors(d, lname)
+    lm1 = Dense(lname, r, (1,)) - 1
 
     open_table = [_realize_in_l(cls, lpoly) for cls in _by_mask(d)]
     open_num = _fold(open_table, [lm1] * k, dens)
@@ -277,7 +279,7 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     if open_num != closed_num:
         raise ConsistencyError(
             "open- and closed-stratum forms of the motivic integral differ")
-    return RationalFunction(open_num, den)
+    return RationalFunction(open_num.to_poly(), den.to_poly())
 
 
 # ---------------------------------------------------------------------
@@ -288,12 +290,20 @@ def stringy_E(d: ResolutionDatum) -> StringyValue:
     """Sum over strata of E(E_I^o; u, v) * prod_{i in I}
     (uv-1)/((uv)^{a_i+1}-1), with (uv)^{1/r} carried by t."""
     r = d.index_r
-    t = MultiPoly.var("t")
-    dens, den = _factors(d, t)
+    dens, den = _factors(d, "t")
+    ins = [Dense("t", r, (1,)) - 1] * len(dens)
+    classes = _by_mask(d)
+    if all(atom == LEFSCHETZ for cls in classes for atom in cls.atoms.values()):
+        # E(L) = uv = t^r once rewritten, so the table is the classes
+        # with L -> t^r, and the fold runs on dense polynomials in t
+        tr = MultiPoly.var("t") ** r
+        num = _fold([_realize_in_l(cls, tr) for cls in classes], ins, dens)
+        return StringyValue(num.to_poly(), den.to_poly(), r)
     # canonical terms keep the fold small; times factors in t alone they
     # stay canonical, so the constructor's rewrite of the sum changes nothing
-    table = [rewrite_uv(e_polynomial(cls), r) for cls in _by_mask(d)]
-    return StringyValue(_fold(table, [t ** r - 1] * len(dens), dens), den, r)
+    table = [rewrite_uv(e_polynomial(cls), r) for cls in classes]
+    num = _fold(table, [f.to_poly() for f in ins], [f.to_poly() for f in dens])
+    return StringyValue(num, den.to_poly(), r)
 
 
 def _chi_y_of(e: StringyValue) -> RationalFunction:
@@ -478,6 +488,10 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     except (KeyError, TypeError) as exc:
         raise ValidationError(
             f"malformed atom or component entry: {exc!r}") from exc
+    if len(components) > MAX_COMPONENTS:
+        # before parsing the 2^k stratum classes, which dominate loading
+        raise ValidationError(
+            f"at most {MAX_COMPONENTS} components are supported")
     index = {name: i for i, (name, _) in enumerate(components)}
     strata = {}
     for entry in strata_list:

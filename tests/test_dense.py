@@ -1,0 +1,232 @@
+"""The dense integer kernel against MultiPoly, fraction reduction on int
+lists against the Fraction Euclid it replaced, and the jets measures
+against their MultiPoly formulas."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from genera import rings  # noqa: E402
+from genera.dense import Dense  # noqa: E402
+from genera.jets import JetSpec, closed_integral, cylinder_measure  # noqa: E402
+from genera.rings import ExactDivisionError, MultiPoly, RationalFunction  # noqa: E402
+
+X = MultiPoly.var("x")
+L = MultiPoly.var("L")
+
+ints = st.integers(-9, 9)
+# polynomials in x, and constants in y: a constant mixes with any variable
+denses = st.one_of(
+    st.builds(lambda low, cs: Dense("x", low, cs),
+              st.integers(-4, 4), st.lists(ints, max_size=6)),
+    st.builds(lambda c: Dense("y", 0, (c,)), ints))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(denses, denses)
+def test_ring_operations_against_multipoly(a, b):
+    pa, pb = a.to_poly(), b.to_poly()
+    assert (a + b).to_poly() == pa + pb
+    assert (a - b).to_poly() == pa - pb
+    assert (a * b).to_poly() == pa * pb
+    assert (-a).to_poly() == -pa
+    assert (a == b) == (pa == pb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a + 3).to_poly() == pa + 3
+    assert (3 - a).to_poly() == 3 - pa
+    assert (a * -2).to_poly() == pa * -2
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(denses, st.integers(0, 7))
+def test_power_against_multipoly(a, n):
+    assert (a ** n).to_poly() == a.to_poly() ** n
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(denses, st.integers(-5, 5), st.integers(1, 4))
+def test_shift_and_scale_against_multipoly(a, k, r):
+    pa, var = a.to_poly(), a.var
+    assert a.shift(k).to_poly() == pa * MultiPoly.monomial({var: k})
+    assert a.scale(r).to_poly() == \
+        pa.substitute(var, MultiPoly.var(var) ** r)
+    assert a.scale(r, "t").to_poly() == \
+        pa.substitute(var, MultiPoly.var("t") ** r)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(denses)
+def test_round_trip_and_hash(a):
+    back = Dense.from_poly(a.to_poly(), a.var)
+    assert back == a and hash(back) == hash(a)
+    assert back.coeffs == a.coeffs and back.low == a.low
+    if a.is_constant():
+        value = a.coeffs[0] if a.coeffs else 0
+        assert a == value and hash(a) == hash(value)
+
+
+def test_zero_and_trimming():
+    zero = Dense("x", 5, (0, 0))
+    assert zero.coeffs == () and zero.low == 0
+    assert zero == 0 and zero == Dense("t", 0, ()) and hash(zero) == hash(0)
+    assert zero.to_poly() == MultiPoly.const(0)
+    assert Dense("x", -2, (0, 3, 0)) == Dense("x", -1, (3,))
+    assert Dense("x", 0, (3,)) == Dense("t", 0, (3,)) == 3
+    assert Dense("x", 1, (3,)) != Dense("t", 1, (3,))
+
+
+def test_bad_input():
+    with pytest.raises(ValueError):
+        Dense("x", 1, (1,)) ** -1
+    with pytest.raises(ValueError):
+        Dense("x", 1, (1,)) + Dense("t", 1, (1,))
+    with pytest.raises(ValueError):
+        Dense.from_poly(X / 2, "x")
+    with pytest.raises(ValueError):
+        Dense.from_poly(X * MultiPoly.var("y"), "x")
+
+
+# ---------------------------------------------------------------------
+# fraction reduction
+
+
+def euclid_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The monic gcd by Euclid's algorithm over Fraction coefficients,
+    as MultiPoly.gcd_univariate computed it before the int-list kernel."""
+    if a.is_zero():
+        return b.content_normalized()[1]
+    if b.is_zero():
+        return a.content_normalized()[1]
+    names = set(a.vars) | set(b.vars)
+    if not names:
+        return MultiPoly.const(1)
+    name = names.pop()
+
+    def to_list(p):
+        cs = [Fraction(0)] * (p.degree_in(name) + 1)
+        for expo, coeff in p.terms.items():
+            cs[expo[0] if p.vars else 0] = coeff
+        return cs
+
+    def strip(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = strip(to_list(a)), strip(to_list(b))
+    while b:
+        while len(a) >= len(b):
+            f = a[-1] / b[-1]
+            off = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[off + i] -= f * bc
+            strip(a)
+            if not a:
+                break
+        a, b = b, a
+    poly = MultiPoly.const(0)
+    for i, c in enumerate(a):
+        if c:
+            poly = poly + MultiPoly.monomial({name: i}, c / a[-1])
+    return poly
+
+
+def reference_fraction(num: MultiPoly, den: MultiPoly):
+    """Euclid's monic gcd, exact division, then content normalisation of
+    the denominator."""
+    g = euclid_gcd(num, den)
+    if not g.is_constant():
+        num, den = num.div_exact(g), den.div_exact(g)
+    unit, den = den.content_normalized()
+    return num / unit, den
+
+
+def random_poly(rng, fractions: bool) -> MultiPoly:
+    out = MultiPoly.const(0)
+    for i in range(rng.randint(0, 3)):
+        c = rng.randint(-6, 6)
+        if fractions:
+            c = Fraction(c, rng.randint(1, 4))
+        out = out + MultiPoly.monomial({"x": i}, c)
+    return out
+
+
+@pytest.mark.parametrize("fractions", (False, True))
+def test_reduction_against_fraction_euclid(fractions):
+    rng = random.Random(17 + fractions)
+    for _ in range(300):
+        f, g, h = (random_poly(rng, fractions) for _ in range(3))
+        num, den = f * g, h * g
+        if den.is_zero():
+            continue
+        rf = RationalFunction(num, den)
+        ref_num, ref_den = reference_fraction(num, den)
+        assert rf.numerator == ref_num and str(rf.numerator) == str(ref_num)
+        assert rf.denominator == ref_den and \
+            str(rf.denominator) == str(ref_den)
+        assert num.gcd_univariate(den) == euclid_gcd(num, den)
+
+
+def test_exact_division_over_the_integers():
+    assert rings._int_div_exact([1, 2, 1], [1, 1]) == [1, 1]
+    assert rings._int_div_exact([-6, 2, 4], [-2, 2]) == [3, 2]
+    with pytest.raises(ExactDivisionError):
+        rings._int_div_exact([1, 0, 1], [1, 1])
+    with pytest.raises(ExactDivisionError):
+        rings._int_div_exact([1, 1], [2, 2])
+    with pytest.raises(ExactDivisionError):     # x / 2x = 1/2
+        rings._int_div_exact([0, 1], [0, 2])
+    with pytest.raises(ExactDivisionError):
+        rings._int_div_exact([1], [1, 1])
+
+
+# ---------------------------------------------------------------------
+# jets measures
+
+
+def reference_cylinder(spec: JetSpec, p: int) -> MultiPoly:
+    """cylinder_measure's MultiPoly formula before the dense kernel."""
+    n, d = spec.level, spec.dimension
+    positive = [i for i in range(d) if spec.exponents[i] > 0]
+    total = MultiPoly.const(0)
+    for orders in product(range(p + 1), repeat=len(positive)):
+        if sum(spec.exponents[i] * o
+               for i, o in zip(positive, orders)) != p:
+            continue
+        cell = L ** ((n + 1) * (d - len(positive)))
+        for o in orders:
+            cell = cell * ((L - 1) * L ** (n - o))
+        total = total + cell
+    return total * L ** (-n * d)
+
+
+def reference_closed(spec: JetSpec):
+    """closed_integral's product of per-coordinate fractions, each step
+    reduced by the Fraction Euclid."""
+    num, den = MultiPoly.const(1), MultiPoly.const(1)
+    for a in spec.exponents:
+        if a > 0:
+            num, den = reference_fraction(num * (L - 1) * L ** (a + 1),
+                                          den * (L ** (a + 1) - 1))
+        else:
+            num, den = reference_fraction(num * L, den)
+    return num, den
+
+
+def test_jets_against_multipoly_formulas():
+    rng = random.Random(7)
+    for _ in range(40):
+        dim = rng.randint(1, 3)
+        spec = JetSpec(dim, tuple(rng.randint(0, 3) for _ in range(dim)),
+                       rng.randint(0, 8))
+        for p in range(spec.level + 1):
+            assert cylinder_measure(spec, p) == reference_cylinder(spec, p)
+        closed = closed_integral(spec)
+        assert (closed.numerator, closed.denominator) == \
+            reference_closed(spec)

@@ -68,3 +68,13 @@ def test_serialize_is_canonical():
     a = parse_expr("x + y + x*y")
     b = parse_expr("y + x*y + x")
     assert serialize(a) == serialize(b)
+
+
+def test_integer_powers_against_multipoly():
+    # a power of a polynomial in one variable with integer coefficients
+    # runs on the dense kernel, any other base on MultiPoly.__pow__
+    for base in ("(L + 1)", "(2*L^2 - 3*L^-1 + 5)", "(L^-2)", "(-L)",
+                 "(L - L)", "(1/2*L + 1)", "(x*y + 1)", "7"):
+        value = parse_expr(base)
+        for n in range(41):
+            assert parse_expr(f"{base}^{n}") == value ** n, (base, n)

@@ -253,3 +253,16 @@ def test_json_schema_errors():
             "components": [{"name": "E", "a": "1"}],
             "strata": [{"subset": ["nope"], "class": "L"}],
         })
+
+
+def test_component_cap_is_checked_before_the_strata():
+    # the unparsable class shows that no stratum was read
+    k = stringy.MAX_COMPONENTS + 1
+    data = {"flavor": "stringy", "index_r": 1,
+            "components": [{"name": f"E{i}", "a": "1"} for i in range(k)],
+            "strata": [{"subset": [], "class": "L +"}]}
+    with pytest.raises(ValidationError, match="at most 14 components"):
+        datum_from_dict(data)
+    data["components"].pop()
+    with pytest.raises(ValueError, match="unexpected token"):
+        datum_from_dict(data)
