@@ -10,10 +10,13 @@ value invariant under the rescaling f(z) -> f(az)/a.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import MultiPoly, TruncSeries, coeff_div_exact, exp_coeffs
+from .dense import Dense
+from .rings import (MultiPoly, TruncSeries, as_fraction, coeff_div_exact,
+                    exp_coeffs)
 
 Y = MultiPoly.var("y")
 
@@ -67,14 +70,14 @@ def _ahat_series(order: int) -> TruncSeries:
 
 
 def _hirzebruch_series(order: int) -> TruncSeries:
-    # f_y(z) = z(1+y) / (1 - e^{-z(1+y)}) - z*y
-    todd = _todd_series(order)
-    scaled = todd.scale_variable(1 + Y)  # w -> z(1+y)
-    cs = list(scaled.coeffs)
+    # f_y(z) = z(1+y) / (1 - e^{-z(1+y)}) - z*y: the Todd coefficient
+    # t_k times (1+y)^k, expanded by the binomial theorem
+    cs = [MultiPoly(("y",), {(i,): t * math.comb(k, i)
+                             for i in range(k + 1)})
+          for k, t in enumerate(_todd_series(order).coeffs)]
     if order >= 1:
         cs[1] = cs[1] - Y
-    return TruncSeries("z", order, [MultiPoly._coerce(c) or MultiPoly.const(c)
-                                    for c in cs])
+    return TruncSeries("z", order, cs)
 
 
 def builtin_series(name: str, order: int = 16) -> CharSeries:
@@ -93,6 +96,40 @@ def builtin_series(name: str, order: int = 16) -> CharSeries:
     raise ValueError(f"unknown series {name!r}; choose from {SERIES_NAMES}")
 
 
+def _power_coefficient_over_z(series: TruncSeries, m: int):
+    """[z^order] series^m on integers, or None unless every coefficient
+    is a scalar or a polynomial in one and the same variable.
+
+    With D the lcm of the coefficient denominators, D * series has its
+    coefficients in Z (as ints) or in Z[y] (as ``Dense``), so the Miller
+    recurrence of ``TruncSeries.__pow__`` runs exactly over Z, and the
+    coefficient is that of (D * series)^m over D^m.  The value is a
+    Fraction when every coefficient is a scalar, a MultiPoly otherwise.
+    """
+    coeffs = series.coeffs
+    scalar = all(isinstance(c, (int, Fraction)) for c in coeffs)
+    if scalar:
+        qs = [as_fraction(c) for c in coeffs]
+        d = math.lcm(*(q.denominator for q in qs))
+        cleared = [q.numerator * (d // q.denominator) for q in qs]
+    else:
+        polys = [MultiPoly._coerce(c) for c in coeffs]
+        if None in polys:
+            return None
+        names = {v for p in polys for v in p.vars}
+        if len(names) > 1:
+            return None
+        var = names.pop() if names else "y"
+        d = math.lcm(*(c.denominator for p in polys
+                       for c in p.terms.values()))
+        cleared = [Dense.from_poly(p, var, d) for p in polys]
+    top = (TruncSeries(series.var, series.order, cleared) ** m)[series.order]
+    if isinstance(top, Dense):
+        return top.to_poly() / d ** m
+    value = Fraction(top, d ** m)  # an int, or the zero after a zero run
+    return value if scalar else MultiPoly.const(value)
+
+
 def genus_on_projective(f: CharSeries, n: int):
     """Value of the genus of f on n-dimensional projective space."""
     if n < 0:
@@ -101,7 +138,10 @@ def genus_on_projective(f: CharSeries, n: int):
         raise ValueError(
             f"series order {f.series.order} too small; need at least {n}")
     # [z^n] f^(n+1) reads f only through z^n
-    coeff = (f.series.truncate(n) ** (n + 1))[n]
+    head = f.series.truncate(n)
+    coeff = _power_coefficient_over_z(head, n + 1)
+    if coeff is None:
+        coeff = (head ** (n + 1))[n]
     a = f.series.constant_term()
     if f.normalized and a == 1:
         return coeff
@@ -132,16 +172,14 @@ def hirzebruch_specialize(y0, order: int = 16) -> CharSeries:
 
 def rescaled_series(f: CharSeries, a) -> CharSeries:
     """f(az)/a for a unit a: coefficient c_k goes to c_k * a^(k-1)."""
-    coeffs = []
-    for k, c in enumerate(f.series.coeffs):
-        if k == 0:
-            coeffs.append(coeff_div_exact(c, a) if not (
-                isinstance(a, (int, Fraction)) and a == 1) else c)
-        else:
-            p = MultiPoly.const(1)
-            for _ in range(k - 1):
-                p = p * a
-            coeffs.append(c * p)
+    c0, *rest = f.series.coeffs
+    coeffs = [c0 if isinstance(a, (int, Fraction)) and a == 1
+              else coeff_div_exact(c0, a)]
+    power = MultiPoly.const(1)  # a^(k-1), one product per step
+    for k, c in enumerate(rest, 1):
+        if k > 1:
+            power = power * a
+        coeffs.append(c * power)
     return CharSeries(f"{f.name}.rescaled", TruncSeries(
         f.series.var, f.series.order, coeffs), normalized=False)
 

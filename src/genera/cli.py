@@ -8,6 +8,7 @@ error, 3 validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -285,9 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: ``parse_args``
+    keeps no state in it between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -10,7 +10,7 @@ and leave it by ``to_poly``, and public results stay ``MultiPoly``.
 
 from __future__ import annotations
 
-from .rings import MultiPoly
+from .rings import MultiPoly, _int_div_exact
 
 
 class Dense:
@@ -18,7 +18,8 @@ class Dense:
 
     ``coeffs`` has no zero at either end, and the zero polynomial has no
     coefficients and ``low`` 0.  A constant equals the int it holds,
-    whatever its ``var``, and hashes like it; products are schoolbook.
+    whatever its ``var``, and hashes like it.  Products are schoolbook,
+    and ``/`` is exact division over Z.
     """
 
     __slots__ = ("var", "low", "coeffs")
@@ -41,9 +42,11 @@ class Dense:
 
     # -- conversion ---------------------------------------------------
     @classmethod
-    def from_poly(cls, poly: MultiPoly, var: str) -> "Dense":
-        """The MultiPoly ``poly``, which must be in ``var`` alone (or
-        constant) with integer coefficients."""
+    def from_poly(cls, poly: MultiPoly, var: str,
+                  multiplier: int = 1) -> "Dense":
+        """``multiplier`` times the MultiPoly ``poly``, which must be in
+        ``var`` alone (or constant) and have integer coefficients once
+        multiplied."""
         if poly.vars not in ((), (var,)):
             raise ValueError(f"not a polynomial in {var} alone: {poly}")
         if not poly.terms:
@@ -52,9 +55,10 @@ class Dense:
         low = min(expos)
         out = [0] * (max(expos) - low + 1)
         for e, c in zip(expos, poly.terms.values()):
-            if c.denominator != 1:
+            q, r = divmod(multiplier, c.denominator)
+            if r:
                 raise ValueError(f"not an integer polynomial: {poly}")
-            out[e - low] = c.numerator
+            out[e - low] = c.numerator * q
         return cls(var, low, out)
 
     def to_poly(self) -> MultiPoly:
@@ -118,6 +122,8 @@ class Dense:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return Dense(self.var, self.low, [other * x for x in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -136,6 +142,26 @@ class Dense:
         return Dense(var, self.low + other.low, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """The exact quotient in Z[var, 1/var]; raises ExactDivisionError
+        when there is none."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        var = self._shared_var(other)
+        if not other.coeffs:
+            raise ZeroDivisionError("division of polynomial by zero")
+        if not self.coeffs:
+            return self
+        return Dense(var, self.low - other.low,
+                     _int_div_exact(self.coeffs, other.coeffs))
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         """The n-th power by the J.C.P. Miller recurrence (Knuth, TAOCP

@@ -9,6 +9,7 @@ variable exceeds that variable's nilpotency bound.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, itemgetter, mul
 
 from .rings import MultiPoly
 
@@ -48,7 +49,7 @@ class GradedRing:
         power = MultiPoly.const(1)
         fact = 1
         for m in range(1, self.cutoff + 1):
-            power = self.reduce(power * poly)
+            power = self.mul(power, poly)
             if power.is_zero():
                 break
             fact *= m
@@ -56,12 +57,45 @@ class GradedRing:
         return out
 
     def mul(self, a, b) -> MultiPoly:
-        return self.reduce(a * b)
+        """reduce(a * b), forming only the term pairs that survive it: the
+        terms of b are sorted by weighted degree, so the scan of b stops
+        at the first term past the cutoff, and a pair whose exponent in
+        a bounded variable exceeds its bound is skipped."""
+        a, b = MultiPoly._coerce(a), MultiPoly._coerce(b)
+        names, ta, tb = a._align(b)
+        weights = [self.weights.get(v, 0) for v in names]
+        bounds = [(i, self.bounds[v]) for i, v in enumerate(names)
+                  if v in self.bounds]
+        right = sorted(((sum(map(mul, weights, e)), e, c)
+                        for e, c in tb.items()), key=itemgetter(0))
+        out = {}
+        for e1, c1 in ta.items():
+            room = self.cutoff - sum(map(mul, weights, e1))
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                key = tuple(map(add, e1, e2))
+                if any(key[i] > bound for i, bound in bounds):
+                    continue
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return MultiPoly(names, out)
+
+    def power(self, elt, n: int) -> MultiPoly:
+        """elt^n by truncated binary powering from the lowest bit, with
+        no square after the highest one; n >= 0."""
+        out = MultiPoly.const(1)
+        while n:
+            if n & 1:
+                out = self.mul(out, elt)
+            n >>= 1
+            if n:
+                elt = self.mul(elt, elt)
+        return out
 
     def prod(self, elts) -> MultiPoly:
         out = MultiPoly.const(1)
         for e in elts:
-            out = self.reduce(out * e)
+            out = self.mul(out, e)
         return out
 
 

@@ -39,12 +39,12 @@ class ProjSpaceRing(GradedRing):
 
     def tangent_class(self, f: CharSeries) -> MultiPoly:
         """prod_j f(h_j)^{n_j + 1}: the multiplicative class of the tangent
-        bundle (Euler sequence: TP^n + 1 = O(1)^{n+1})."""
+        bundle (Euler sequence: TP^n + 1 = O(1)^{n+1}), each power by
+        truncated binary powering."""
         out = MultiPoly.const(1)
         for j, n in enumerate(self.factors):
             val = self.reduce(MultiPoly._coerce(f.series.evaluate(self.h(j))))
-            for _ in range(n + 1):
-                out = self.reduce(out * val)
+            out = self.mul(out, self.power(val, n + 1))
         return out
 
 

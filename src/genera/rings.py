@@ -543,13 +543,17 @@ def coeff_inverse(c):
 def coeff_div_exact(value, a):
     """value / a where the quotient is known to exist in the coefficient
     ring: scalar division when a is a scalar or a constant polynomial,
-    exact (Laurent) polynomial division when a is any other polynomial."""
+    exact (Laurent) polynomial division when a is any other polynomial,
+    and exact division over Z, with its remainder check, when a is a
+    dense.Dense.  An int quotient of two ints stays an int."""
     if isinstance(a, MultiPoly):
         if not a.is_constant():
             return MultiPoly._coerce(value).laurent_div_exact(a)
         a = a.constant_value()
     if a == 0:
         raise ExactDivisionError("division by a zero coefficient")
+    if isinstance(value, int) and isinstance(a, int):
+        return value // a if not value % a else Fraction(value, a)
     return value / a
 
 
@@ -666,11 +670,11 @@ class TruncSeries:
             k a_v g_k = sum_{j>=1} ((n+1) j - k) a_(v+j) g_(k-j),
 
         starting at g_0 = a_v^n, so the cost is O(order^2) coefficient
-        products whatever n is.  The division by k a_v is exact: scalar
-        when a_v is a scalar or a constant polynomial, exact polynomial
-        division otherwise (the quotient is a coefficient of g, hence a
-        polynomial even when a_v is not a unit, such as 1 + y).  The
-        result is g shifted by v n.  Negative n powers the inverse.
+        products whatever n is.  The division by k a_v is exact
+        (``coeff_div_exact``): the quotient is a coefficient of g, hence
+        a polynomial even when a_v is not a unit, such as 1 + y, and an
+        integer when f has int or ``Dense`` coefficients.  The result is
+        g shifted by v n.  Negative n powers the inverse.
         """
         if n < 0:
             return self.invert() ** (-n)
@@ -684,7 +688,7 @@ class TruncSeries:
         a = self.coeffs[v:]
         g = [a[0] ** n]
         for k in range(1, self.order - v * n + 1):
-            acc = coeff_zero()
+            acc = 0  # adds to every coefficient type, and keeps ints ints
             for j in range(1, k + 1):
                 weight = (n + 1) * j - k
                 if weight and not _is_zero_coeff(a[j]):
@@ -741,11 +745,11 @@ class TruncSeries:
 
     def scale_variable(self, a) -> "TruncSeries":
         """Substitute z -> a*z, with a a coefficient-ring element."""
-        cs = []
+        cs = [self.coeffs[0]]
         power = 1
-        for k, c in enumerate(self.coeffs):
-            cs.append(c * power if k else c)
+        for c in self.coeffs[1:]:
             power = power * a
+            cs.append(c * power)
         return TruncSeries(self.var, self.order, cs)
 
     def evaluate(self, value):
@@ -778,7 +782,7 @@ def _is_zero_coeff(c) -> bool:
         return c.is_zero()
     if isinstance(c, RationalFunction):
         return c.numerator.is_zero()
-    return False
+    return c == 0  # dense.Dense, or any type that compares with 0
 
 
 class RationalFunction:

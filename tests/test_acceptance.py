@@ -11,7 +11,7 @@ from pathlib import Path
 
 from genera.bundles import (FormalBundle, elliptic_class_qseries, lambda_op,
                             lambda_y_dual_lines, s_op)
-from genera.catalog import (SERIES_NAMES, builtin_series,
+from genera.catalog import (SERIES_NAMES, CharSeries, builtin_series,
                             genus_on_projective, hirzebruch_specialize)
 from genera.graded import ChernRing, GradedRing
 from genera.jets import (JetSpec, coordinate_datum, cylinder_measure,
@@ -93,8 +93,8 @@ def test_criterion_05_hrr_grid():
 
 def test_criterion_06_two_pipelines():
     for name in SERIES_NAMES:
-        f = builtin_series(name, 8)
-        for n in range(7):
+        f = builtin_series(name, 12)
+        for n in range(13):
             ring = ProjSpaceRing([n])
             assert ring.integrate(ring.tangent_class(f)) == \
                 MultiPoly._coerce(genus_on_projective(f, n)), (name, n)
@@ -107,6 +107,20 @@ def test_criterion_06_two_pipelines():
                     MultiPoly._coerce(genus_on_projective(f, m)) * \
                     MultiPoly._coerce(genus_on_projective(f, n))
     print("[PASS] 6: ring integration = coefficient rule, incl. products")
+
+
+def test_criterion_06_negative_control():
+    # [z^n] f^(n+1) moves by (n+1) a^n when the z^n coefficient of f moves
+    # by 1, so the series path must then disagree with the ring integral
+    for name in SERIES_NAMES:
+        f = builtin_series(name, 12)
+        for n in range(1, 13):
+            cs = list(f.series.coeffs)
+            cs[n] = cs[n] + 1
+            changed = CharSeries(name, TruncSeries("z", 12, cs))
+            ring = ProjSpaceRing([n])
+            assert ring.integrate(ring.tangent_class(f)) != \
+                MultiPoly._coerce(genus_on_projective(changed, n)), (name, n)
 
 
 def test_criterion_07_k0_realization():

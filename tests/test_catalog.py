@@ -136,3 +136,21 @@ def test_genus_grid_closed_forms(name):
     f = builtin_series(name, 20)
     for n in range(21):
         assert genus_on_projective(f, n) == CLOSED_FORMS[name](n), (name, n)
+
+
+@pytest.mark.parametrize("a", [2, Fraction(1, 3), 1 + Y],
+                         ids=["2", "1/3", "1+y"])
+def test_rescaled_series_coefficients(a):
+    # c_0 -> c_0 / a and c_k -> c_k a^(k-1), against powers of a taken
+    # one by one; a = 1 + y needs a constant term it divides
+    series = [ghrr_integrand(7)] if a == 1 + Y else \
+        [builtin_series("todd", 7), builtin_series("hirzebruch", 7)]
+    for f in series:
+        g = rescaled_series(f, a)
+        assert not g.normalized and g.series.order == 7
+        assert MultiPoly._coerce(g.series[0]) * a == f.series[0]
+        for k in range(1, 8):
+            assert g.series[k] == \
+                f.series[k] * MultiPoly._coerce(a) ** (k - 1)
+        assert all(genus_on_projective(f, n) == genus_on_projective(g, n)
+                   for n in range(5))

@@ -1,6 +1,9 @@
 """Command-line interface: dispatch, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from genera.cli import (EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_VALIDATION,
                         emit_table, main)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 
 def run(capsys, *argv):
@@ -208,3 +212,30 @@ def test_emit_table():
     assert lines[0].startswith("n")
     assert lines[2].split() == ["1", "xx"]
     assert emit_table([]) == ""
+
+
+def test_cached_parser_keeps_no_state(capsys):
+    # one parser serves every call of a process: each call must still
+    # match a fresh process, whatever the calls before it did
+    calls = [
+        ["genus", "--series", "nosuch", "--n", "3"],          # argparse: 2
+        ["genus", "--series", "todd", "--n", "-1"],           # validation: 3
+        ["genus", "--series", "hirzebruch", "--n", "5"],
+        ["ty", "--n", "4", "--output", "json"],
+        ["stringy", "euler", str(FIXTURES / "blowup_c2.json")],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    codes = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "genera.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out.out, out.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [2, EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_OK]

@@ -49,6 +49,22 @@ def test_power_against_multipoly(a, n):
     assert (a ** n).to_poly() == a.to_poly() ** n
 
 
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(denses, denses)
+def test_exact_division(a, b):
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    assert (a * b) / b == a
+    assert (a * b * 3) / 3 == a * b
+    assert 0 / b == 0
+    # only a unit +-x^k divides 1 + a b in Z[x, 1/x]
+    if len(b.coeffs) > 1 or abs(b.coeffs[0]) > 1:
+        with pytest.raises(ExactDivisionError):
+            (a * b + 1) / b
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(denses, st.integers(-5, 5), st.integers(1, 4))
 def test_shift_and_scale_against_multipoly(a, k, r):
@@ -88,6 +104,10 @@ def test_bad_input():
         Dense("x", 1, (1,)) + Dense("t", 1, (1,))
     with pytest.raises(ValueError):
         Dense.from_poly(X / 2, "x")
+    with pytest.raises(ValueError):
+        Dense.from_poly(X / 4 + X ** 2 / 3, "x", 6)
+    assert Dense.from_poly(X / 4 + X ** 2 / 3, "x", 12) == \
+        Dense("x", 1, (3, 4))
     with pytest.raises(ValueError):
         Dense.from_poly(X * MultiPoly.var("y"), "x")
 

@@ -233,3 +233,15 @@ def test_binom_frac():
     assert binom_frac(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binom_frac(5, 2) == 10
     assert binom_frac(Fraction(3), 4) == 0
+
+
+@pytest.mark.parametrize("a", [2, 1 + Y], ids=["2", "1+y"])
+def test_scale_variable_coefficients(a):
+    # c_k -> c_k a^k, against powers of a taken one by one
+    f = TruncSeries("z", 6, [Fraction(1), Fraction(-1, 2), 3 + Y,
+                             Fraction(0), Y ** 2, Fraction(5, 7), 1 - Y])
+    scaled = f.scale_variable(a)
+    assert scaled.order == f.order
+    assert scaled[0] == f[0]
+    for k in range(1, 7):
+        assert scaled[k] == f[k] * MultiPoly._coerce(a) ** k

@@ -1,10 +1,14 @@
-"""TruncSeries powers: the power recurrence against repeated products."""
+"""TruncSeries powers: the power recurrence against repeated products,
+and the genus power on integers against the generic power."""
 
 from fractions import Fraction
 
 import pytest
 
-from genera.rings import MultiPoly, RationalFunction, TruncSeries
+from genera.catalog import (CharSeries, _power_coefficient_over_z,
+                            genus_on_projective)
+from genera.rings import (ExactDivisionError, MultiPoly, RationalFunction,
+                          TruncSeries, coeff_div_exact)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -81,3 +85,67 @@ def test_power_rational_function_coefficients():
         "z", [RationalFunction(1, 1 + X), RationalFunction(X),
               RationalFunction(1, X)], 3)
     assert f ** 3 == repeated_product(f, 3)
+
+
+# The genus power on integers (catalog): D * series over Z, as ints or
+# Dense, against the generic power on MultiPoly coefficients.
+
+@st.composite
+def genus_series(draw, scalar):
+    order = draw(st.integers(0, 7))
+    lead = draw(st.sampled_from([Fraction(1), Fraction(3, 2)] if scalar
+                                else [Fraction(1), Fraction(3, 2), 1 + Y]))
+    tail = draw(st.lists(fractions if scalar else
+                         st.one_of(fractions, polys_in_y),
+                         min_size=order, max_size=order))
+    return TruncSeries("z", order, [lead] + tail)
+
+
+def generic_power_coefficient(f, m):
+    as_poly = f.map_coeffs(MultiPoly._coerce)
+    return (as_poly ** m)[f.order]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans().flatmap(genus_series), st.integers(0, 9))
+def test_integer_genus_power_against_generic(f, m):
+    value = _power_coefficient_over_z(f, m)
+    assert MultiPoly._coerce(value) == generic_power_coefficient(f, m)
+    scalar = all(isinstance(c, Fraction) for c in f.coeffs)
+    assert isinstance(value, Fraction if scalar else MultiPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(genus_series(scalar=False))
+def test_integer_genus_on_projective_against_generic(f):
+    n = f.order
+    g = CharSeries("random", f, normalized=False)
+    expected = generic_power_coefficient(f, n + 1)
+    a = f.constant_term()
+    if a != 1:
+        try:
+            expected = coeff_div_exact(expected, a)
+        except ExactDivisionError:
+            with pytest.raises(ExactDivisionError):
+                genus_on_projective(g, n)
+            return
+    assert MultiPoly._coerce(genus_on_projective(g, n)) == expected
+
+
+def test_integer_genus_power_edge_cases():
+    # a multivariate or rational-function series keeps the generic power
+    two_vars = TruncSeries.from_coeffs("z", [1, X, Y], 2)
+    assert _power_coefficient_over_z(two_vars, 3) is None
+    ratfun = TruncSeries.from_coeffs("z", [1, RationalFunction(1, 1 + X)], 1)
+    assert _power_coefficient_over_z(ratfun, 2) is None
+    # a zero run past the order, Laurent coefficients, constant polynomials
+    shifted = TruncSeries.from_coeffs("z", [0, Fraction(1, 2), 1], 2)
+    assert _power_coefficient_over_z(shifted, 3) == 0
+    laurent = TruncSeries.from_coeffs(
+        "z", [1 + Y, Y.monomial_inverse() / 3, Fraction(1, 2)], 2)
+    assert _power_coefficient_over_z(laurent, 5) == \
+        generic_power_coefficient(laurent, 5)
+    constant = TruncSeries.from_coeffs(
+        "z", [MultiPoly.const(1), MultiPoly.const(Fraction(1, 2))], 1)
+    value = _power_coefficient_over_z(constant, 4)
+    assert isinstance(value, MultiPoly) and value == 2
