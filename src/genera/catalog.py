@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dense import Dense
-from .rings import (MultiPoly, TruncSeries, as_fraction, coeff_div_exact,
-                    exp_coeffs)
+from .rings import (ExactDivisionError, MultiPoly, TruncSeries, as_fraction,
+                    coeff_div_exact, exp_coeffs)
 
 Y = MultiPoly.var("y")
 
@@ -29,7 +29,6 @@ class CharSeries:
 
     name: str
     series: TruncSeries
-    normalized: bool = True
 
 
 def _todd_series(order: int) -> TruncSeries:
@@ -143,7 +142,7 @@ def genus_on_projective(f: CharSeries, n: int):
     if coeff is None:
         coeff = (head ** (n + 1))[n]
     a = f.series.constant_term()
-    if f.normalized and a == 1:
+    if a == 1:
         return coeff
     return coeff_div_exact(coeff, a)
 
@@ -171,27 +170,27 @@ def hirzebruch_specialize(y0, order: int = 16) -> CharSeries:
 
 
 def rescaled_series(f: CharSeries, a) -> CharSeries:
-    """f(az)/a for a unit a: coefficient c_k goes to c_k * a^(k-1)."""
+    """f(az)/a for a unit a: coefficient c_k goes to c_k * a^(k-1).
+    Raises ValueError unless a divides the constant term c_0."""
     c0, *rest = f.series.coeffs
-    coeffs = [c0 if isinstance(a, (int, Fraction)) and a == 1
-              else coeff_div_exact(c0, a)]
+    try:
+        coeffs = [coeff_div_exact(c0, a)]
+    except ExactDivisionError:
+        raise ValueError(f"a = {a} does not divide the constant term "
+                         f"{c0} of {f.name}") from None
     power = MultiPoly.const(1)  # a^(k-1), one product per step
     for k, c in enumerate(rest, 1):
         if k > 1:
             power = power * a
         coeffs.append(c * power)
     return CharSeries(f"{f.name}.rescaled", TruncSeries(
-        f.series.var, f.series.order, coeffs), normalized=False)
+        f.series.var, f.series.order, coeffs))
 
 
 def unnormalize_invariance_check(f: CharSeries, a, n_max: int | None = None) -> bool:
     """True iff f and f(az)/a induce the same genus for all n up to the
-    truncation bound (the rescaling rule for non-normalized series)."""
-    if isinstance(a, (int, Fraction)):
-        if a == 0:
-            raise ValueError("a must be a unit")
-    elif a.is_constant() and a.constant_value() == 0:
-        raise ValueError("a must be a unit")
+    truncation bound (the rescaling rule for non-normalized series);
+    raises ValueError unless a divides the constant term of f."""
     g = rescaled_series(f, a)
     bound = f.series.order if n_max is None else n_max
     return all(genus_on_projective(f, n) == genus_on_projective(g, n)
@@ -203,7 +202,7 @@ def ghrr_integrand(order: int) -> CharSeries:
     genus is chi_y; its constant term is 1 + y."""
     emz = TruncSeries("z", order, exp_coeffs(-1, order))
     series = (emz * Y + 1) * _todd_series(order)
-    return CharSeries("ghrr-integrand", series, normalized=False)
+    return CharSeries("ghrr-integrand", series)
 
 
 def twisted_chi_y(n: int, k_order: int) -> MultiPoly:

@@ -10,7 +10,7 @@ and leave it by ``to_poly``, and public results stay ``MultiPoly``.
 
 from __future__ import annotations
 
-from .rings import MultiPoly, _int_div_exact
+from .rings import MultiPoly, _int_div_exact, _power_coeffs
 
 
 class Dense:
@@ -164,10 +164,8 @@ class Dense:
         return other / self
 
     def __pow__(self, n: int):
-        """The n-th power by the J.C.P. Miller recurrence (Knuth, TAOCP
-        vol. 2, section 4.7): with a_0 the lowest coefficient,
-        k a_0 g_k = sum_{j>=1} ((n+1) j - k) a_j g_(k-j), an exact
-        division over Z because g has integer coefficients; n >= 0."""
+        """The n-th power, n >= 0, by the power recurrence of
+        ``rings._power_coeffs``, whose divisions are exact over Z."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
@@ -177,15 +175,8 @@ class Dense:
             return Dense(self.var, 0, (1,))
         if len(a) <= 1:
             return Dense(self.var, self.low * n, [c ** n for c in a])
-        m = len(a) - 1
-        a0 = a[0]
-        g = [a0 ** n]
-        for k in range(1, m * n + 1):
-            acc = 0
-            for j in range(1, min(k, m) + 1):
-                acc += ((n + 1) * j - k) * a[j] * g[k - j]
-            g.append(acc // (k * a0))
-        return Dense(self.var, self.low * n, g)
+        return Dense(self.var, self.low * n,
+                     _power_coeffs(a, n, (len(a) - 1) * n + 1))
 
     def shift(self, k: int) -> "Dense":
         """This polynomial times var^k."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dense import Dense
 from .rings import MultiPoly
 
 
@@ -65,16 +64,6 @@ def _tokenize(text: str):
     return tokens
 
 
-def _power(base: MultiPoly, n: int) -> MultiPoly:
-    """base ** n; a power n >= 0 of a polynomial in one variable with
-    integer coefficients and more than one term runs on the dense
-    kernel (MultiPoly powers a monomial by scaling its exponents)."""
-    if n >= 0 and len(base.vars) == 1 and len(base.terms) > 1 and \
-            all(c.denominator == 1 for c in base.terms.values()):
-        return (Dense.from_poly(base, base.vars[0]) ** n).to_poly()
-    return base ** n
-
-
 class _Parser:
     def __init__(self, tokens, allowed):
         self.tokens = tokens
@@ -118,7 +107,7 @@ class _Parser:
                 self.take()
                 sign = -1
             tok = self.take("int")
-            value = _power(value, sign * tok[1])
+            value = value ** (sign * tok[1])
         return value
 
     def parse_primary(self):

@@ -200,6 +200,9 @@ class MultiPoly:
         return self.div_exact(other)
 
     def __pow__(self, n: int):
+        """The n-th power: a monomial scales its exponents, a base in one
+        variable runs ``_power_coeffs`` over Z on D times it (D the lcm of
+        its denominators) and divides by D^n, any other binary powering."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
@@ -210,6 +213,14 @@ class MultiPoly:
                              {tuple(e * n for e in expo): coeff ** n})
         if n == 0:
             return MultiPoly.const(1)
+        if len(self.vars) == 1:
+            low = min(e for e, in self.terms)
+            a, d = _int_coeffs(self, low)
+            g = _power_coeffs(a, n, (len(a) - 1) * n + 1)
+            dn = d ** n
+            return MultiPoly(self.vars, {(low * n + i,): Fraction(c, dn)
+                                         if dn > 1 else c
+                                         for i, c in enumerate(g) if c})
         # binary powering from the lowest set bit, with no square after
         # the highest one
         out = None
@@ -429,14 +440,14 @@ def _has_negative_exponent(poly: MultiPoly) -> bool:
     return any(e < 0 for expo in poly.terms for e in expo)
 
 
-def _int_coeffs(poly: MultiPoly):
+def _int_coeffs(poly: MultiPoly, low: int = 0):
     """(coefficients, d): d times a polynomial in at most one variable,
-    with nonnegative exponents, as a list of ints; d is the lcm of the
-    coefficient denominators."""
+    over x^low, as a list of ints from x^low up; d is the lcm of the
+    coefficient denominators, and no exponent is below low."""
     d = math.lcm(*(c.denominator for c in poly.terms.values()))
-    out = [0] * (poly.total_degree() + 1)
-    for expo, c in poly.terms.items():
-        out[expo[0] if expo else 0] = c.numerator * (d // c.denominator)
+    out = [0] * (poly.total_degree() - low + 1)
+    for expo, c in poly.terms.items():  # sum(()) = 0 for a constant
+        out[sum(expo) - low] = c.numerator * (d // c.denominator)
     return out, d
 
 
@@ -519,10 +530,6 @@ def _reduced_univariate(numerator: MultiPoly, denominator: MultiPoly):
 # ---------------------------------------------------------------------
 # coefficient-ring glue shared by TruncSeries / RationalFunction
 
-def coeff_zero():
-    return Fraction(0)
-
-
 def coeff_inverse(c):
     """Multiplicative inverse of a unit coefficient."""
     if isinstance(c, (int, Fraction)):
@@ -553,8 +560,34 @@ def coeff_div_exact(value, a):
     if a == 0:
         raise ExactDivisionError("division by a zero coefficient")
     if isinstance(value, int) and isinstance(a, int):
-        return value // a if not value % a else Fraction(value, a)
+        q, r = divmod(value, a)
+        return q if not r else Fraction(value, a)
     return value / a
+
+
+def _power_coeffs(a, n: int, length: int) -> list:
+    """The first ``length`` coefficients g_k of (a_0 + a_1 z + ...)^n for
+    n >= 1 and a_0 != 0, by the J.C.P. Miller recurrence (Knuth, TAOCP
+    vol. 2, section 4.7), which follows from f g' = n f' g:
+
+        k a_0 g_k = sum_{j>=1} ((n+1) j - k) a_j g_(k-j),  g_0 = a_0^n.
+
+    The sum runs over the nonzero a_j, so a base with m of them costs
+    O(length m) coefficient products whatever n is.  The division by
+    k a_0 is exact (``coeff_div_exact``): the quotient is a coefficient of
+    the power, hence a polynomial even when a_0 is not a unit, such as
+    1 + y, and an int when every a_j is an int."""
+    a0 = a[0]
+    terms = [(j, c) for j, c in enumerate(a) if j and c != 0]
+    g = [a0 ** n]
+    for k in range(1, length):
+        acc = 0  # adds to every coefficient type, and keeps ints ints
+        for j, c in terms:
+            if j > k:
+                break
+            acc = acc + c * g[k - j] * ((n + 1) * j - k)
+        g.append(coeff_div_exact(acc, a0 * k))
+    return g
 
 
 class TruncSeries:
@@ -582,12 +615,12 @@ class TruncSeries:
         coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1
-        coeffs += [coeff_zero()] * (order + 1 - len(coeffs))
+        coeffs += [0] * (order + 1 - len(coeffs))
         return cls(var, order, coeffs[: order + 1])
 
     @classmethod
     def zero(cls, var, order):
-        return cls(var, order, [coeff_zero()] * (order + 1))
+        return cls(var, order, [0] * (order + 1))
 
     @classmethod
     def one(cls, var, order):
@@ -607,7 +640,7 @@ class TruncSeries:
         if order <= self.order:
             return TruncSeries(self.var, order, self.coeffs[: order + 1])
         return TruncSeries(self.var, order,
-                           list(self.coeffs) + [coeff_zero()] * (order - self.order))
+                           list(self.coeffs) + [0] * (order - self.order))
 
     def map_coeffs(self, fn) -> "TruncSeries":
         return TruncSeries(self.var, self.order, [fn(c) for c in self.coeffs])
@@ -617,7 +650,7 @@ class TruncSeries:
             raise ValueError("series must share variable and truncation order")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
+        if not isinstance(other, TruncSeries):
             cs = list(self.coeffs)
             cs[0] = cs[0] + other
             return TruncSeries(self.var, self.order, cs)
@@ -631,18 +664,16 @@ class TruncSeries:
         return self.map_coeffs(lambda c: -c)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly, RationalFunction)):
+        if not isinstance(other, TruncSeries):
             return self.map_coeffs(lambda c: c * other)
         self._check(other)
-        out = [coeff_zero()] * (self.order + 1)
+        out = [0] * (self.order + 1)
         for i, a in enumerate(self.coeffs):
             if isinstance(a, (int, Fraction)) and a == 0:
                 continue
@@ -660,47 +691,25 @@ class TruncSeries:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __pow__(self, n: int):
-        """The n-th power, truncated at the series' order.
-
-        For n >= 0 this is the J.C.P. Miller recurrence (Knuth, TAOCP
-        vol. 2, section 4.7): with f = z^v (a_v + a_(v+1) z + ...) and
-        a_v != 0, the coefficients g_k of g = (f / z^v)^n follow from
-        f g' = n f' g as
-
-            k a_v g_k = sum_{j>=1} ((n+1) j - k) a_(v+j) g_(k-j),
-
-        starting at g_0 = a_v^n, so the cost is O(order^2) coefficient
-        products whatever n is.  The division by k a_v is exact
-        (``coeff_div_exact``): the quotient is a coefficient of g, hence
-        a polynomial even when a_v is not a unit, such as 1 + y, and an
-        integer when f has int or ``Dense`` coefficients.  The result is
-        g shifted by v n.  Negative n powers the inverse.
-        """
+        """The n-th power, truncated at the series' order: with
+        f = z^v (a_v + a_(v+1) z + ...) and a_v != 0, the power recurrence
+        of ``_power_coeffs`` on a_v, a_(v+1), ... shifted by v n.
+        Negative n powers the inverse."""
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:
             return TruncSeries.one(self.var, self.order)
-        out = [coeff_zero()] * (self.order + 1)
-        v = next((k for k, c in enumerate(self.coeffs)
-                  if not _is_zero_coeff(c)), None)
-        if v is None or v * n > self.order:
-            return TruncSeries(self.var, self.order, out)
-        a = self.coeffs[v:]
-        g = [a[0] ** n]
-        for k in range(1, self.order - v * n + 1):
-            acc = 0  # adds to every coefficient type, and keeps ints ints
-            for j in range(1, k + 1):
-                weight = (n + 1) * j - k
-                if weight and not _is_zero_coeff(a[j]):
-                    acc = acc + a[j] * g[k - j] * weight
-            g.append(coeff_div_exact(acc, a[0] * k))
-        out[v * n:] = g
+        out = [0] * (self.order + 1)
+        v = next((k for k, c in enumerate(self.coeffs) if c != 0), None)
+        if v is not None and v * n <= self.order:
+            out[v * n:] = _power_coeffs(self.coeffs[v:], n,
+                                        self.order - v * n + 1)
         return TruncSeries(self.var, self.order, out)
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """Substitute ``inner`` (zero constant term) into this series."""
         self._check(inner)
-        if not _is_zero_coeff(inner.coeffs[0]):
+        if inner.coeffs[0] != 0:
             raise ValueError("inner series must have zero constant term")
         out = TruncSeries.from_coeffs(self.var, [self.coeffs[0]], self.order)
         power = TruncSeries.one(self.var, self.order)
@@ -712,16 +721,16 @@ class TruncSeries:
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; the constant term must be a unit."""
         inv0 = coeff_inverse(self.coeffs[0])
-        out = [inv0] + [coeff_zero()] * self.order
+        out = [inv0] + [0] * self.order
         for n in range(1, self.order + 1):
-            acc = coeff_zero()
+            acc = 0
             for k in range(1, n + 1):
                 acc = acc + self.coeffs[k] * out[n - k]
             out[n] = -(inv0 * acc)
         return TruncSeries(self.var, self.order, out)
 
     def exp(self) -> "TruncSeries":
-        if not _is_zero_coeff(self.coeffs[0]):
+        if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
         out = TruncSeries.one(self.var, self.order)
         power = TruncSeries.one(self.var, self.order)
@@ -762,7 +771,7 @@ class TruncSeries:
     def __str__(self):
         parts = []
         for k, c in enumerate(self.coeffs):
-            if _is_zero_coeff(c):
+            if c == 0:
                 continue
             mono = "" if k == 0 else (self.var if k == 1 else f"{self.var}^{k}")
             cs = str(c) if not isinstance(c, Fraction) else _frac_str(c)
@@ -773,16 +782,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries[{self.var}; O({self.var}^{self.order + 1})]({self})"
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    if isinstance(c, MultiPoly):
-        return c.is_zero()
-    if isinstance(c, RationalFunction):
-        return c.numerator.is_zero()
-    return c == 0  # dense.Dense, or any type that compares with 0
 
 
 class RationalFunction:

@@ -170,8 +170,6 @@ class StringyValue:
         object.__setattr__(self, "den", den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, MultiPoly)):
-            other = StringyValue(other, 1, self.r)
         if not isinstance(other, StringyValue):
             return NotImplemented
         return self.r == other.r and \

@@ -1,5 +1,6 @@
 """Characteristic series catalog and genus evaluation."""
 
+import re
 from fractions import Fraction
 from math import comb as binomial
 
@@ -90,6 +91,18 @@ def test_unnormalized_rescaling_invariance():
         unnormalize_invariance_check(builtin_series("todd", 4), 0)
 
 
+def test_rescaling_by_a_non_divisor_is_a_value_error():
+    # a = 1 + y does not divide the constant term 1 of the Todd series
+    for a, f in ((1 + Y, builtin_series("todd", 7)),
+                 (MultiPoly.const(0), builtin_series("chern", 4)),
+                 (Fraction(0), ghrr_integrand(4))):
+        message = re.escape(f"a = {a} does not divide")
+        with pytest.raises(ValueError, match=message):
+            unnormalize_invariance_check(f, a)
+        with pytest.raises(ValueError, match=message):
+            rescaled_series(f, a)
+
+
 def test_ghrr_integrand_genus_is_chi_y():
     g = ghrr_integrand(8)
     for n in range(7):
@@ -147,7 +160,7 @@ def test_rescaled_series_coefficients(a):
         [builtin_series("todd", 7), builtin_series("hirzebruch", 7)]
     for f in series:
         g = rescaled_series(f, a)
-        assert not g.normalized and g.series.order == 7
+        assert g.series.order == 7
         assert MultiPoly._coerce(g.series[0]) * a == f.series[0]
         for k in range(1, 8):
             assert g.series[k] == \

@@ -96,11 +96,15 @@ def test_power_skips_the_unused_products(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(MultiPoly, "__mul__", counted)
-    p = (X + 1) ** 16
-    monkeypatch.undo()
+    p = (X + Y) ** 16
     # four squarings, no multiplication by 1 and no square past the top bit
     assert len(calls) == 4
-    assert p == (X + 1) ** 8 * (X + 1) ** 8
+    # a base in one variable takes no product: it runs the recurrence
+    q = (X + 1) ** 16
+    monkeypatch.undo()
+    assert len(calls) == 4
+    assert p == (X + Y) ** 8 * (X + Y) ** 8
+    assert q == (X + 1) ** 8 * (X + 1) ** 8
 
 
 def test_arithmetic_leaves_operands_unchanged():

@@ -1,5 +1,6 @@
-"""TruncSeries powers: the power recurrence against repeated products,
-and the genus power on integers against the generic power."""
+"""Powers by the power recurrence against repeated products, for
+TruncSeries and for MultiPoly in one variable, and the genus power on
+integers against the generic power."""
 
 from fractions import Fraction
 
@@ -58,6 +59,25 @@ def test_power_fraction_coefficients(f, n):
 @given(poly_series, st.integers(0, 6))
 def test_power_polynomial_coefficients(f, n):
     assert f ** n == repeated_product(f, n)
+
+
+@st.composite
+def laurent_polys(draw):
+    """A polynomial in x with Fraction coefficients, at most five terms
+    and exponents from -3 to 4; zero and monomials included."""
+    cs = draw(st.lists(fractions, max_size=5))
+    low = draw(st.integers(-3, 0))
+    return sum((c * X ** (low + i) for i, c in enumerate(cs)),
+               MultiPoly.const(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_polys())
+def test_one_variable_power_against_repeated_product(p):
+    expected = MultiPoly.const(1)
+    for n in range(41):
+        assert p ** n == expected, n
+        expected = expected * p
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +139,7 @@ def test_integer_genus_power_against_generic(f, m):
 @given(genus_series(scalar=False))
 def test_integer_genus_on_projective_against_generic(f):
     n = f.order
-    g = CharSeries("random", f, normalized=False)
+    g = CharSeries("random", f)
     expected = generic_power_coefficient(f, n + 1)
     a = f.constant_term()
     if a != 1:

@@ -101,6 +101,17 @@ def test_equal_stringy_values_hash_alike():
     assert stringy_value_from_expr("t", 2) != stringy_value_from_expr("t")
 
 
+def test_stringy_values_equal_only_stringy_values():
+    # equal to a scalar, the values of "1" at index 1 and 2 would both
+    # equal 1 without equalling each other, and {value, 1} would have two
+    # equal elements
+    one, half = stringy_value_from_expr("1"), stringy_value_from_expr("1", 2)
+    for scalar in (1, Fraction(1), MultiPoly.const(1)):
+        assert one != scalar and half != scalar
+        assert len({one, scalar}) == 2
+    assert one == StringyValue(1, 1, 1) and one != half
+
+
 def test_stringy_E_fixtures():
     uv2 = stringy_value_from_expr("(u*v)^2")
     assert stringy_E(blowup_datum()) == uv2
