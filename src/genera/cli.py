@@ -168,16 +168,20 @@ def cmd_stringy(args) -> int:
             raise CliError("compare needs a second datum file", EXIT_VALIDATION)
         other = stringy.load_datum(args.file2)
         report = stringy.invariance_check(datum, other)
-        # chi_y is None (not defined) unless both data have index 1
-        rows = (("integral", report.integral),
-                ("E-function", report.e_function),
-                ("chi_y", report.chi_y), ("euler", report.euler))
+        # chi_y is None (not defined) unless both data have index 1; each
+        # value is printed once for both outputs
+        rows = [(label, None if row is None else
+                 (str(row[0]), str(row[1]), row[2]))
+                for label, row in (("integral", report.integral),
+                                   ("E-function", report.e_function),
+                                   ("chi_y", report.chi_y),
+                                   ("euler", report.euler))]
         text = emit_table([(label, *(row or ("n/a",) * 3))
                            for label, row in rows],
                           header=("invariant", "first", "second", "equal"))
         _emit(args, text, {
             label: None if row is None else
-            {"first": str(row[0]), "second": str(row[1]), "equal": row[2]}
+            dict(zip(("first", "second", "equal"), row))
             for label, row in rows})
         return EXIT_OK if report.all_equal else EXIT_MATH
     if args.action == "integral":

@@ -21,8 +21,7 @@ from .dense import Dense
 from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
     e_polynomial, poly_to_class
-from .rings import MultiPoly, RationalFunction, TruncSeries, binom_frac, \
-    exp_coeffs
+from .rings import MultiPoly, RationalFunction, TruncSeries, exp_coeffs
 
 MAX_COMPONENTS = 14
 
@@ -320,12 +319,6 @@ def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
     return _chi_y_of(stringy_E(d))
 
 
-def _one_plus_s_power(expo: Fraction, order: int) -> TruncSeries:
-    """(1+s)^expo as a truncated series, generalized binomial."""
-    return TruncSeries("s", order,
-                       [binom_frac(expo, j) for j in range(order + 1)])
-
-
 def _euler_formula(d: ResolutionDatum) -> Fraction:
     """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1)."""
     k = len(d.components)
@@ -334,40 +327,45 @@ def _euler_formula(d: ResolutionDatum) -> Fraction:
                  [1] * k)
 
 
+def _falling_sums(poly: MultiPoly, r: int, k: int) -> tuple:
+    """With uv = 1 + s, so that u^a v^b t^c = (1+s)^(m/r) for
+    m = r(a + b) + c: the coefficients of poly times D, the lcm of their
+    denominators, summed by m to integers c_m.  Returns D and the
+    integers r^j j! D [s^j] poly = sum over m of c_m prod_{i<j} (m - i r)
+    for j = 0..k."""
+    extra = [var for var in poly.vars if var not in ("u", "v", "t")]
+    if extra:
+        raise ValidationError(
+            f"unexpected variable {extra[0]!r} in stringy value")
+    weights = [1 if var == "t" else r for var in poly.vars]
+    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
+    by_m = {}
+    for expo, coeff in poly.terms.items():
+        m = sum(w * e for w, e in zip(weights, expo))
+        c = coeff.numerator * (scale // coeff.denominator)
+        by_m[m] = by_m.get(m, 0) + c
+    sums = [0] * (k + 1)
+    for m, b in by_m.items():
+        for j in range(k + 1):
+            sums[j] += b
+            b *= m - j * r
+    return scale, sums
+
+
 def _euler_limit(e: StringyValue, k: int) -> Fraction:
     """The removable-singularity limit of a stringy E-function with k
-    components at u = v = 1: substitute uv = 1 + s and read the s^0 term.
-    Every numerator term vanishes to order k in s, the denominator to
-    exactly order k."""
-    order = k + 2
-    r = e.r
-
-    def poly_series(poly: MultiPoly) -> TruncSeries:
-        out = TruncSeries.zero("s", order)
-        for expo, coeff in poly.terms.items():
-            power = Fraction(0)
-            for var, ee in zip(poly.vars, expo):
-                if var in ("u", "v"):
-                    power += ee
-                elif var == "t":
-                    power += Fraction(ee, r)
-                elif ee:
-                    raise ValidationError(
-                        f"unexpected variable {var!r} in stringy value")
-            out = out + _one_plus_s_power(power, order) * coeff
-        return out
-
-    num_s = poly_series(e.num)
-    den_s = poly_series(e.den)
-    num_c = [Fraction(MultiPoly._coerce(c).constant_value())
-             for c in num_s.coeffs]
-    den_c = [Fraction(MultiPoly._coerce(c).constant_value())
-             for c in den_s.coeffs]
-    if any(den_c[:k]) or den_c[k] == 0:
+    components at u = v = 1: substitute uv = 1 + s and take the ratio of
+    the s^k coefficients of numerator and denominator.  Every numerator
+    term vanishes to order k in s, the denominator to exactly order k.
+    The coefficients are carried as integer falling-factorial sums; their
+    common factor r^k k! cancels in the ratio."""
+    num_scale, num = _falling_sums(e.num, e.r, k)
+    den_scale, den = _falling_sums(e.den, e.r, k)
+    if any(den[:k]) or den[k] == 0:
         raise ConsistencyError("denominator does not vanish to order k")
-    if any(num_c[:k]):
+    if any(num[:k]):
         raise ConsistencyError("numerator does not vanish to order k")
-    return num_c[k] / den_c[k]
+    return Fraction(num[k] * den_scale, den[k] * num_scale)
 
 
 def _checked_euler(d: ResolutionDatum, e: StringyValue) -> Fraction:
@@ -385,8 +383,9 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
     """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1).
 
     Verified against the removable-singularity limit of stringy_E at
-    u = v = 1 (substituting uv = 1 + s and reading the s^0 term); a
-    disagreement raises ConsistencyError.
+    u = v = 1 (substituting uv = 1 + s and taking the ratio of the s^k
+    coefficients of numerator and denominator, k the number of
+    components); a disagreement raises ConsistencyError.
     """
     return _checked_euler(d, stringy_E(d))
 

@@ -229,13 +229,17 @@ def test_jacobian_check_is_live(monkeypatch):
 
 
 def test_euler_check_is_live(monkeypatch):
+    # either path off by one must fail the check
     d = load_datum(str(FIXTURES / "index2_half.json"))
-    real = stringy._euler_formula
-    monkeypatch.setattr(stringy, "_euler_formula", lambda d: real(d) + 1)
-    with pytest.raises(ConsistencyError):
-        stringy_euler(d)
-    with pytest.raises(ConsistencyError):
-        invariance_check(blowup_datum(), blowup_datum())
+    for path in ("_euler_formula", "_euler_limit"):
+        real = getattr(stringy, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(stringy, path,
+                          lambda *args, real=real: real(*args) + 1)
+            with pytest.raises(ConsistencyError):
+                stringy_euler(d)
+            with pytest.raises(ConsistencyError):
+                invariance_check(blowup_datum(), blowup_datum())
 
 
 def test_jacobian_factor_e1_value():

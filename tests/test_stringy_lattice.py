@@ -1,6 +1,7 @@
 """The subset-lattice sums of stringy.py against per-subset reference
 sums, on seeded random resolution data with k = 0..7 components and
-index r in {1, 2}."""
+index r in {1, 2}; the Euler limit against a generalized-binomial series
+expansion and, when sympy is installed, against sympy's cancellation."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,8 @@ import pytest
 from genera import stringy
 from genera.k0 import (Atom, K0Class, LEFSCHETZ, e_polynomial,
                        euler_of_class, poly_to_class)
-from genera.rings import MultiPoly, RationalFunction
-from genera.stringy import (ConsistencyError, ResolutionDatum,
+from genera.rings import MultiPoly, RationalFunction, TruncSeries, binom_frac
+from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             invariance_check, motivic_integral, rewrite_uv,
                             stringy_E, stringy_euler)
 
@@ -172,3 +173,72 @@ def test_index_two_report_skips_chi_y():
     strata[frozenset({0})] = strata[frozenset({0})] + K0Class.point()
     changed = ResolutionDatum(d.flavor, d.index_r, d.components, strata)
     assert not invariance_check(d, changed).all_equal
+
+
+def reference_limit(e: StringyValue, k: int) -> Fraction:
+    """The limit with uv = 1 + s from one generalized-binomial series
+    (1+s)^(a+b+c/r) per term u^a v^b t^c, over Fraction."""
+    def series(poly):
+        out = TruncSeries.zero("s", k)
+        for expo, coeff in poly.terms.items():
+            power = sum(Fraction(ee, e.r) if var == "t" else Fraction(ee)
+                        for var, ee in zip(poly.vars, expo))
+            binomial = TruncSeries(
+                "s", k, [binom_frac(power, j) for j in range(k + 1)])
+            out = out + binomial * coeff
+        return [Fraction(c) for c in out.coeffs]
+
+    num, den = series(e.num), series(e.den)
+    assert not any(num[:k]) and not any(den[:k]) and den[k] != 0
+    return num[k] / den[k]
+
+
+@pytest.mark.parametrize("k,r", [(k, r) for k in range(6) for r in (1, 2, 3)])
+def test_euler_limit_against_binomial_series(k, r):
+    d = random_datum(k, r, seed=500 * k + r, with_curve=True)
+    e = stringy_E(d)
+    assert stringy._euler_limit(e, k) == reference_limit(e, k)
+
+
+def test_euler_limit_of_fractional_coefficients():
+    u, v, t = (MultiPoly.var(n) for n in "uvt")
+    p = Fraction(1, 3) * u + Fraction(2, 5) * v ** 2 * t - Fraction(1, 7)
+    e = StringyValue(p * (t ** 2 - 1) * (t ** 5 - 1),
+                     Fraction(3, 2) * (t ** 3 - 1) * (t - 1), 2)
+    # t^n - 1 = n s / r + O(s^2), and p = 1/3 + 2/5 - 1/7 at s = 0
+    expected = Fraction(1, 3) + Fraction(2, 5) - Fraction(1, 7)
+    expected *= Fraction(2 * 5, 3 * 1) / Fraction(3, 2)
+    assert stringy._euler_limit(e, 2) == expected == reference_limit(e, 2)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_euler_limit_rejects_wrong_vanishing_orders(k):
+    t = MultiPoly.var("t")
+    u = MultiPoly.var("u")
+    vanishing = (t - 1) ** k * (u + 2)
+    short = StringyValue((t - 1) ** (k - 1) * (u + 2), (t ** 2 - 1) ** k, 2)
+    with pytest.raises(ConsistencyError, match="numerator"):
+        stringy._euler_limit(short, k)
+    for den_order in (k - 1, k + 1):
+        bad = StringyValue(vanishing, (t ** 3 - 1) ** den_order, 2)
+        with pytest.raises(ConsistencyError, match="denominator"):
+            stringy._euler_limit(bad, k)
+
+
+@pytest.mark.parametrize("k,r", [(k, r) for k in range(5) for r in (1, 2)])
+def test_euler_number_against_sympy(k, r):
+    sympy = pytest.importorskip("sympy")
+    symbols = {n: sympy.Symbol(n) for n in "uvt"}
+
+    def to_sympy(poly: MultiPoly):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(symbols[var] ** ee
+                          for var, ee in zip(poly.vars, expo)))
+            for expo, c in poly.terms.items()))
+
+    d = random_datum(k, r, seed=600 * k + r, with_curve=True)
+    e = stringy_E(d)
+    value = sympy.cancel(to_sympy(e.num) / to_sympy(e.den))
+    at_one = value.subs({s: 1 for s in symbols.values()})
+    assert Fraction(int(at_one.p), int(at_one.q)) == stringy_euler(d)
