@@ -7,7 +7,7 @@ from .rings import (ExactDivisionError, MultiPoly, RationalFunction,
 from .expr import ExprError, parse_expr, serialize
 from .graded import ChernRing, GradedRing
 from .bundles import (FormalBundle, chern_character, elliptic_class_qseries,
-                      lambda_op, multiplicative_class, s_op)
+                      lambda_op, line_ch, multiplicative_class, s_op)
 from .catalog import (CharSeries, SERIES_NAMES, builtin_series,
                       genus_logarithm, genus_on_projective,
                       hirzebruch_specialize, twisted_chi_y,

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import ChernRing, GradedRing
+from .graded import GradedRing
 from .rings import MultiPoly, TruncSeries, coeff_inverse
 
 Y = MultiPoly.var("y")
@@ -68,17 +68,12 @@ class FormalBundle:
         if other.ring is not self.ring:
             raise ValueError("bundles live in different ambient rings")
         rank = self.rank + other.rank
-        a, b = self.chern_with_unit(), other.chern_with_unit()
-        chern = []
-        for k in range(1, rank + 1):
-            acc = MultiPoly.const(0)
-            for i in range(max(0, k - other.rank), min(k, self.rank) + 1):
-                acc = acc + a[i] * b[k - i]
-            chern.append(self.ring.reduce(acc))
+        # c(E + F) = c(E) c(F): the product of the two Lambda_t series
+        chern = (lambda_op(self, rank) * lambda_op(other, rank)).coeffs[1:]
         roots = None
         if self.split_roots is not None and other.split_roots is not None:
             roots = self.split_roots + other.split_roots
-        return FormalBundle(self.ring, rank, tuple(chern), roots)
+        return FormalBundle(self.ring, rank, chern, roots)
 
 
 def power_sums_from_chern(bundle: FormalBundle, k_max: int):
@@ -156,121 +151,62 @@ def s_op(bundle: FormalBundle, t_order: int) -> TruncSeries:
 
 # ---------------------------------------------------------------------
 # line-level K-theory model (split bundles) and the elliptic class
-
-class LineCombo:
-    """Formal Z[y, 1/y]-linear combination of line classes, keyed by the
-    first Chern class of each line.  Faithful for split bundles; tensor
-    product adds the keys."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        clean = {}
-        for alpha, coeff in terms.items():
-            if isinstance(coeff, (int, Fraction)):
-                coeff = MultiPoly.const(coeff)
-            if not coeff.is_zero():
-                clean[alpha] = coeff
-        self.terms = clean
-
-    @classmethod
-    def scalar(cls, c) -> "LineCombo":
-        return cls({MultiPoly.const(0): c})
-
-    @classmethod
-    def line(cls, alpha: MultiPoly, coeff=1) -> "LineCombo":
-        return cls({alpha: coeff})
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, LineCombo):
-            return x
-        if isinstance(x, (int, Fraction, MultiPoly)):
-            return LineCombo.scalar(x)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            out[alpha] = out.get(alpha, MultiPoly.const(0)) + coeff
-        return LineCombo(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LineCombo({a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for a1, c1 in self.terms.items():
-            for a2, c2 in other.terms.items():
-                key = a1 + a2
-                out[key] = out.get(key, MultiPoly.const(0)) + c1 * c2
-        return LineCombo(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def ch(self, ring: GradedRing) -> MultiPoly:
-        """Chern character: sum of coeff * exp(alpha)."""
-        out = MultiPoly.const(0)
-        for alpha, coeff in self.terms.items():
-            alpha = ring.reduce(alpha)
-            e = ring.exp_nilpotent(alpha) if not alpha.is_zero() else MultiPoly.const(1)
-            out = out + coeff * e
-        return ring.reduce(out)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*[{a}]" for a, c in sorted(
-            self.terms.items(), key=lambda t: str(t[0])))
+#
+# The line with first Chern class sum m_i alpha_i, where alpha_1..alpha_r
+# are the split roots, is the Laurent monomial prod x_i^m_i in one
+# variable x_i per root; coefficients lie in Z[y, 1/y].  Tensor product
+# of lines is the product of monomials.  This is a cover of the line
+# K-theory: when roots repeat (or reduce to the same class), distinct
+# monomials can name the same line, and only `line_ch` identifies them.
 
 
-def _line_factor(alpha: MultiPoly, q_order: int, ring: GradedRing) -> TruncSeries:
-    """q-series elliptic factor of a single line with first Chern class alpha:
-    (1 + y[-a]) * prod_n (1 + y q^n [-a])(1 + 1/y q^n [a]) S_{q^n}([-a]) S_{q^n}([a])."""
-    yinv = MultiPoly(("y",), {(-1,): Fraction(1)})
-    minus = ring.reduce(-alpha)
-    plus = ring.reduce(alpha)
-    zero = LineCombo({})
-    out = TruncSeries("q", q_order,
-                      [LineCombo.line(minus, Y) + 1] + [zero] * q_order)
+def _line_names(bundle: FormalBundle) -> list:
+    """The names x1..xr of the line variables of a split bundle."""
+    if bundle.rank and bundle.split_roots is None:
+        raise ValueError("the line-level model needs declared split roots")
+    return [f"x{i}" for i in range(1, bundle.rank + 1)]
+
+
+def line_ch(value, bundle: FormalBundle) -> MultiPoly:
+    """Chern character of a line-level value of ``bundle``: each term
+    coeff * prod x_i^m_i maps to coeff * exp(sum m_i alpha_i), reduced in
+    the bundle's ring.  Monomials naming the same line (repeated roots)
+    meet here."""
+    ring = bundle.ring
+    parts = [(MultiPoly.const(0), MultiPoly._coerce(value))]
+    for name, root in zip(_line_names(bundle), bundle.split_roots or ()):
+        parts = [(alpha + m * root, coeff) for alpha, rest in parts
+                 for m, coeff in rest.coefficients_in(name).items()]
+    by_class = {}
+    for alpha, coeff in parts:
+        alpha = ring.reduce(alpha)
+        by_class[alpha] = by_class.get(alpha, 0) + coeff
+    return ring.reduce(sum((coeff * ring.exp_nilpotent(alpha)
+                            for alpha, coeff in by_class.items()),
+                           MultiPoly.const(0)))
+
+
+def _line_factor(x: MultiPoly, q_order: int) -> TruncSeries:
+    """q-series elliptic factor of the line x: (1 + y/x) times
+    prod_n (1 + y q^n / x)(1 + q^n x / y) S_{q^n}(1/x) S_{q^n}(x)."""
+    zero = MultiPoly.const(0)
+    out = TruncSeries("q", q_order, [1 + Y * x ** -1] + [zero] * q_order)
     for n in range(1, q_order + 1):
-        lam_dual = [LineCombo.scalar(1)] + [zero] * q_order
-        lam = [LineCombo.scalar(1)] + [zero] * q_order
-        lam_dual[n] = LineCombo.line(minus, Y)
-        lam[n] = LineCombo.line(plus, yinv)
-        s_dual = [zero] * (q_order + 1)
-        s = [zero] * (q_order + 1)
-        for m in range(0, q_order // n + 1):
-            s_dual[m * n] = LineCombo.line(ring.reduce(minus * m))
-            s[m * n] = LineCombo.line(ring.reduce(plus * m))
-        for factor in (lam_dual, lam, s_dual, s):
-            out = out * TruncSeries("q", q_order, factor)
+        for line, coeff in ((x ** -1, Y), (x, Y ** -1)):
+            lam = [MultiPoly.const(1)] + [zero] * q_order
+            lam[n] = coeff * line
+            s = [line ** (m // n) if m % n == 0 else zero
+                 for m in range(q_order + 1)]
+            out = out * TruncSeries("q", q_order, lam) * \
+                TruncSeries("q", q_order, s)
     return out
 
 
 def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> TruncSeries:
     """ELL(E) = Lambda_y(E^*) tensor W(E) as a series in q whose
-    coefficients are line combinations.
+    coefficients are line-level values: Laurent polynomials in y and the
+    line variables x_i (see `line_ch` for their Chern character).  With
+    repeated roots, two different values can have the same `line_ch`.
 
     Requires a split bundle (rank 0 is the empty product).  The q^0
     coefficient is Lambda_y(E^*).  Other normalizations in the literature
@@ -280,19 +216,15 @@ def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> TruncSeries:
     if q_order < 0:
         raise ValueError("q_order must be >= 0")
     out = TruncSeries("q", q_order,
-                      [LineCombo.scalar(1)] + [LineCombo({})] * q_order)
-    if bundle.rank and bundle.split_roots is None:
-        raise ValueError("the elliptic class needs declared split roots")
-    for alpha in bundle.split_roots or ():
-        out = out * _line_factor(alpha, q_order, bundle.ring)
+                      [MultiPoly.const(1)] + [MultiPoly.const(0)] * q_order)
+    for x in map(MultiPoly.var, _line_names(bundle)):
+        out = out * _line_factor(x, q_order)
     return out
 
 
-def lambda_y_dual_lines(bundle: FormalBundle) -> LineCombo:
-    """Lambda_y(E^*) at the line level: prod (1 + y[-alpha_i])."""
-    if bundle.rank and bundle.split_roots is None:
-        raise ValueError("needs a split bundle")
-    out = LineCombo.scalar(1)
-    for alpha in bundle.split_roots or ():
-        out = out * (LineCombo.line(bundle.ring.reduce(-alpha), Y) + 1)
+def lambda_y_dual_lines(bundle: FormalBundle) -> MultiPoly:
+    """Lambda_y(E^*) at the line level: prod (1 + y/x_i)."""
+    out = MultiPoly.const(1)
+    for x in map(MultiPoly.var, _line_names(bundle)):
+        out = out * (1 + Y * x ** -1)
     return out

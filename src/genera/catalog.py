@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dense import Dense
+from .graded import GradedRing
 from .rings import (ExactDivisionError, MultiPoly, TruncSeries, as_fraction,
                     coeff_div_exact, exp_coeffs)
 
@@ -217,10 +218,5 @@ def twisted_chi_y(n: int, k_order: int) -> MultiPoly:
     # e^{-k(n+1)z} truncated in z (k degree grows with z degree)
     expk = TruncSeries("z", order, exp_coeffs(kvar * (-(n + 1)), order))
     total = expk * (f ** (n + 1))
-    top = MultiPoly._coerce(total[n])
-    value = top.laurent_div_exact(1 + Y) if n >= 0 else top
-    # truncate in k
-    kept = {e: c for e, c in value.terms.items()
-            if ("k" not in value.vars
-                or e[value.vars.index("k")] <= k_order)}
-    return MultiPoly(value.vars, kept)
+    value = MultiPoly._coerce(total[n]).laurent_div_exact(1 + Y)
+    return GradedRing({"k": 1}, k_order).reduce(value)

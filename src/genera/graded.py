@@ -104,14 +104,11 @@ class ChernRing(GradedRing):
     at a total-degree cutoff.  Extra weight-zero variables (y, t, ...) pass
     through unharmed."""
 
-    def __init__(self, rank: int, cutoff: int, prefix: str = "c"):
+    def __init__(self, rank: int, cutoff: int):
         self.rank = rank
-        self.prefix = prefix
-        names = [f"{prefix}{i}" for i in range(1, rank + 1)]
-        super().__init__({n: i + 1 for i, n in enumerate(names)}, cutoff)
-        self.chern_vars = tuple(names)
+        super().__init__({f"c{i}": i for i in range(1, rank + 1)}, cutoff)
 
     def chern_class(self, i: int) -> MultiPoly:
         if not 1 <= i <= self.rank:
             raise ValueError(f"c{i} is out of range for rank {self.rank}")
-        return MultiPoly.var(f"{self.prefix}{i}")
+        return MultiPoly.var(f"c{i}")

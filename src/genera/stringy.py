@@ -146,6 +146,17 @@ def rewrite_uv(poly: MultiPoly, r: int) -> MultiPoly:
     return MultiPoly(names, out)
 
 
+_UVT = MultiPoly.monomial({"u": 1, "v": 1, "t": 1})
+
+
+def _t_as_uv(poly: MultiPoly) -> MultiPoly:
+    """poly in u, v, t with each t^c renamed u^c v^c (u*v = t at r = 1).
+    Injective on a canonical polynomial, where min(deg_u, deg_v) = 0."""
+    _, terms, _ = poly._align(_UVT)
+    return MultiPoly(("u", "v"), {(a + c, b + c): coeff
+                                  for (c, a, b), coeff in terms.items()})
+
+
 @dataclass(frozen=True)
 class StringyValue:
     """Exact fraction num/den with u*v = t^r; den is a polynomial in t
@@ -180,9 +191,7 @@ class StringyValue:
     def __str__(self):
         num, den = self.num, self.den
         if self.r == 1:
-            uv = MultiPoly.var("u") * MultiPoly.var("v")
-            num = num.substitute_map({"t": uv})
-            den = den.substitute_map({"t": uv})
+            num, den = _t_as_uv(num), _t_as_uv(den)
         if den == MultiPoly.const(1):
             return str(num)
         return f"({num}) / ({den})"

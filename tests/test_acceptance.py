@@ -10,7 +10,7 @@ from itertools import product
 from pathlib import Path
 
 from genera.bundles import (FormalBundle, elliptic_class_qseries, lambda_op,
-                            lambda_y_dual_lines, s_op)
+                            lambda_y_dual_lines, line_ch, s_op)
 from genera.catalog import (SERIES_NAMES, CharSeries, builtin_series,
                             genus_on_projective, hirzebruch_specialize)
 from genera.graded import ChernRing, GradedRing
@@ -231,7 +231,7 @@ def test_criterion_11_lambda_elliptic_jacobian():
         h = ring.h()
         lines = FormalBundle(ring, n + 1, split_roots=(h,) * (n + 1))
         q0 = elliptic_class_qseries(lines, 0).constant_term()
-        integrand = q0.ch(ring)
+        integrand = line_ch(q0, lines)
         todd = builtin_series("todd", max(n, 1)).series.evaluate(h)
         for _ in range(n + 1):
             integrand = ring.reduce(integrand * todd)

@@ -7,11 +7,15 @@ import pytest
 
 from genera.bundles import (FormalBundle, chern_character,
                             elliptic_class_qseries, lambda_op,
-                            lambda_y_dual_lines, multiplicative_class,
-                            power_sums_from_chern, s_op)
+                            lambda_y_dual_lines, line_ch,
+                            multiplicative_class, power_sums_from_chern,
+                            s_op)
 from genera.catalog import SERIES_NAMES, builtin_series
 from genera.graded import ChernRing, GradedRing
+from genera.projspace import ProjSpaceRing
 from genera.rings import MultiPoly, TruncSeries
+
+Y = MultiPoly.var("y")
 
 
 def generic_bundle(rank, cutoff=8):
@@ -133,9 +137,54 @@ def test_elliptic_rank_zero():
     ring = GradedRing({}, 2)
     trivial = FormalBundle(ring, 0, chern=[])
     ell = elliptic_class_qseries(trivial, 2)
-    from genera.bundles import LineCombo
-    assert ell.constant_term() == LineCombo.scalar(1)
-    assert ell[1] == LineCombo({})
+    assert ell.constant_term() == 1
+    assert ell[1] == 0
+
+
+def cohomology_elliptic(bundle, q_order, swap=False):
+    """The elliptic q-series formed in cohomology from the start: the line
+    of class a is exp(a), S_{q^n}(L) = 1/(1 - q^n L), and every product is
+    reduced.  ``swap`` exchanges y and 1/y in the q^0 factor of the first
+    root (a negative control)."""
+    ring = bundle.ring
+
+    def series(coeffs):
+        return TruncSeries.from_coeffs("q", coeffs, q_order)
+
+    def mul(a, b):
+        return (a * b).map_coeffs(ring.reduce)
+
+    out = series([1])
+    for i, alpha in enumerate(bundle.split_roots):
+        minus = ring.exp_nilpotent(ring.reduce(-alpha))
+        plus = ring.exp_nilpotent(alpha)
+        y0 = Y ** -1 if swap and i == 0 else Y
+        out = mul(out, series([1 + y0 * minus]))
+        for n in range(1, q_order + 1):
+            for line, coeff in ((minus, Y), (plus, Y ** -1)):
+                lam = series([1] + [0] * (n - 1) + [coeff * line])
+                s = series([1] + [0] * (n - 1) + [-line]).invert()
+                out = mul(mul(out, lam), s)
+    return out
+
+
+def repeated_root_bundle():
+    ring = ProjSpaceRing([2])
+    return FormalBundle(ring, 3, split_roots=(ring.h(),) * 3)
+
+
+@pytest.mark.parametrize("make", [lambda: split_pair(4)[1],
+                                  repeated_root_bundle],
+                         ids=["a,b", "h,h,h"])
+def test_elliptic_ch_is_a_ring_map(make):
+    bundle = make()
+    ell = elliptic_class_qseries(bundle, 2)
+    ref = cohomology_elliptic(bundle, 2)
+    control = cohomology_elliptic(bundle, 2, swap=True)
+    for k in range(3):
+        value = line_ch(ell[k], bundle)
+        assert value == ref[k], k
+        assert value != control[k], k
 
 
 def test_split_root_validation():

@@ -126,6 +126,11 @@ def test_twisted_chi_y():
     assert t1 == 1 - Y - 2 * k - 2 * k * Y
     t2 = twisted_chi_y(2, 4)
     assert t2.substitute("k", 0) == chi_y_poly(2)
+    # truncating at k_order keeps exactly the terms of k-degree <= k_order
+    assert t2.degree_in("k") == 2
+    assert twisted_chi_y(2, 1) == sum(
+        (c * k ** p for p, c in t2.coefficients_in("k").items() if p <= 1),
+        MultiPoly.const(0))
 
 
 def ahat_closed_form(n):
