@@ -165,7 +165,7 @@ def hirzebruch_specialize(y0, order: int = 16) -> CharSeries:
 
     def subst(c):
         c = MultiPoly._coerce(c)
-        return c.substitute("y", y0).constant_value()
+        return c.substitute_map({"y": y0}).constant_value()
 
     return CharSeries(f"hirzebruch[y={y0}]", h.map_coeffs(subst))
 

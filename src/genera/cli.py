@@ -186,11 +186,14 @@ def cmd_stringy(args) -> int:
         return EXIT_OK if report.all_equal else EXIT_MATH
     if args.action == "integral":
         if args.relative:
-            rows = []
             names = [n for n, _ in datum.components]
-            for subset in datum.subsets():
-                label = "{" + ", ".join(names[i] for i in sorted(subset)) + "}"
-                rows.append((label, datum.open_stratum(subset)))
+            bits = [[i for i in range(len(names)) if m >> i & 1]
+                    for m in range(len(datum.strata))]
+            # rows by subset size, then lexicographic in component order
+            order = sorted(range(len(bits)),
+                           key=lambda m: (len(bits[m]), bits[m]))
+            rows = [("{" + ", ".join(names[i] for i in bits[m]) + "}",
+                     datum.strata[m]) for m in order]
             text = emit_table(rows, header=("stratum", "class"))
             _emit(args, text,
                   {label: str(cls) for label, cls in rows})

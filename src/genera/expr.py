@@ -143,6 +143,8 @@ def parse_expr(text: str, variables=None) -> MultiPoly:
     ``variables``: optional iterable of allowed names; any other name is
     rejected with its byte offset.
     """
+    if not isinstance(text, str):
+        raise ExprError(f"expected an expression string, got {text!r}", 0)
     allowed = None if variables is None else set(variables)
     parser = _Parser(_tokenize(text), allowed)
     value = parser.parse_expr()

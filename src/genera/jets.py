@@ -117,13 +117,8 @@ def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
     free = lefschetz(1) ** (spec.dimension - m) \
         if spec.dimension > m else K0Class.point()
     torus = lefschetz(1) - K0Class.point()
-    strata = {}
-    for mask in range(1 << m):
-        subset = frozenset(i for i in range(m) if mask >> i & 1)
-        cls = free
-        for i in range(m - len(subset)):
-            cls = cls * torus
-        strata[subset] = cls
+    strata = tuple(free * torus ** (m - mask.bit_count())
+                   for mask in range(1 << m))
     return ResolutionDatum("arc", 1, components, strata)
 
 

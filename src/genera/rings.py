@@ -257,10 +257,6 @@ class MultiPoly:
         return h
 
     # -- substitution -------------------------------------------------
-    def substitute(self, name: str, value) -> "MultiPoly":
-        """Substitute ``value`` (polynomial or scalar) for a variable."""
-        return self.substitute_map({name: value})
-
     def substitute_map(self, mapping: dict) -> "MultiPoly":
         """Substitute every named variable at once: a value that contains
         a substituted name keeps it, as in a ring morphism."""
@@ -626,10 +622,6 @@ class TruncSeries:
     def one(cls, var, order):
         return cls.from_coeffs(var, [Fraction(1)], order)
 
-    @classmethod
-    def identity(cls, var, order):
-        return cls.from_coeffs(var, [Fraction(0), Fraction(1)], order)
-
     def __getitem__(self, k: int):
         return self.coeffs[k]
 
@@ -902,8 +894,8 @@ class RationalFunction:
         return (self.numerator * unit).laurent_div_exact(den * unit)
 
     def substitute(self, name, value) -> "RationalFunction":
-        return RationalFunction(self.numerator.substitute(name, value),
-                                self.denominator.substitute(name, value))
+        return RationalFunction(self.numerator.substitute_map({name: value}),
+                                self.denominator.substitute_map({name: value}))
 
     def __str__(self):
         if self.denominator == MultiPoly.const(1):

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .dense import Dense
 from .expr import parse_expr
@@ -35,14 +34,15 @@ class ResolutionDatum:
     """Normal-crossing resolution data for a log-terminal pair.
 
     components: tuple of (name, discrepancy) with every discrepancy > -1
-    and r * discrepancy integral; strata: mapping from each frozenset of
-    component indices to the class of the corresponding open stratum.
+    and r * discrepancy integral; strata: tuple of the 2^k open-stratum
+    classes, indexed by bitmask: bit i of the index is set when component
+    i is in the subset.
     """
 
     flavor: str
     index_r: int
     components: tuple
-    strata: dict
+    strata: tuple
 
     def __post_init__(self):
         if self.flavor not in ("stringy", "arc"):
@@ -66,44 +66,29 @@ class ResolutionDatum:
             if self.flavor == "arc" and (a.denominator != 1 or a < 0):
                 raise ValidationError(
                     "arc flavor needs nonnegative integer discrepancies")
-        for subset in self.subsets():
-            if subset not in self.strata:
-                missing = ", ".join(names[i] for i in sorted(subset))
-                raise ValidationError(f"missing stratum entry {{{missing}}}")
+        if not isinstance(self.strata, tuple) or \
+                len(self.strata) != 1 << len(names):
+            raise ValidationError(
+                f"strata must be a tuple of {1 << len(names)} classes, "
+                f"one per subset of the components")
 
     def discrepancy(self, i: int) -> Fraction:
         return Fraction(self.components[i][1])
 
-    def subsets(self):
-        k = len(self.components)
-        for size in range(k + 1):
-            for subset in combinations(range(k), size):
-                yield frozenset(subset)
-
-    def open_stratum(self, subset) -> K0Class:
-        return self.strata[frozenset(subset)]
-
-    def closed_stratum(self, subset) -> K0Class:
-        """[E_I] = sum over J containing I of [E_J^o]."""
-        subset = frozenset(subset)
-        out = K0Class.zero()
-        for j in self.subsets():
-            if subset <= j:
-                out = out + self.strata[j]
-        return out
+    def closed_stratum(self, mask: int) -> K0Class:
+        """[E_I] = sum over J containing I of [E_J^o], I and J as bitmasks."""
+        return sum((cls for j, cls in enumerate(self.strata)
+                    if j & mask == mask), K0Class.zero())
 
     def total_class(self) -> K0Class:
-        out = K0Class.zero()
-        for j in self.subsets():
-            out = out + self.strata[j]
-        return out
+        return sum(self.strata, K0Class.zero())
 
 
 def product_datum(d1: ResolutionDatum, d2: ResolutionDatum) -> ResolutionDatum:
-    """Datum of a product pair: components concatenate, strata multiply."""
+    """Datum of a product pair: components concatenate, strata multiply;
+    the stratum of masks m1 and m2 sits at m1 | m2 << k1."""
     if d1.index_r != d2.index_r or d1.flavor != d2.flavor:
         raise ValidationError("factors must share flavor and index")
-    k1 = len(d1.components)
     used = {name for name, _ in d1.components}
     components = list(d1.components)
     for name, a in d2.components:
@@ -111,11 +96,7 @@ def product_datum(d1: ResolutionDatum, d2: ResolutionDatum) -> ResolutionDatum:
             name += "'"
         used.add(name)
         components.append((name, a))
-    strata = {}
-    for s1 in d1.subsets():
-        for s2 in d2.subsets():
-            key = frozenset(s1 | {i + k1 for i in s2})
-            strata[key] = d1.strata[s1] * d2.strata[s2]
+    strata = tuple(s1 * s2 for s2 in d2.strata for s1 in d1.strata)
     return ResolutionDatum(d1.flavor, d1.index_r, tuple(components), strata)
 
 
@@ -221,14 +202,6 @@ def _realize_in_l(cls: K0Class, lpoly: MultiPoly) -> Dense:
     return Dense.from_poly(cls.poly, "L").scale(r, var)
 
 
-def _by_mask(d: ResolutionDatum) -> list:
-    """The open strata as a table indexed by bitmask: bit i of the index
-    is set when component i is in the subset."""
-    k = len(d.components)
-    return [d.strata[frozenset(i for i in range(k) if m >> i & 1)]
-            for m in range(1 << k)]
-
-
 def _superset_sums(table: list) -> list:
     """out[S] = sum of table[J] over every bitmask J containing S, by one
     pass per component (Yates' zeta transform): O(k * 2^k) additions."""
@@ -278,7 +251,7 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     dens, den = _factors(d, lname)
     lm1 = Dense(lname, r, (1,)) - 1
 
-    open_table = [_realize_in_l(cls, lpoly) for cls in _by_mask(d)]
+    open_table = [_realize_in_l(cls, lpoly) for cls in d.strata]
     open_num = _fold(open_table, [lm1] * k, dens)
     closed_num = _fold(_superset_sums(open_table),
                        [lm1 - f for f in dens], dens)
@@ -298,16 +271,16 @@ def stringy_E(d: ResolutionDatum) -> StringyValue:
     r = d.index_r
     dens, den = _factors(d, "t")
     ins = [Dense("t", r, (1,)) - 1] * len(dens)
-    classes = _by_mask(d)
-    if all(atom == LEFSCHETZ for cls in classes for atom in cls.atoms.values()):
+    if all(atom == LEFSCHETZ
+           for cls in d.strata for atom in cls.atoms.values()):
         # E(L) = uv = t^r once rewritten, so the table is the classes
         # with L -> t^r, and the fold runs on dense polynomials in t
         tr = MultiPoly.var("t") ** r
-        num = _fold([_realize_in_l(cls, tr) for cls in classes], ins, dens)
+        num = _fold([_realize_in_l(cls, tr) for cls in d.strata], ins, dens)
         return StringyValue(num.to_poly(), den.to_poly(), r)
     # canonical terms keep the fold small; times factors in t alone they
     # stay canonical, so the constructor's rewrite of the sum changes nothing
-    table = [rewrite_uv(e_polynomial(cls), r) for cls in classes]
+    table = [rewrite_uv(e_polynomial(cls), r) for cls in d.strata]
     num = _fold(table, [f.to_poly() for f in ins], [f.to_poly() for f in dens])
     return StringyValue(num, den.to_poly(), r)
 
@@ -331,7 +304,7 @@ def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
 def _euler_formula(d: ResolutionDatum) -> Fraction:
     """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1)."""
     k = len(d.components)
-    table = [Fraction(euler_of_class(cls)) for cls in _by_mask(d)]
+    table = [Fraction(euler_of_class(cls)) for cls in d.strata]
     return _fold(table, [1 / (d.discrepancy(i) + 1) for i in range(k)],
                  [1] * k)
 
@@ -476,11 +449,13 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
      [{"name", "dim", "e": expr in u, v}]}."""
     try:
         flavor = data["flavor"]
-        index_r = int(data["index_r"])
+        index_r = data["index_r"]
         comp_list = data["components"]
         strata_list = data["strata"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed resolution datum: {exc}") from exc
+    if type(index_r) is not int:
+        raise ValidationError(f"index_r must be an integer, got {index_r!r}")
     atoms = {"L": LEFSCHETZ}
     try:
         for spec in data.get("atoms", ()):
@@ -494,22 +469,38 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     except (KeyError, TypeError) as exc:
         raise ValidationError(
             f"malformed atom or component entry: {exc!r}") from exc
+    names = [name for name, _ in components]
+    if not all(isinstance(name, str) for name in names):
+        raise ValidationError("component names must be strings")
     if len(components) > MAX_COMPONENTS:
         # before parsing the 2^k stratum classes, which dominate loading
         raise ValidationError(
             f"at most {MAX_COMPONENTS} components are supported")
-    index = {name: i for i, (name, _) in enumerate(components)}
-    strata = {}
+    if not isinstance(strata_list, list):
+        raise ValidationError("strata must be a list of entries")
+    strata = [None] * (1 << len(names))
     for entry in strata_list:
-        try:
-            subset = frozenset(index[name] for name in entry["subset"])
-        except KeyError as exc:
-            raise ValidationError(f"unknown component {exc}") from exc
-        if subset in strata:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"stratum entry {entry!r} is not an object")
+        for key in ("subset", "class"):
+            if key not in entry:
+                raise ValidationError(f"stratum entry misses key {key!r}")
+        if not isinstance(entry["subset"], list):
+            raise ValidationError("stratum subset must be a list of names")
+        mask = 0
+        for name in entry["subset"]:
+            if name not in names:
+                raise ValidationError(f"unknown component {name!r}")
+            mask |= 1 << names.index(name)
+        if strata[mask] is not None:
             raise ValidationError("duplicate stratum entry")
         poly = parse_expr(entry["class"], variables=tuple(atoms))
-        strata[subset] = poly_to_class(poly, atoms)
-    return ResolutionDatum(flavor, index_r, components, strata)
+        strata[mask] = poly_to_class(poly, atoms)
+    for mask, cls in enumerate(strata):
+        if cls is None:
+            missing = ", ".join(n for i, n in enumerate(names) if mask >> i & 1)
+            raise ValidationError(f"missing stratum entry {{{missing}}}")
+    return ResolutionDatum(flavor, index_r, components, tuple(strata))
 
 
 def load_datum(path: str) -> ResolutionDatum:

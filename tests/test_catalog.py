@@ -121,11 +121,11 @@ def test_twisted_chi_y():
     k = MultiPoly.var("k")
     assert twisted_chi_y(0, 5) == MultiPoly.const(1)
     t1 = twisted_chi_y(1, 3)
-    assert t1.substitute("k", 0) == chi_y_poly(1)
+    assert t1.substitute_map({"k": 0}) == chi_y_poly(1)
     # chi(O(-2k)) + y*chi(O(-2-2k)) on the line
     assert t1 == 1 - Y - 2 * k - 2 * k * Y
     t2 = twisted_chi_y(2, 4)
-    assert t2.substitute("k", 0) == chi_y_poly(2)
+    assert t2.substitute_map({"k": 0}) == chi_y_poly(2)
     # truncating at k_order keeps exactly the terms of k-degree <= k_order
     assert t2.degree_in("k") == 2
     assert twisted_chi_y(2, 1) == sum(

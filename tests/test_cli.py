@@ -125,6 +125,33 @@ def test_stringy_with_several_atoms(tmp_path, capsys):
         " - 2*u^7*v^6 + 3*u^7*v^7) / (1 - u^2*v^2 - u^3*v^3 + u^5*v^5)\n")
 
 
+def test_relative_rows_by_size_then_lexicographic(tmp_path, capsys):
+    # mask order would put {E, F} before {G} from three components on;
+    # the entries are written in neither order
+    names = ("E", "F", "G")
+    subsets = [["E", "F", "G"], ["G"], ["F", "G"], [], ["E", "G"], ["F"],
+               ["E"], ["E", "F"]]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({
+        "flavor": "stringy", "index_r": 1,
+        "components": [{"name": n, "a": "1"} for n in names],
+        "strata": [{"subset": s, "class": f"{len(s)} + {i}*L"}
+                   for i, s in enumerate(subsets)]}))
+    code, out, _ = run(capsys, "stringy", "integral", str(path), "--relative")
+    assert code == EXIT_OK
+    assert out == (
+        "stratum    class\n"
+        "---------  -------\n"
+        "{}         3*L\n"
+        "{E}        1 + 6*L\n"
+        "{F}        1 + 5*L\n"
+        "{G}        1 + L\n"
+        "{E, F}     2 + 7*L\n"
+        "{E, G}     2 + 4*L\n"
+        "{F, G}     2 + 2*L\n"
+        "{E, F, G}  3\n")
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "stringy", "integral", "missing.json")
     assert code == EXIT_IO
@@ -170,6 +197,22 @@ GOOD_DATUM = {
     (("k0", "pro"), {"mode": "class", "level": 2, "value": "L"}),
     (("pro",), [1, 2]),
     (("k0", "blowup-check"), [1, 2]),
+    (("stringy", "integral"), {**GOOD_DATUM, "strata": 5}),
+    (("stringy", "integral"), {**GOOD_DATUM, "strata": {"a": 1}}),
+    (("stringy", "integral"), {**GOOD_DATUM, "strata": ["x"]}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "strata": [{"subset": 5, "class": "L"}]}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "strata": [{"subset": [["E"]], "class": "L"}]}),
+    (("stringy", "integral"), {**GOOD_DATUM, "strata": [{"class": "L"}]}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "strata": [{"subset": [], "class": 3}]}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "components": [{"name": ["E"], "a": "1"}]}),
+    (("stringy", "integral"), {**GOOD_DATUM, "index_r": 1.5}),
+    (("stringy", "integral"), {**GOOD_DATUM, "index_r": True}),
+    (("k0", "blowup-check"), {"x": 5, "y": "L", "bl": "L", "exc": "1"}),
+    (("pro",), {"mode": "class", "level": 2, "gamma": 5, "value": "L"}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, argv, data):
     path = tmp_path / "datum.json"

@@ -74,9 +74,9 @@ def test_shift_and_scale_against_multipoly(a, k, r):
     pa, var = a.to_poly(), a.var
     assert a.shift(k).to_poly() == pa * MultiPoly.monomial({var: k})
     assert a.scale(r).to_poly() == \
-        pa.substitute(var, MultiPoly.var(var) ** r)
+        pa.substitute_map({var: MultiPoly.var(var) ** r})
     assert a.scale(r, "t").to_poly() == \
-        pa.substitute(var, MultiPoly.var("t") ** r)
+        pa.substitute_map({var: MultiPoly.var("t") ** r})
 
 
 @hypothesis.settings(max_examples=100, deadline=None)

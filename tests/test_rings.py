@@ -42,7 +42,7 @@ def test_poly_basics():
     assert p.coefficient({"x": 1, "y": 1}) == 2
     assert (p - p).is_zero()
     assert MultiPoly.const(Fraction(3, 4)).constant_value() == Fraction(3, 4)
-    assert p.substitute("y", 1) == X ** 2 + 2 * X + 1
+    assert p.substitute_map({"y": 1}) == X ** 2 + 2 * X + 1
 
 
 def test_substitute_map_is_simultaneous():

@@ -24,36 +24,36 @@ Y = MultiPoly.var("y")
 
 
 def blowup_datum():
-    return ResolutionDatum("stringy", 1, (("E", Fraction(1)),), {
-        frozenset(): lefschetz(2) - 1,
-        frozenset({0}): lefschetz(1) + 1,
-    })
+    return ResolutionDatum("stringy", 1, (("E", Fraction(1)),), (
+        lefschetz(2) - 1,
+        lefschetz(1) + 1,
+    ))
 
 
 def identity_datum():
-    return ResolutionDatum("stringy", 1, (), {frozenset(): lefschetz(2)})
+    return ResolutionDatum("stringy", 1, (), (lefschetz(2),))
 
 
 def a1_datum():
-    return ResolutionDatum("stringy", 1, (("E", Fraction(0)),), {
-        frozenset(): lefschetz(2) - 1,
-        frozenset({0}): lefschetz(1) + 1,
-    })
+    return ResolutionDatum("stringy", 1, (("E", Fraction(0)),), (
+        lefschetz(2) - 1,
+        lefschetz(1) + 1,
+    ))
 
 
 def test_datum_validation():
     with pytest.raises(ValidationError):
         ResolutionDatum("stringy", 1, (("E", Fraction(-1)),),
-                        {frozenset(): lefschetz(2), frozenset({0}): lefschetz(1)})
+                        (lefschetz(2), lefschetz(1)))
     with pytest.raises(ValidationError):
         ResolutionDatum("stringy", 2, (("E", Fraction(1, 3)),),
-                        {frozenset(): lefschetz(2), frozenset({0}): lefschetz(1)})
+                        (lefschetz(2), lefschetz(1)))
     with pytest.raises(ValidationError):
         ResolutionDatum("arc", 1, (("E", Fraction(1, 2)),),
-                        {frozenset(): lefschetz(2), frozenset({0}): lefschetz(1)})
+                        (lefschetz(2), lefschetz(1)))
     with pytest.raises(ValidationError):
         ResolutionDatum("stringy", 1, (("E", Fraction(1)),),
-                        {frozenset(): lefschetz(2)})
+                        (lefschetz(2),))
 
 
 def test_motivic_integral_fixtures():
@@ -124,7 +124,7 @@ def test_stringy_chi_y_fixtures():
     assert stringy_chi_y(identity_datum()) == RationalFunction(Y ** 2)
     # smooth space, empty divisor: plain chi_y of the class
     smooth = ResolutionDatum("stringy", 1, (),
-                             {frozenset(): lefschetz(1) + 1})
+                             (lefschetz(1) + 1,))
     assert stringy_chi_y(smooth) == \
         RationalFunction(chi_y_of_class(lefschetz(1) + 1))
 
@@ -152,10 +152,10 @@ def test_repeated_product_renames_uniquely():
 
 def test_fractional_index():
     # one component, a = 1/2, r = 2: denominator (L^{3/2} - 1) via t
-    datum = ResolutionDatum("stringy", 2, (("E", Fraction(1, 2)),), {
-        frozenset(): lefschetz(2) - 1,
-        frozenset({0}): lefschetz(1) + 1,
-    })
+    datum = ResolutionDatum("stringy", 2, (("E", Fraction(1, 2)),), (
+        lefschetz(2) - 1,
+        lefschetz(1) + 1,
+    ))
     value = motivic_integral(datum)
     t = MultiPoly.var("t")
     num = (t ** 4 - 1) * (t ** 3 - 1) + (t ** 2 + 1) * (t ** 2 - 1)
@@ -167,10 +167,10 @@ def test_invariance_report():
     assert rep.all_equal
     rep = invariance_check(blowup_datum(), blowup_datum())
     assert rep.all_equal
-    bad = ResolutionDatum("stringy", 1, (("E", Fraction(2)),), {
-        frozenset(): lefschetz(2) - 1,
-        frozenset({0}): lefschetz(1) + 1,
-    })
+    bad = ResolutionDatum("stringy", 1, (("E", Fraction(2)),), (
+        lefschetz(2) - 1,
+        lefschetz(1) + 1,
+    ))
     rep = invariance_check(identity_datum(), bad)
     assert not rep.all_equal
 
@@ -268,6 +268,48 @@ def test_json_schema_errors():
             "components": [{"name": "E", "a": "1"}],
             "strata": [{"subset": ["nope"], "class": "L"}],
         })
+
+
+TWO_COMPONENTS = {"flavor": "stringy", "index_r": 1,
+                  "components": [{"name": "E", "a": "1"},
+                                 {"name": "F", "a": "2"}]}
+
+
+def entries(*subsets):
+    return [{"subset": s, "class": "1"} for s in subsets]
+
+
+@pytest.mark.parametrize("strata, message", [
+    (entries([], ["E"], ["G"]), "unknown component 'G'"),
+    (entries([], ["E"], ["F"], ["E", "F"], ["F", "E"]),
+     "duplicate stratum entry"),
+    (entries([], ["E"], ["E"]), "duplicate stratum entry"),
+    (entries([], ["E"], ["E", "F"]), r"missing stratum entry \{F\}"),
+    (entries(["E"], ["F"]), r"missing stratum entry \{\}"),
+    ([{"class": "1"}], "stratum entry misses key 'subset'"),
+    ([{"subset": []}], "stratum entry misses key 'class'"),
+])
+def test_loader_stratum_errors(strata, message):
+    with pytest.raises(ValidationError, match=message):
+        datum_from_dict({**TWO_COMPONENTS, "strata": strata})
+
+
+def test_loader_fills_the_table_by_bitmask():
+    data = {**TWO_COMPONENTS, "strata": [
+        {"subset": ["F", "E"], "class": "3"}, {"subset": ["F"], "class": "2"},
+        {"subset": [], "class": "L"}, {"subset": ["E"], "class": "1"}]}
+    assert datum_from_dict(data).strata == (
+        lefschetz(1), K0Class.point(), K0Class.point(2), K0Class.point(3))
+
+
+def test_datum_takes_only_a_tuple_of_two_to_the_k_classes():
+    comps = (("E", Fraction(1)),)
+    for strata in ([lefschetz(2), lefschetz(1)],
+                   {(): lefschetz(2), (0,): lefschetz(1)},
+                   (lefschetz(2),),
+                   (lefschetz(2), lefschetz(1), lefschetz(1))):
+        with pytest.raises(ValidationError, match="tuple of 2 classes"):
+            ResolutionDatum("stringy", 1, comps, strata)
 
 
 def test_component_cap_is_checked_before_the_strata():

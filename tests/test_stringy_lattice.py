@@ -13,8 +13,8 @@ from genera.k0 import (Atom, K0Class, LEFSCHETZ, e_polynomial,
                        euler_of_class, poly_to_class)
 from genera.rings import MultiPoly, RationalFunction, TruncSeries, binom_frac
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
-                            invariance_check, motivic_integral, rewrite_uv,
-                            stringy_E, stringy_euler)
+                            invariance_check, motivic_integral, product_datum,
+                            rewrite_uv, stringy_E, stringy_euler)
 
 L = MultiPoly.var("L")
 C = Atom("C", 1, MultiPoly.var("u") * MultiPoly.var("v")
@@ -39,9 +39,7 @@ def random_datum(k: int, r: int, seed: int, with_curve=False):
 
     components = tuple(
         (f"E{i}", Fraction(rng.randint(1 - r, 3 * r), r)) for i in range(k))
-    strata = {}
-    for m in range(1 << k):
-        strata[frozenset(i for i in range(k) if m >> i & 1)] = random_class()
+    strata = tuple(random_class() for _ in range(1 << k))
     return ResolutionDatum("stringy", r, components, strata)
 
 
@@ -55,10 +53,10 @@ def reference_integral(d: ResolutionDatum) -> RationalFunction:
     for f in dens:
         den = den * f
     num = MultiPoly.const(0)
-    for subset in d.subsets():
-        term = d.open_stratum(subset).poly.substitute_map({"L": lpoly})
+    for m, cls in enumerate(d.strata):
+        term = cls.poly.substitute_map({"L": lpoly})
         for i in range(k):
-            term = term * (lpoly - 1 if i in subset else dens[i])
+            term = term * (lpoly - 1 if m >> i & 1 else dens[i])
         num = num + term
     return RationalFunction(num, den)
 
@@ -73,10 +71,10 @@ def reference_E(d: ResolutionDatum):
     for f in dens:
         den = den * f
     num = MultiPoly.const(0)
-    for subset in d.subsets():
-        term = rewrite_uv(e_polynomial(d.open_stratum(subset)), r)
+    for m, cls in enumerate(d.strata):
+        term = rewrite_uv(e_polynomial(cls), r)
         for i in range(k):
-            term = term * (t ** r - 1 if i in subset else dens[i])
+            term = term * (t ** r - 1 if m >> i & 1 else dens[i])
         num = num + term
     return rewrite_uv(num, r), den
 
@@ -98,10 +96,11 @@ def test_E_matches_per_subset_sum(k, r):
 def test_euler_matches_per_subset_sum(k, r):
     d = random_datum(k, r, seed=400 * k + r, with_curve=True)
     expected = Fraction(0)
-    for subset in d.subsets():
-        term = Fraction(euler_of_class(d.open_stratum(subset)))
-        for i in subset:
-            term /= d.discrepancy(i) + 1
+    for m, cls in enumerate(d.strata):
+        term = Fraction(euler_of_class(cls))
+        for i in range(k):
+            if m >> i & 1:
+                term /= d.discrepancy(i) + 1
         expected += term
     assert stringy_euler(d) == expected
 
@@ -109,13 +108,32 @@ def test_euler_matches_per_subset_sum(k, r):
 @pytest.mark.parametrize("k,r", CASES)
 def test_superset_sums_are_closed_strata(k, r):
     d = random_datum(k, r, seed=300 * k + r)
-    table = stringy._superset_sums(stringy._by_mask(d))
+    table = stringy._superset_sums(d.strata)
     lpoly = MultiPoly.var("t") ** r if r > 1 else L
     for m, closed in enumerate(table):
-        subset = frozenset(i for i in range(k) if m >> i & 1)
-        assert closed == d.closed_stratum(subset)
+        assert closed == d.closed_stratum(m)
         assert stringy._realize_in_l(closed, lpoly) == \
-            stringy._realize_in_l(d.closed_stratum(subset), lpoly)
+            stringy._realize_in_l(d.closed_stratum(m), lpoly)
+
+
+@pytest.mark.parametrize("k1,k2,r", [
+    (k1, k2, r) for k1 in range(7) for k2 in range(7 - k1) for r in (1, 2)])
+def test_product_values_multiply(k1, k2, r):
+    # factors with different discrepancies: a product that put the strata
+    # of d2 in the low bits would pair classes and discrepancies wrongly
+    seed = 1000 * r + 10 * k1 + k2
+    d1, d2 = random_datum(k1, r, seed), random_datum(k2, r, seed + 500)
+    assert motivic_integral(product_datum(d1, d2)) == \
+        motivic_integral(d1) * motivic_integral(d2)
+    c1 = random_datum(k1, r, seed + 1, with_curve=True)
+    c2 = random_datum(k2, r, seed + 501, with_curve=True)
+    for f1, f2 in ((d1, d2), (c1, c2)):
+        d = product_datum(f1, f2)
+        e, e1, e2 = stringy_E(d), stringy_E(f1), stringy_E(f2)
+        assert e == StringyValue(e1.num * e2.num, e1.den * e2.den, r)
+        # the Euler numbers from these E-functions, each limit-checked
+        assert stringy._checked_euler(d, e) == \
+            stringy._checked_euler(f1, e1) * stringy._checked_euler(f2, e2)
 
 
 def superset_sums_skipping(skip):
@@ -169,9 +187,10 @@ def test_index_two_report_skips_chi_y():
     d = random_datum(3, 2, seed=5)
     report = invariance_check(d, d)
     assert report.chi_y is None and report.all_equal
-    strata = dict(d.strata)
-    strata[frozenset({0})] = strata[frozenset({0})] + K0Class.point()
-    changed = ResolutionDatum(d.flavor, d.index_r, d.components, strata)
+    strata = list(d.strata)
+    strata[1] = strata[1] + K0Class.point()
+    changed = ResolutionDatum(d.flavor, d.index_r, d.components,
+                              tuple(strata))
     assert not invariance_check(d, changed).all_equal
 
 
