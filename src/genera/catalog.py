@@ -32,41 +32,54 @@ class CharSeries:
     series: TruncSeries
 
 
+def _tangent_numbers(m: int) -> list:
+    """T_1..T_m, the tangent numbers (tan z = sum T_k z^(2k-1)/(2k-1)!),
+    by Algorithm TangentNumbers of Brent and Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers" (arXiv:1108.0286): O(m^2)
+    products of ints."""
+    t = [1] * m
+    for k in range(1, m):
+        t[k] = k * t[k - 1]
+    for k in range(1, m):
+        for j in range(k, m):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _even_series(order: int, coeff) -> list:
+    """Coefficients through z^order of 1 + sum_{k>=1} coeff(4^k, b_k) z^2k
+    with b_k = B_2k / (2k)!, and zero odd coefficients; the Bernoulli
+    number is B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), T_k a tangent
+    number."""
+    out = [Fraction(0)] * (order + 1)
+    out[0] = Fraction(1)
+    fact = 1  # (2k)!
+    for k, t in enumerate(_tangent_numbers(order // 2), 1):
+        fact *= (2 * k - 1) * 2 * k
+        four = 4 ** k
+        b = Fraction((-1) ** (k - 1) * 2 * k * t, four * (four - 1) * fact)
+        out[2 * k] = coeff(four, b)
+    return out
+
+
 def _todd_series(order: int) -> TruncSeries:
-    # z / (1 - e^{-z}) = 1 / sum_{k>=0} (-1)^k z^k / (k+1)!
-    fact = 1
-    coeffs = []
-    for k in range(order + 1):
-        fact *= (k + 1)
-        coeffs.append(Fraction((-1) ** k, fact))
-    return TruncSeries("z", order, coeffs).invert()
+    # z / (1 - e^{-z}) = 1 + z/2 + sum_k B_2k z^2k / (2k)!
+    coeffs = _even_series(order, lambda four, b: b)
+    if order >= 1:
+        coeffs[1] = Fraction(1, 2)
+    return TruncSeries("z", order, coeffs)
 
 
 def _lgenus_series(order: int) -> TruncSeries:
-    # z / tanh z = cosh z / (sinh z / z)
-    sinh_over_z = [Fraction(0)] * (order + 1)
-    cosh = [Fraction(0)] * (order + 1)
-    fact = 1
-    for k in range(order + 1):
-        if k:
-            fact *= k
-        if k % 2 == 0:
-            cosh[k] = Fraction(1, fact)
-            sinh_over_z[k] = Fraction(1, fact * (k + 1))
-    return (TruncSeries("z", order, cosh)
-            * TruncSeries("z", order, sinh_over_z).invert())
+    # z / tanh z = sum_k 4^k B_2k z^2k / (2k)!
+    return TruncSeries("z", order,
+                       _even_series(order, lambda four, b: four * b))
 
 
 def _ahat_series(order: int) -> TruncSeries:
-    # z / (2 sinh(z/2)) = 1 / (sum_{k even} (z/2)^k / (k+1)!)
-    coeffs = [Fraction(0)] * (order + 1)
-    fact = 1
-    for k in range(order + 1):
-        if k:
-            fact *= k
-        if k % 2 == 0:
-            coeffs[k] = Fraction(1, fact * (k + 1) * 2 ** k)
-    return TruncSeries("z", order, coeffs).invert()
+    # (z/2) / sinh(z/2) = sum_k (2 - 4^k) B_2k z^2k / (4^k (2k)!)
+    return TruncSeries("z", order, _even_series(
+        order, lambda four, b: (2 - four) * b / four))
 
 
 def _hirzebruch_series(order: int) -> TruncSeries:

@@ -135,16 +135,28 @@ def _tower_field(data: dict, key: str):
                        EXIT_VALIDATION) from None
 
 
+def _tower_int(data: dict, key: str) -> int:
+    value = _tower_field(data, key)
+    if type(value) is not int:  # a JSON integer, and not true or false
+        raise CliError(f"tower {key!r} must be an integer, got {value!r}",
+                       EXIT_VALIDATION)
+    return value
+
+
 def _run_pro(args, data: dict) -> int:
     mode = data.get("mode")
     if mode not in ("euler", "class"):
         raise CliError("tower mode must be 'euler' or 'class'",
                        EXIT_VALIDATION)
-    level = int(_tower_field(data, "level"))
+    level = _tower_int(data, "level")
     if mode == "euler":
-        tower = k0.TowerDatum(eulers=tuple(
-            int(e) for e in _tower_field(data, "eulers")))
-        value = k0.pro_euler(tower, level, int(_tower_field(data, "chi")))
+        eulers = _tower_field(data, "eulers")
+        if type(eulers) is not list or any(type(e) is not int
+                                           for e in eulers):
+            raise CliError(f"tower 'eulers' must be a list of integers, "
+                           f"got {eulers!r}", EXIT_VALIDATION)
+        tower = k0.TowerDatum(eulers=tuple(eulers))
+        value = k0.pro_euler(tower, level, _tower_int(data, "chi"))
         _emit(args, str(value), {"mode": "euler", "value": str(value)})
         return EXIT_OK
     gamma = _parse_class(_tower_field(data, "gamma"))

@@ -8,6 +8,7 @@ variable exceeds that variable's nilpotency bound.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, itemgetter, mul
 
@@ -57,12 +58,18 @@ class GradedRing:
         return out
 
     def mul(self, a, b) -> MultiPoly:
-        """reduce(a * b), forming only the term pairs that survive it: the
-        terms of b are sorted by weighted degree, so the scan of b stops
-        at the first term past the cutoff, and a pair whose exponent in
-        a bounded variable exceeds its bound is skipped."""
+        """reduce(a * b), by the truncated product of ``_product``."""
         a, b = MultiPoly._coerce(a), MultiPoly._coerce(b)
         names, ta, tb = a._align(b)
+        return MultiPoly(names, self._product(names, ta, tb))
+
+    def _product(self, names, ta: dict, tb: dict) -> dict:
+        """The terms of reduce(a * b) from the term dicts of a and b over
+        the variables ``names``, forming only the term pairs that survive
+        the truncation: the terms of b are sorted by weighted degree, so
+        the scan of b stops at the first term past the cutoff, and a pair
+        whose exponent in a bounded variable exceeds its bound is skipped.
+        The coefficients may be of any ring (Fractions, or plain ints)."""
         weights = [self.weights.get(v, 0) for v in names]
         bounds = [(i, self.bounds[v]) for i, v in enumerate(names)
                   if v in self.bounds]
@@ -78,19 +85,28 @@ class GradedRing:
                 if any(key[i] > bound for i, bound in bounds):
                     continue
                 out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return MultiPoly(names, out)
+        return out
 
     def power(self, elt, n: int) -> MultiPoly:
-        """elt^n by truncated binary powering from the lowest bit, with
-        no square after the highest one; n >= 0."""
-        out = MultiPoly.const(1)
+        """reduce(elt^n) for n >= 0, on integers: with D the lcm of the
+        coefficient denominators of reduce(elt), truncated binary powering
+        from the lowest bit, with no square after the highest one, runs on
+        the int terms of D * reduce(elt), and the result is divided by D^n
+        once at the end."""
+        elt = self.reduce(elt)
+        d = math.lcm(*(c.denominator for c in elt.terms.values()))
+        base = {e: c.numerator * (d // c.denominator)
+                for e, c in elt.terms.items()}
+        out = {(0,) * len(elt.vars): 1}
+        dn = d ** n
         while n:
             if n & 1:
-                out = self.mul(out, elt)
+                out = self._product(elt.vars, out, base)
             n >>= 1
             if n:
-                elt = self.mul(elt, elt)
-        return out
+                base = self._product(elt.vars, base, base)
+        return MultiPoly(elt.vars, {e: Fraction(c, dn)
+                                    for e, c in out.items()})
 
     def prod(self, elts) -> MultiPoly:
         out = MultiPoly.const(1)

@@ -40,10 +40,14 @@ class ProjSpaceRing(GradedRing):
     def tangent_class(self, f: CharSeries) -> MultiPoly:
         """prod_j f(h_j)^{n_j + 1}: the multiplicative class of the tangent
         bundle (Euler sequence: TP^n + 1 = O(1)^{n+1}), each power by
-        truncated binary powering."""
+        truncated binary powering.  f(h_j) is the sum of c_k h_j^k over
+        k <= n_j, as h_j^(n_j + 1) = 0."""
         out = MultiPoly.const(1)
         for j, n in enumerate(self.factors):
-            val = self.reduce(MultiPoly._coerce(f.series.evaluate(self.h(j))))
+            h = self.h(j)
+            val = sum((c * h ** k
+                       for k, c in enumerate(f.series.coeffs[:n + 1])),
+                      MultiPoly.const(0))
             out = self.mul(out, self.power(val, n + 1))
         return out
 

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import comb as binomial
+from math import comb as binomial, factorial
 
 import pytest
 
@@ -172,3 +172,101 @@ def test_rescaled_series_coefficients(a):
                 f.series[k] * MultiPoly._coerce(a) ** (k - 1)
         assert all(genus_on_projective(f, n) == genus_on_projective(g, n)
                    for n in range(5))
+
+
+# Reference builds by series inversion over Fraction, a path apart from
+# the tangent-number build of the library.
+
+def todd_by_inversion(order):
+    # z / (1 - e^{-z}) = 1 / sum_{k>=0} (-1)^k z^k / (k+1)!
+    fact = 1
+    coeffs = []
+    for k in range(order + 1):
+        fact *= (k + 1)
+        coeffs.append(Fraction((-1) ** k, fact))
+    return TruncSeries("z", order, coeffs).invert()
+
+
+def lgenus_by_inversion(order):
+    # z / tanh z = cosh z / (sinh z / z)
+    sinh_over_z = [Fraction(0)] * (order + 1)
+    cosh = [Fraction(0)] * (order + 1)
+    fact = 1
+    for k in range(order + 1):
+        if k:
+            fact *= k
+        if k % 2 == 0:
+            cosh[k] = Fraction(1, fact)
+            sinh_over_z[k] = Fraction(1, fact * (k + 1))
+    return (TruncSeries("z", order, cosh)
+            * TruncSeries("z", order, sinh_over_z).invert())
+
+
+def ahat_by_inversion(order):
+    # z / (2 sinh(z/2)) = 1 / (sum_{k even} (z/2)^k / (k+1)!)
+    coeffs = [Fraction(0)] * (order + 1)
+    fact = 1
+    for k in range(order + 1):
+        if k:
+            fact *= k
+        if k % 2 == 0:
+            coeffs[k] = Fraction(1, fact * (k + 1) * 2 ** k)
+    return TruncSeries("z", order, coeffs).invert()
+
+
+def hirzebruch_by_inversion(order):
+    # t_k (1+y)^k at z^k, less z*y
+    cs = [(1 + Y) ** k * t
+          for k, t in enumerate(todd_by_inversion(order).coeffs)]
+    if order >= 1:
+        cs[1] = cs[1] - Y
+    return TruncSeries("z", order, cs)
+
+
+def ghrr_by_inversion(order):
+    # (1 + y e^{-z}) z / (1 - e^{-z})
+    emz = TruncSeries("z", order, [Fraction((-1) ** k, factorial(k))
+                                   for k in range(order + 1)])
+    return (emz * Y + 1) * todd_by_inversion(order)
+
+
+@pytest.mark.parametrize("name, reference", [
+    ("todd", todd_by_inversion), ("lgenus", lgenus_by_inversion),
+    ("ahat", ahat_by_inversion), ("hirzebruch", hirzebruch_by_inversion),
+    ("ghrr", ghrr_by_inversion)])
+def test_series_equal_inversion_builds(name, reference):
+    for order in range(41):
+        f = ghrr_integrand(order) if name == "ghrr" else \
+            builtin_series(name, order)
+        assert f.series == reference(order), (name, order)
+
+
+def test_series_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    z, w, y = sympy.symbols("z w y")
+    order = 16
+
+    def expansion(f, var=z):
+        return sympy.series(f, var, 0, order + 1).removeO()
+
+    # sympy.series in z does not finish in minutes on the y-deformed
+    # form, so that one is expanded in w = z(1+y) and substituted
+    todd_w = expansion(w / (1 - sympy.exp(-w)), w)
+    forms = {
+        "chern": 1 + z,
+        "todd": todd_w.subs(w, z),
+        "lgenus": expansion(z / sympy.tanh(z)),
+        "ahat": expansion((z / 2) / sympy.sinh(z / 2)),
+        "hirzebruch": todd_w.subs(w, z * (1 + y)) - z * y,
+    }
+    for name, form in forms.items():
+        form = sympy.expand(form)
+        series = builtin_series(name, order).series
+        for k in range(order + 1):
+            c = MultiPoly._coerce(series[k])
+            ours = sympy.Add(*(
+                sympy.Rational(q.numerator, q.denominator)
+                * sympy.Mul(*(sympy.Symbol(v) ** e
+                              for v, e in zip(c.vars, expo)))
+                for expo, q in c.terms.items()))
+            assert sympy.expand(form.coeff(z, k) - ours) == 0, (name, k)

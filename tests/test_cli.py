@@ -213,6 +213,14 @@ GOOD_DATUM = {
     (("stringy", "integral"), {**GOOD_DATUM, "index_r": True}),
     (("k0", "blowup-check"), {"x": 5, "y": "L", "bl": "L", "exc": "1"}),
     (("pro",), {"mode": "class", "level": 2, "gamma": 5, "value": "L"}),
+    (("pro",), {"mode": "euler", "eulers": 5, "level": 2, "chi": 4}),
+    (("pro",), {"mode": "euler", "eulers": [2, True], "level": 2, "chi": 4}),
+    (("pro",), {"mode": "euler", "eulers": [2, 2], "level": [2], "chi": 4}),
+    (("pro",), {"mode": "euler", "eulers": [2, 2], "level": 1.5, "chi": 4}),
+    (("pro",), {"mode": "euler", "eulers": [2, 2], "level": True, "chi": 4}),
+    (("pro",), {"mode": "euler", "eulers": [2, 2], "level": 2, "chi": "4"}),
+    (("k0", "pro"), {"mode": "class", "level": 1.5, "gamma": "L^2",
+                     "value": "L"}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, argv, data):
     path = tmp_path / "datum.json"

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from genera import rings
 from genera.catalog import SERIES_NAMES, builtin_series, genus_on_projective
 from genera.projspace import (ProjSpaceRing, count_monomials,
                               ghrr_normalization_check, hrr_check,
@@ -98,3 +99,23 @@ def test_twisted_chi_y_cross_check():
             integrand * (1 + y * full.exp_nilpotent(-h)) * factor)
     value = ring.integrate(integrand).laurent_div_exact(1 + y)
     assert value == twisted_chi_y(n, 8)
+
+
+def test_ring_path_runs_without_the_power_recurrence(monkeypatch):
+    # the ring path powers by truncated binary powering in GradedRing, so
+    # it stays a path apart from the Miller recurrence of genus_on_projective
+    lgenus = builtin_series("lgenus", 5)
+
+    def refuse(*args):
+        raise AssertionError("the ring path ran the power recurrence")
+
+    monkeypatch.setattr(rings, "_power_coeffs", refuse)
+    assert ty_class_degree(6) == sum(
+        ((-MultiPoly.var("y")) ** i for i in range(7)), MultiPoly.const(0))
+    assert hrr_check(5, 3) == (56, 56, True)
+    ring = ProjSpaceRing([2, 3])
+    assert ring.integrate(ring.tangent_class(lgenus)) == 0
+    monkeypatch.undo()
+    hirzebruch = builtin_series("hirzebruch", 12)
+    for n in range(13):
+        assert ty_class_degree(n) == genus_on_projective(hirzebruch, n), n
