@@ -14,17 +14,12 @@ import sys
 
 from . import catalog, jets, k0, projspace, stringy
 from .expr import parse_expr
+from .k0 import ValidationError, load_json_object
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_IO = 2
 EXIT_VALIDATION = 3
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def emit_table(rows, header=None) -> str:
@@ -49,19 +44,6 @@ def _emit(args, text_value, json_value):
         print(json.dumps(json_value, indent=2, sort_keys=True))
     else:
         print(text_value)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}", EXIT_VALIDATION) from exc
-    if not isinstance(data, dict):
-        raise CliError(f"{path} must hold a JSON object", EXIT_VALIDATION)
-    return data
 
 
 def _parse_class(text: str) -> k0.K0Class:
@@ -111,50 +93,46 @@ def cmd_k0(args) -> int:
                                  "value": str(value)})
         return EXIT_OK
     if args.action == "blowup-check":
-        data = _load_json(args.arg)
+        data = load_json_object(args.arg)
         try:
             parts = {key: _parse_class(data[key])
                      for key in ("x", "y", "bl", "exc")}
         except KeyError as exc:
-            raise CliError(f"blow-up datum misses key {exc}", EXIT_VALIDATION)
+            raise ValidationError(f"blow-up datum misses key {exc}")
         ok = k0.blowup_relation_check(parts["x"], parts["y"],
                                       parts["bl"], parts["exc"])
         _emit(args, f"blow-up relation: {'holds' if ok else 'fails'}",
               {"action": "blowup-check", "holds": ok})
         return EXIT_OK if ok else EXIT_MATH
-    if args.action == "pro":
-        return _run_pro(args, _load_json(args.arg))
-    raise CliError(f"unknown k0 action {args.action!r}", EXIT_VALIDATION)
+    return _run_pro(args, load_json_object(args.arg))  # the action is pro
 
 
 def _tower_field(data: dict, key: str):
     try:
         return data[key]
     except KeyError:
-        raise CliError(f"tower datum misses key {key!r}",
-                       EXIT_VALIDATION) from None
+        raise ValidationError(f"tower datum misses key {key!r}") from None
 
 
 def _tower_int(data: dict, key: str) -> int:
     value = _tower_field(data, key)
     if type(value) is not int:  # a JSON integer, and not true or false
-        raise CliError(f"tower {key!r} must be an integer, got {value!r}",
-                       EXIT_VALIDATION)
+        raise ValidationError(
+            f"tower {key!r} must be an integer, got {value!r}")
     return value
 
 
 def _run_pro(args, data: dict) -> int:
     mode = data.get("mode")
     if mode not in ("euler", "class"):
-        raise CliError("tower mode must be 'euler' or 'class'",
-                       EXIT_VALIDATION)
+        raise ValidationError("tower mode must be 'euler' or 'class'")
     level = _tower_int(data, "level")
     if mode == "euler":
         eulers = _tower_field(data, "eulers")
         if type(eulers) is not list or any(type(e) is not int
                                            for e in eulers):
-            raise CliError(f"tower 'eulers' must be a list of integers, "
-                           f"got {eulers!r}", EXIT_VALIDATION)
+            raise ValidationError(f"tower 'eulers' must be a list of "
+                                  f"integers, got {eulers!r}")
         tower = k0.TowerDatum(eulers=tuple(eulers))
         value = k0.pro_euler(tower, level, _tower_int(data, "chi"))
         _emit(args, str(value), {"mode": "euler", "value": str(value)})
@@ -170,14 +148,14 @@ def _run_pro(args, data: dict) -> int:
 
 
 def cmd_pro(args) -> int:
-    return _run_pro(args, _load_json(args.file))
+    return _run_pro(args, load_json_object(args.file))
 
 
 def cmd_stringy(args) -> int:
     datum = stringy.load_datum(args.file)
     if args.action == "compare":
         if not args.file2:
-            raise CliError("compare needs a second datum file", EXIT_VALIDATION)
+            raise ValidationError("compare needs a second datum file")
         other = stringy.load_datum(args.file2)
         report = stringy.invariance_check(datum, other)
         # chi_y is None (not defined) unless both data have index 1; each
@@ -215,23 +193,18 @@ def cmd_stringy(args) -> int:
         value = stringy.stringy_E(datum)
     elif args.action == "chiy":
         value = stringy.stringy_chi_y(datum)
-    elif args.action == "euler":
-        value = stringy.stringy_euler(datum)
     else:
-        raise CliError(f"unknown stringy action {args.action!r}",
-                       EXIT_VALIDATION)
+        value = stringy.stringy_euler(datum)
     _emit(args, str(value), {"action": args.action, "value": str(value)})
     return EXIT_OK
 
 
 def cmd_jets(args) -> int:
-    if args.action != "oracle":
-        raise CliError(f"unknown jets action {args.action!r}", EXIT_VALIDATION)
     try:
         exponents = tuple(int(a) for a in args.exponents.split(","))
     except ValueError as exc:
-        raise CliError(f"bad exponent list {args.exponents!r}",
-                       EXIT_VALIDATION) from exc
+        raise ValidationError(
+            f"bad exponent list {args.exponents!r}") from exc
     spec = jets.JetSpec(args.dim, exponents, level=max(args.pmax, 1))
     partial, closed, verdict = jets.oracle_integral(spec, args.pmax)
     text = emit_table(
@@ -316,9 +289,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except stringy.ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -326,9 +296,6 @@ def main(argv=None) -> int:
         print(f"error: cannot read {getattr(exc, 'filename', None) or exc}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,7 +10,9 @@ and leave it by ``to_poly``, and public results stay ``MultiPoly``.
 
 from __future__ import annotations
 
-from .rings import MultiPoly, _int_div_exact, _power_coeffs
+import math
+
+from .rings import ExactDivisionError, MultiPoly, _power_coeffs
 
 
 class Dense:
@@ -19,7 +21,7 @@ class Dense:
     ``coeffs`` has no zero at either end, and the zero polynomial has no
     coefficients and ``low`` 0.  A constant equals the int it holds,
     whatever its ``var``, and hashes like it.  Products are schoolbook,
-    and ``/`` is exact division over Z.
+    ``/`` is exact division over Z and ``gcd`` is the gcd in Z[var].
     """
 
     __slots__ = ("var", "low", "coeffs")
@@ -144,8 +146,10 @@ class Dense:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """The exact quotient in Z[var, 1/var]; raises ExactDivisionError
-        when there is none."""
+        """The exact quotient in Z[var, 1/var], by long division of the
+        coefficient tuples; raises ExactDivisionError when there is none.
+        By Gauss's lemma there is one whenever ``other`` is primitive and
+        divides this polynomial over Q."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -154,8 +158,22 @@ class Dense:
             raise ZeroDivisionError("division of polynomial by zero")
         if not self.coeffs:
             return self
-        return Dense(var, self.low - other.low,
-                     _int_div_exact(self.coeffs, other.coeffs))
+        a, b = list(self.coeffs), other.coeffs
+        db, lead = len(b), b[-1]
+        if len(a) < db:
+            raise ExactDivisionError("nonzero remainder in exact division")
+        quot = [0] * (len(a) - db + 1)
+        for k in reversed(range(len(quot))):
+            q, rem = divmod(a[k + db - 1], lead)
+            if rem:
+                raise ExactDivisionError("nonzero remainder in exact division")
+            quot[k] = q
+            if q:
+                for i in range(db - 1):
+                    a[k + i] -= q * b[i]
+        if any(a[:db - 1]):
+            raise ExactDivisionError("nonzero remainder in exact division")
+        return Dense(var, self.low - other.low, quot)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -177,6 +195,33 @@ class Dense:
             return Dense(self.var, self.low * n, [c ** n for c in a])
         return Dense(self.var, self.low * n,
                      _power_coeffs(a, n, (len(a) - 1) * n + 1))
+
+    def gcd(self, other: "Dense") -> "Dense":
+        """The gcd in Z[var], with content 1 and a positive leading
+        coefficient: var^min(low) times the gcd of the two coefficient
+        tuples, by primitive pseudo-remainder sequences (Knuth, TAOCP
+        vol. 2, section 4.6.1).  The gcd with zero is the other operand
+        made primitive."""
+        var = self._shared_var(other)
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            # a becomes the remainder of lead(b)^(deg a - deg b + 1) * a
+            lead, db = b[-1], len(b)
+            while len(a) >= db:
+                c, off = a[-1], len(a) - db
+                a = [x * lead for x in a[:-1]]
+                for i in range(db - 1):
+                    a[off + i] -= c * b[i]
+                while a and not a[-1]:
+                    a.pop()
+            if not a:
+                break
+            a, b = b, _primitive(a)
+        g = b if len(b) > 1 else [1] if b else a
+        low = min((p.low for p in (self, other) if p.coeffs), default=0)
+        return Dense(var, low, [-c for c in g] if g and g[-1] < 0 else g)
 
     def shift(self, k: int) -> "Dense":
         """This polynomial times var^k."""
@@ -204,3 +249,8 @@ class Dense:
 
     def __repr__(self):
         return f"Dense({self.to_poly()})"
+
+
+def _primitive(coeffs) -> list:
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs]

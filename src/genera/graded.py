@@ -69,10 +69,18 @@ class GradedRing:
         the truncation: the terms of b are sorted by weighted degree, so
         the scan of b stops at the first term past the cutoff, and a pair
         whose exponent in a bounded variable exceeds its bound is skipped.
-        The coefficients may be of any ring (Fractions, or plain ints)."""
+        When no term of a or b has a negative weighted exponent w*e, a
+        pair within the cutoff has each exponent at most cutoff // w, so
+        only the bounds below that, or on a variable of weight w <= 0,
+        are tested.  The coefficients may be of any ring (Fractions, or
+        plain ints)."""
         weights = [self.weights.get(v, 0) for v in names]
+        signed = any(w * e < 0 for t in (ta, tb) for expo in t
+                     for w, e in zip(weights, expo))
         bounds = [(i, self.bounds[v]) for i, v in enumerate(names)
-                  if v in self.bounds]
+                  if v in self.bounds and (signed or weights[i] <= 0 or
+                                           self.bounds[v] <
+                                           self.cutoff // weights[i])]
         right = sorted(((sum(map(mul, weights, e)), e, c)
                         for e, c in tb.items()), key=itemgetter(0))
         out = {}
@@ -82,7 +90,7 @@ class GradedRing:
                 if d2 > room:
                     break
                 key = tuple(map(add, e1, e2))
-                if any(key[i] > bound for i, bound in bounds):
+                if bounds and any(key[i] > bound for i, bound in bounds):
                     continue
                 out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return out

@@ -9,6 +9,7 @@ stratum pair; refine the stratification to encode anything else.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +21,20 @@ V = MultiPoly.var("v")
 
 class ValidationError(ValueError):
     """Input data violating a structural invariant."""
+
+
+def load_json_object(path: str) -> dict:
+    """The JSON object in the file ``path``.  An OSError propagates;
+    text that is not JSON, or JSON that is not an object, raises a
+    ValidationError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return data
 
 
 @dataclass(frozen=True)

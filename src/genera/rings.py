@@ -201,8 +201,8 @@ class MultiPoly:
 
     def __pow__(self, n: int):
         """The n-th power: a monomial scales its exponents, a base in one
-        variable runs ``_power_coeffs`` over Z on D times it (D the lcm of
-        its denominators) and divides by D^n, any other binary powering."""
+        variable powers D times it as a ``Dense`` over Z (D the lcm of its
+        denominators) and divides by D^n, any other binary powering."""
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
@@ -214,13 +214,8 @@ class MultiPoly:
         if n == 0:
             return MultiPoly.const(1)
         if len(self.vars) == 1:
-            low = min(e for e, in self.terms)
-            a, d = _int_coeffs(self, low)
-            g = _power_coeffs(a, n, (len(a) - 1) * n + 1)
-            dn = d ** n
-            return MultiPoly(self.vars, {(low * n + i,): Fraction(c, dn)
-                                         if dn > 1 else c
-                                         for i, c in enumerate(g) if c})
+            a, d = _cleared(self, self.vars)
+            return _from_dense(self.vars, a ** n, 1, d ** n)
         # binary powering from the lowest set bit, with no square after
         # the highest one
         out = None
@@ -387,11 +382,12 @@ class MultiPoly:
             return self.content_normalized()[1]
         if not names:
             return MultiPoly.const(1)
-        if _has_negative_exponent(self) or _has_negative_exponent(other):
+        names = tuple(names)
+        a, b = _cleared(self, names)[0], _cleared(other, names)[0]
+        if a.low < 0 or b.low < 0:
             return None
-        g = _int_gcd(_int_coeffs(self)[0], _int_coeffs(other)[0])
-        return MultiPoly(self.vars or other.vars,
-                         {(i,): Fraction(c, g[-1]) for i, c in enumerate(g)})
+        g = a.gcd(b)
+        return _from_dense(names, g, 1, g.coeffs[-1])
 
     # -- serialization ------------------------------------------------
     def monomial_text(self, expo) -> str:
@@ -429,75 +425,21 @@ def _frac_str(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------
-# univariate integer coefficient lists (lowest power first), for the gcd
-# and the reduction of one-variable fractions
+# one-variable polynomials over Z, for the gcd, the reduction of
+# one-variable fractions and the power of a one-variable base
 
-def _has_negative_exponent(poly: MultiPoly) -> bool:
-    return any(e < 0 for expo in poly.terms for e in expo)
-
-
-def _int_coeffs(poly: MultiPoly, low: int = 0):
-    """(coefficients, d): d times a polynomial in at most one variable,
-    over x^low, as a list of ints from x^low up; d is the lcm of the
-    coefficient denominators, and no exponent is below low."""
+def _cleared(poly: MultiPoly, names: tuple):
+    """(D * poly as a Dense, D) for a polynomial in the variables
+    ``names``, at most one; D is the lcm of its coefficient denominators."""
     d = math.lcm(*(c.denominator for c in poly.terms.values()))
-    out = [0] * (poly.total_degree() - low + 1)
-    for expo, c in poly.terms.items():  # sum(()) = 0 for a constant
-        out[sum(expo) - low] = c.numerator * (d // c.denominator)
-    return out, d
+    return Dense.from_poly(poly, names[0] if names else "", d), d
 
 
-def _primitive(a: list) -> list:
-    g = math.gcd(*a)
-    return [c // g for c in a]
-
-
-def _pseudo_remainder(a: list, b: list) -> list:
-    """The remainder of lead(b)^(deg a - deg b + 1) * a by b, over Z."""
-    lead, db = b[-1], len(b)
-    while len(a) >= db:
-        c, off = a[-1], len(a) - db
-        a = [x * lead for x in a[:-1]]
-        for i in range(db - 1):
-            a[off + i] -= c * b[i]
-        while a and not a[-1]:
-            a.pop()
-    return a
-
-
-def _int_gcd(a: list, b: list) -> list:
-    """Primitive gcd of two nonzero integer polynomials by primitive
-    pseudo-remainder sequences (Knuth, TAOCP vol. 2, section 4.6.1)."""
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
-def _int_div_exact(a: list, b: list) -> list:
-    """a / b over Z; raises ExactDivisionError unless b divides a in Z[x]
-    (by Gauss's lemma it does whenever b is primitive and divides a over
-    Q)."""
-    a, db, lead = list(a), len(b), b[-1]
-    if len(a) < db:
-        raise ExactDivisionError("nonzero remainder in exact division")
-    quot = [0] * (len(a) - db + 1)
-    for k in reversed(range(len(quot))):
-        q, rem = divmod(a[k + db - 1], lead)
-        if rem:
-            raise ExactDivisionError("nonzero remainder in exact division")
-        quot[k] = q
-        if q:
-            for i in range(db - 1):
-                a[k + i] -= q * b[i]
-    if any(a[:db - 1]):
-        raise ExactDivisionError("nonzero remainder in exact division")
-    return quot
+def _from_dense(names: tuple, p, num: int, den: int) -> MultiPoly:
+    """num/den times the Dense p as a MultiPoly in ``names``, which is
+    (var,), or () for a constant p; one Fraction per coefficient."""
+    return MultiPoly(names, {(p.low + i,)[:len(names)]: Fraction(c * num, den)
+                             for i, c in enumerate(p.coeffs) if c})
 
 
 def _reduced_univariate(numerator: MultiPoly, denominator: MultiPoly):
@@ -505,22 +447,19 @@ def _reduced_univariate(numerator: MultiPoly, denominator: MultiPoly):
     integer polynomial with content 1 and positive leading coefficient;
     None unless both are polynomials in at most one shared variable."""
     names = tuple(set(numerator.vars) | set(denominator.vars))
-    if len(names) > 1 or _has_negative_exponent(numerator) or \
-            _has_negative_exponent(denominator):
+    if len(names) > 1:
         return None
-    if numerator.is_zero():
+    n, dn = _cleared(numerator, names)
+    d, dd = _cleared(denominator, names)
+    if n.low < 0 or d.low < 0:
+        return None
+    if not n.coeffs:
         return numerator, MultiPoly.const(1)
-    n, dn = _int_coeffs(numerator)
-    d, dd = _int_coeffs(denominator)
-    g = _int_gcd(n, d)
-    n, d = _int_div_exact(n, g), _int_div_exact(d, g)
-    c = math.gcd(*d) if d[-1] > 0 else -math.gcd(*d)
-    # n/dn over (c * (d/c))/dd is (n*dd / (dn*c)) over d/c; the exponent
-    # keys are () when both are constants
-    return (MultiPoly(names, {(i,)[:len(names)]: Fraction(x * dd, dn * c)
-                              for i, x in enumerate(n) if x}),
-            MultiPoly(names, {(i,)[:len(names)]: x // c
-                              for i, x in enumerate(d) if x}))
+    g = n.gcd(d)
+    n, d = n / g, d / g
+    c = math.gcd(*d.coeffs) if d.coeffs[-1] > 0 else -math.gcd(*d.coeffs)
+    # n/dn over (c * (d/c))/dd is (n*dd / (dn*c)) over d/c
+    return _from_dense(names, n, dd, dn * c), _from_dense(names, d, 1, c)
 
 
 # ---------------------------------------------------------------------
@@ -724,25 +663,16 @@ class TruncSeries:
     def exp(self) -> "TruncSeries":
         if self.coeffs[0] != 0:
             raise ValueError("exp needs zero constant term")
-        out = TruncSeries.one(self.var, self.order)
-        power = TruncSeries.one(self.var, self.order)
-        fact = 1
-        for k in range(1, self.order + 1):
-            power = power * self
-            fact *= k
-            out = out + power * Fraction(1, fact)
-        return out
+        return TruncSeries(self.var, self.order,
+                           exp_coeffs(1, self.order)).compose(self)
 
     def log(self) -> "TruncSeries":
         if not self.coeffs[0] == 1:
             raise ValueError("log needs constant term 1")
-        u = self - 1
-        out = TruncSeries.zero(self.var, self.order)
-        power = TruncSeries.one(self.var, self.order)
-        for k in range(1, self.order + 1):
-            power = power * u
-            out = out + power * Fraction((-1) ** (k + 1), k)
-        return out
+        # log(1 + u) = u - u^2/2 + u^3/3 - ...
+        return TruncSeries(self.var, self.order, [0] + [
+            Fraction((-1) ** (k + 1), k) for k in range(1, self.order + 1)
+        ]).compose(self - 1)
 
     def scale_variable(self, a) -> "TruncSeries":
         """Substitute z -> a*z, with a a coefficient-ring element."""
@@ -912,3 +842,6 @@ def _to_poly(x) -> MultiPoly:
     if isinstance(x, (int, Fraction)):
         return MultiPoly.const(x)
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
+
+
+from .dense import Dense  # noqa: E402  (dense builds on MultiPoly)

@@ -11,7 +11,6 @@ variable t with the rewrite rule u*v -> t^r.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,10 +18,14 @@ from fractions import Fraction
 from .dense import Dense
 from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
-    e_polynomial, poly_to_class
+    e_polynomial, load_json_object, poly_to_class
 from .rings import MultiPoly, RationalFunction, TruncSeries, exp_coeffs
 
 MAX_COMPONENTS = 14
+# the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
+# integral variable; the one-variable gcd that reduces the integral costs
+# time quadratic in it
+MAX_DENOMINATOR_DEGREE = 4096
 
 
 class ConsistencyError(ArithmeticError):
@@ -55,17 +58,24 @@ class ResolutionDatum:
         names = [n for n, _ in self.components]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate component names")
+        degree = 0  # the sum of r * (a_i + 1)
         for name, a in self.components:
             a = Fraction(a)
             if a <= -1:
                 raise ValidationError(
                     f"discrepancy of {name!r} must be > -1")
-            if (self.index_r * a).denominator != 1:
+            ra = self.index_r * a
+            if ra.denominator != 1:
                 raise ValidationError(
                     f"r * discrepancy of {name!r} must be an integer")
             if self.flavor == "arc" and (a.denominator != 1 or a < 0):
                 raise ValidationError(
                     "arc flavor needs nonnegative integer discrepancies")
+            degree += ra.numerator + self.index_r
+        if degree > MAX_DENOMINATOR_DEGREE:
+            raise ValidationError(
+                f"the sum of r * (a_i + 1) over the components is {degree}; "
+                f"at most {MAX_DENOMINATOR_DEGREE} is supported")
         if not isinstance(self.strata, tuple) or \
                 len(self.strata) != 1 << len(names):
             raise ValidationError(
@@ -504,5 +514,4 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
 
 
 def load_datum(path: str) -> ResolutionDatum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return datum_from_dict(json.load(fh))
+    return datum_from_dict(load_json_object(path))

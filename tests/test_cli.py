@@ -231,6 +231,44 @@ def test_malformed_input_exits_3(tmp_path, capsys, argv, data):
     assert "Traceback" not in err
 
 
+FILE_VERBS = (("pro",), ("k0", "pro"), ("k0", "blowup-check"),
+              ("stringy", "integral"), ("stringy", "efun"),
+              ("stringy", "chiy"), ("stringy", "euler"),
+              ("stringy", "compare"))
+
+
+@pytest.mark.parametrize("content, code, message", [
+    (None, EXIT_IO, "cannot read {path}: No such file or directory"),
+    ("{", EXIT_VALIDATION, "invalid JSON in {path}: Expecting property "
+     "name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[1, 2]", EXIT_VALIDATION, "{path} must hold a JSON object"),
+])
+def test_file_faults_read_the_same_for_every_verb(tmp_path, capsys, content,
+                                                   code, message):
+    path = tmp_path / "datum.json"
+    if content is not None:
+        path.write_text(content)
+    for verb in FILE_VERBS:
+        assert run(capsys, *verb, str(path)) == \
+            (code, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("a, code", [(4095, EXIT_OK),
+                                     (4096, EXIT_VALIDATION)])
+def test_denominator_budget(tmp_path, capsys, a, code):
+    # one component: the sum of r * (a + 1) is a + 1
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(
+        {**GOOD_DATUM, "components": [{"name": "E", "a": str(a)}]}))
+    for argv in (("stringy", "integral", str(path)),
+                 ("jets", "oracle", "--dim", "1", "--exponents", str(a))):
+        got, _, err = run(capsys, *argv)
+        assert got == code
+        if code == EXIT_VALIDATION:
+            assert err == "error: the sum of r * (a_i + 1) over the " \
+                "components is 4097; at most 4096 is supported\n"
+
+
 def test_stringy_compare_at_index_two(tmp_path, capsys):
     # chi_y is not defined at index 2: the other three rows decide
     path = FIXTURES / "index2_half.json"

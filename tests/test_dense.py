@@ -1,7 +1,8 @@
-"""The dense integer kernel against MultiPoly, fraction reduction on int
-lists against the Fraction Euclid it replaced, and the jets measures
-against their MultiPoly formulas."""
+"""The dense integer kernel against MultiPoly, its gcd and the reduction
+of one-variable fractions against the Fraction Euclid they replaced, and
+the jets measures against their MultiPoly formulas."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -11,7 +12,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from genera import rings  # noqa: E402
 from genera.dense import Dense  # noqa: E402
 from genera.jets import JetSpec, closed_integral, cylinder_measure  # noqa: E402
 from genera.rings import ExactDivisionError, MultiPoly, RationalFunction  # noqa: E402
@@ -197,16 +197,51 @@ def test_reduction_against_fraction_euclid(fractions):
 
 
 def test_exact_division_over_the_integers():
-    assert rings._int_div_exact([1, 2, 1], [1, 1]) == [1, 1]
-    assert rings._int_div_exact([-6, 2, 4], [-2, 2]) == [3, 2]
+    def x(*coeffs, low=0):
+        return Dense("x", low, coeffs)
+
+    assert x(1, 2, 1) / x(1, 1) == x(1, 1)
+    assert x(-6, 2, 4) / x(-2, 2) == x(3, 2)
+    # (x^2 + 2x^3 + x^4) / (x^-1 + 1) = x^3 + x^4
+    assert x(1, 2, 1, low=2) / x(1, 1, low=-1) == x(1, 1, low=3)
     with pytest.raises(ExactDivisionError):
-        rings._int_div_exact([1, 0, 1], [1, 1])
+        x(1, 0, 1) / x(1, 1)
     with pytest.raises(ExactDivisionError):
-        rings._int_div_exact([1, 1], [2, 2])
+        x(1, 1) / x(2, 2)
     with pytest.raises(ExactDivisionError):     # x / 2x = 1/2
-        rings._int_div_exact([0, 1], [0, 2])
+        x(0, 1) / x(0, 2)
     with pytest.raises(ExactDivisionError):
-        rings._int_div_exact([1], [1, 1])
+        x(1) / x(1, 1)
+
+
+def test_gcd_against_fraction_euclid():
+    rng = random.Random(23)
+    for _ in range(300):
+        # x^a factors on both sides, and a shared factor g
+        f, g, h = (random_poly(rng, False) for _ in range(3))
+        a = f * g * X ** rng.randint(0, 3)
+        b = h * g * X ** rng.randint(0, 3)
+        da, db = Dense.from_poly(a, "x"), Dense.from_poly(b, "x")
+        got = da.gcd(db)
+        assert got == db.gcd(da)
+        if a.is_zero() and b.is_zero():
+            assert got == 0
+            continue
+        assert got.coeffs[-1] > 0 and math.gcd(*got.coeffs) == 1
+        # the reference is monic, or primitive when one side is zero
+        lead = 1 if a.is_zero() or b.is_zero() else got.coeffs[-1]
+        assert got.to_poly() / lead == euclid_gcd(a, b)
+        if not a.is_zero():
+            assert da / got * got == da
+
+
+def test_laurent_fraction_keeps_the_content_path():
+    # a negative exponent on either side: no gcd, so (L - 1) stays
+    rf = RationalFunction((L - 1) * L ** -2 / 3,
+                          (2 * L - 2) * (L + 1) * Fraction(1, 2))
+    assert str(rf) == "(-1/3*L^-2 + 1/3*L^-1) / (-1 + L^2)"
+    rf = RationalFunction(2 * L - 2, L ** -1 * (L ** 2 - 1) * 3)
+    assert str(rf) == "(-2/3 + 2/3*L) / (-L^-1 + L)"
 
 
 # ---------------------------------------------------------------------

@@ -40,6 +40,21 @@ def test_mul_is_reduced_product(ring, a, b):
     assert ring.mul(a, b) == ring.reduce(a * b)
 
 
+# h1 may also carry a negative exponent: then an exponent of h2 past
+# cutoff // w can stay within the cutoff, and its bound must drop the pair
+laurent_polys = st.lists(
+    st.tuples(st.integers(-3, 4), st.integers(0, 4), st.integers(-1, 3),
+              fractions), max_size=8).map(lambda ts: MultiPoly(
+                  ("h1", "h2", "y"), {t[:3]: t[3] for t in ts}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rings(), laurent_polys, polys)
+def test_mul_with_negative_exponents_of_positive_weight(ring, a, b):
+    assert ring.mul(a, b) == ring.reduce(a * b)
+    assert ring.mul(b, a) == ring.reduce(a * b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(rings(), polys, st.integers(0, 6))
 def test_power_is_reduced_power(ring, a, n):
