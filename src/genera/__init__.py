@@ -4,7 +4,7 @@ data, and jet-space verification oracles."""
 
 from .rings import (ExactDivisionError, MultiPoly, RationalFunction,
                     TruncSeries, binom_frac)
-from .expr import ExprError, parse_expr, serialize
+from .expr import ExprError, parse_expr
 from .graded import ChernRing, GradedRing
 from .bundles import (FormalBundle, chern_character, elliptic_class_qseries,
                       lambda_op, line_ch, multiplicative_class, s_op)

@@ -17,6 +17,7 @@ first offending token.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .rings import MultiPoly
@@ -30,38 +31,88 @@ class ExprError(ValueError):
         self.position = position
 
 
-_OPS = set("+-*^/()")
+# whitespace, an integer of ASCII digits (str.isdigit() also takes "²" and
+# "٣"), a name, an operator, anything else; \s and \w match exactly what
+# str.isspace() and str.isalnum() or "_" accept.  A name starts with a
+# letter or "_", so a \w run that starts with "²" is an unexpected character
+_TOKEN = re.compile(r"\s+|([0-9]+)|(\w+)|([-+*^/()])|(.)", re.DOTALL)
 
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        if group is None:
             continue
-        if c in _OPS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j]), i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {c!r}", i)
+        piece, offset = match.group(group), match.start()
+        if group == 1:
+            tokens.append(("int", int(piece), offset))
+        elif group == 3:
+            tokens.append((piece, piece, offset))
+        elif group == 2 and (piece[0].isalpha() or piece[0] == "_"):
+            tokens.append(("name", piece, offset))
+        else:
+            raise ExprError(f"unexpected character {piece[0]!r}", offset)
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+# A value under parsing is a term dict: a sparse monomial, the sorted
+# (name, exponent) pairs with a nonzero exponent, maps to a nonzero int or
+# Fraction.  The dicts are built fresh by each step, so a step may change
+# its operands in place.
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not a:
+        return b
+    if not b:
+        return a
+    powers = dict(a)
+    for name, e in b:
+        powers[name] = powers.get(name, 0) + e
+    return tuple(sorted(p for p in powers.items() if p[1]))
+
+
+def _mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = _mono_mul(ka, kb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _add_into(a: dict, b: dict, sign: int) -> dict:
+    for key, c in b.items():
+        c = a.get(key, 0) + sign * c
+        if c:
+            a[key] = c
+        else:
+            del a[key]
+    return a
+
+
+def _pow(base: dict, n: int) -> dict:
+    """A monomial to a power n >= 0 on the dict; any other power is
+    MultiPoly.__pow__, which inverts a monomial for n < 0."""
+    if n >= 0 and len(base) == 1:
+        (key, c), = base.items()
+        return {tuple((name, e * n) for name, e in key) if n else (): c ** n}
+    value = _to_poly(base) ** n
+    return {tuple((name, e) for name, e in zip(value.vars, expo) if e): c
+            for expo, c in value.terms.items()}
+
+
+def _to_poly(terms: dict) -> MultiPoly:
+    names = sorted({name for key in terms for name, _ in key})
+    index = {name: i for i, name in enumerate(names)}
+    dense = {}
+    for key, c in terms.items():
+        expo = [0] * len(names)
+        for name, e in key:
+            expo[index[name]] = e
+        dense[tuple(expo)] = c
+    return MultiPoly(names, dense)
 
 
 class _Parser:
@@ -84,21 +135,20 @@ class _Parser:
         value = self.parse_term()
         while self.peek()[0] in "+-":
             op = self.take()[0]
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _add_into(value, self.parse_term(), 1 if op == "+" else -1)
         return value
 
     def parse_term(self):
         value = self.parse_factor()
         while self.peek()[0] == "*":
             self.take()
-            value = value * self.parse_factor()
+            value = _mul(value, self.parse_factor())
         return value
 
     def parse_factor(self):
         if self.peek()[0] == "-":
             self.take()
-            return -self.parse_factor()
+            return _add_into({}, self.parse_factor(), -1)
         value = self.parse_primary()
         if self.peek()[0] == "^":
             self.take()
@@ -107,7 +157,7 @@ class _Parser:
                 self.take()
                 sign = -1
             tok = self.take("int")
-            value = value ** (sign * tok[1])
+            value = _pow(value, sign * tok[1])
         return value
 
     def parse_primary(self):
@@ -119,13 +169,13 @@ class _Parser:
                 den_tok = self.take("int")
                 if den_tok[1] == 0:
                     raise ExprError("zero denominator", den_tok[2])
-                return MultiPoly.const(Fraction(payload, den_tok[1]))
-            return MultiPoly.const(payload)
+                payload = Fraction(payload, den_tok[1])
+            return {(): payload} if payload else {}
         if kind == "name":
             self.take()
             if self.allowed is not None and payload not in self.allowed:
                 raise ExprError(f"unknown variable {payload!r}", offset)
-            return MultiPoly.var(payload)
+            return {((payload, 1),): 1}
         if kind == "(":
             self.take()
             value = self.parse_expr()
@@ -151,9 +201,4 @@ def parse_expr(text: str, variables=None) -> MultiPoly:
     tok = parser.peek()
     if tok[0] != "end":
         raise ExprError(f"trailing input {tok[1]!r}", tok[2])
-    return value
-
-
-def serialize(poly: MultiPoly) -> str:
-    """Canonical text form (total degree, then lexicographic term order)."""
-    return str(poly)
+    return _to_poly(value)

@@ -709,11 +709,12 @@ class TruncSeries:
 class RationalFunction:
     """Quotient of MultiPolys, normalized by content/sign and by the monic
     gcd whenever numerator and denominator are univariate in one shared
-    variable.  Equality falls back to cross-multiplication, so values are
+    variable.  Two such reduced fractions are equal iff their parts are;
+    equality falls back to cross-multiplication otherwise, so values are
     well defined even when full gcd reduction is unavailable.
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("numerator", "denominator", "_reduced")
 
     def __init__(self, numerator, denominator=1):
         numerator = _to_poly(numerator)
@@ -728,6 +729,7 @@ class RationalFunction:
             numerator, denominator = reduced
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_reduced", reduced is not None)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -795,6 +797,10 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self._reduced and other._reduced:
+            # the reduced form of a fraction in one variable is unique
+            return self.numerator == other.numerator and \
+                self.denominator == other.denominator
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __hash__(self):

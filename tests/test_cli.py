@@ -221,6 +221,12 @@ GOOD_DATUM = {
     (("pro",), {"mode": "euler", "eulers": [2, 2], "level": 2, "chi": "4"}),
     (("k0", "pro"), {"mode": "class", "level": 1.5, "gamma": "L^2",
                      "value": "L"}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "strata": [{"subset": [], "class": "L^\u00b2"},
+                               {"subset": ["E"], "class": "L + 1"}]}),
+    (("stringy", "integral"),
+     {**GOOD_DATUM, "strata": [{"subset": [], "class": "L^\u0663"},
+                               {"subset": ["E"], "class": "L + 1"}]}),
 ])
 def test_malformed_input_exits_3(tmp_path, capsys, argv, data):
     path = tmp_path / "datum.json"
@@ -229,6 +235,24 @@ def test_malformed_input_exits_3(tmp_path, capsys, argv, data):
     assert code == EXIT_VALIDATION
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_non_ascii_digit_exits_3(capsys, digit):
+    # a superscript two, an Arabic-Indic three: no int() message, and no
+    # silent "L^3"
+    assert run(capsys, "k0", "eval", f"L^{digit}") == \
+        (EXIT_VALIDATION, "",
+         f"error: unexpected character {digit!r} (at offset 2)\n")
+
+
+def test_compare_at_the_denominator_budget(capsys):
+    # one component at a = 4095, the largest the budget admits: the
+    # reduced one-variable values compare their parts
+    path = str(FIXTURES / "budget_edge.json")
+    code, out, err = run(capsys, "stringy", "compare", path, path)
+    assert code == EXIT_OK and err == ""
+    assert out.count("True") == 4
 
 
 FILE_VERBS = (("pro",), ("k0", "pro"), ("k0", "blowup-check"),

@@ -233,6 +233,35 @@ def test_rational_function_hashes_like_its_polynomial():
     assert hash(RationalFunction(1, X + 1)) == hash(RationalFunction(Y, X * Y + Y))
 
 
+def test_rational_function_equality_against_cross_multiplication():
+    # reduced one-variable fractions compare their parts; a Laurent or a
+    # two-variable fraction cross-multiplies.  Each pool holds one value
+    # written several ways, beside others
+    rng = random.Random(15)
+    seen = set()
+    for _ in range(40):
+        a, b = (random_poly(rng, nvars=1, nterms=3) for _ in range(2))
+        if b.is_zero():
+            continue
+        pool = []
+        for scale in (1, 1 + X, X ** 2 - 3, X ** -1, X ** -2 * (X + 2),
+                      Y, 1 + Y, Fraction(-2, 3), X * Y):
+            pool.append(RationalFunction(a * scale, b * scale))
+        pool += [RationalFunction(b, a) if not a.is_zero() else pool[0],
+                 RationalFunction(a + 1, b), RationalFunction(a, b * (X + 3)),
+                 RationalFunction(a * Y, b)]
+        for f in pool:
+            for g in pool:
+                cross = f.numerator * g.denominator == \
+                    g.numerator * f.denominator
+                assert (f == g) == cross
+                if cross:
+                    assert hash(f) == hash(g)
+                seen.add((f._reduced, g._reduced, cross))
+    assert {(True, True, True), (True, True, False), (True, False, True),
+            (False, False, True), (False, False, False)} <= seen
+
+
 def test_binom_frac():
     assert binom_frac(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binom_frac(5, 2) == 10
