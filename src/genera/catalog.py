@@ -84,9 +84,11 @@ def _ahat_series(order: int) -> TruncSeries:
 
 def _hirzebruch_series(order: int) -> TruncSeries:
     # f_y(z) = z(1+y) / (1 - e^{-z(1+y)}) - z*y: the Todd coefficient
-    # t_k times (1+y)^k, expanded by the binomial theorem
-    cs = [MultiPoly(("y",), {(i,): t * math.comb(k, i)
-                             for i in range(k + 1)})
+    # t_k times (1+y)^k, expanded by the binomial theorem on ints; the
+    # odd t_k = 0 (k >= 3) give the zero polynomial
+    cs = [MultiPoly(("y",), {(i,): Fraction(t.numerator * math.comb(k, i),
+                                            t.denominator)
+                             for i in range(k + 1) if t})
           for k, t in enumerate(_todd_series(order).coeffs)]
     if order >= 1:
         cs[1] = cs[1] - Y

@@ -59,24 +59,24 @@ def cmd_genus(args) -> int:
     # the genus reads the series only through z^n; a negative n is
     # rejected by genus_on_projective
     series = catalog.builtin_series(args.series, order=max(args.n, 0))
-    value = catalog.genus_on_projective(series, args.n)
-    _emit(args, str(value),
-          {"series": args.series, "n": args.n, "value": str(value)})
+    value = str(catalog.genus_on_projective(series, args.n))
+    _emit(args, value, {"series": args.series, "n": args.n, "value": value})
     return EXIT_OK
 
 
 def cmd_hrr(args) -> int:
     lhs, rhs, equal = projspace.hrr_check(args.n, args.d)
+    lhs, rhs = str(lhs), str(rhs)
     text = emit_table([[args.n, args.d, lhs, rhs, equal]],
                       header=("n", "d", "sections", "integral", "equal"))
-    _emit(args, text, {"n": args.n, "d": args.d, "sections": str(lhs),
-                       "integral": str(rhs), "equal": equal})
+    _emit(args, text, {"n": args.n, "d": args.d, "sections": lhs,
+                       "integral": rhs, "equal": equal})
     return EXIT_OK if equal else EXIT_MATH
 
 
 def cmd_ty(args) -> int:
-    value = projspace.ty_class_degree(args.n)
-    _emit(args, str(value), {"n": args.n, "value": str(value)})
+    value = str(projspace.ty_class_degree(args.n))
+    _emit(args, value, {"n": args.n, "value": value})
     return EXIT_OK
 
 
@@ -89,8 +89,9 @@ def cmd_k0(args) -> int:
             value = k0.chi_y_of_class(cls)
         else:
             value = k0.euler_of_class(cls)
-        _emit(args, str(value), {"action": args.action, "class": args.arg,
-                                 "value": str(value)})
+        value = str(value)
+        _emit(args, value, {"action": args.action, "class": args.arg,
+                            "value": value})
         return EXIT_OK
     if args.action == "blowup-check":
         data = load_json_object(args.arg)
@@ -134,15 +135,16 @@ def _run_pro(args, data: dict) -> int:
             raise ValidationError(f"tower 'eulers' must be a list of "
                                   f"integers, got {eulers!r}")
         tower = k0.TowerDatum(eulers=tuple(eulers))
-        value = k0.pro_euler(tower, level, _tower_int(data, "chi"))
-        _emit(args, str(value), {"mode": "euler", "value": str(value)})
+        value = str(k0.pro_euler(tower, level, _tower_int(data, "chi")))
+        _emit(args, value, {"mode": "euler", "value": value})
         return EXIT_OK
     gamma = _parse_class(_tower_field(data, "gamma"))
     tower = k0.TowerDatum(gamma=gamma)
     num, left = k0.pro_grothendieck(
         tower, level, _parse_class(_tower_field(data, "value")))
-    text = str(num) if left == 0 else f"({num}) / ({gamma})^{left}"
-    _emit(args, text, {"mode": "class", "numerator": str(num),
+    num = str(num)
+    text = num if left == 0 else f"({num}) / ({gamma})^{left}"
+    _emit(args, text, {"mode": "class", "numerator": num,
                        "denominator_power": left})
     return EXIT_OK
 
@@ -183,10 +185,9 @@ def cmd_stringy(args) -> int:
             order = sorted(range(len(bits)),
                            key=lambda m: (len(bits[m]), bits[m]))
             rows = [("{" + ", ".join(names[i] for i in bits[m]) + "}",
-                     datum.strata[m]) for m in order]
+                     str(datum.strata[m])) for m in order]
             text = emit_table(rows, header=("stratum", "class"))
-            _emit(args, text,
-                  {label: str(cls) for label, cls in rows})
+            _emit(args, text, dict(rows))
             return EXIT_OK
         value = stringy.motivic_integral(datum)
     elif args.action == "efun":
@@ -195,7 +196,8 @@ def cmd_stringy(args) -> int:
         value = stringy.stringy_chi_y(datum)
     else:
         value = stringy.stringy_euler(datum)
-    _emit(args, str(value), {"action": args.action, "value": str(value)})
+    value = str(value)
+    _emit(args, value, {"action": args.action, "value": value})
     return EXIT_OK
 
 
@@ -207,9 +209,10 @@ def cmd_jets(args) -> int:
             f"bad exponent list {args.exponents!r}") from exc
     spec = jets.JetSpec(args.dim, exponents, level=max(args.pmax, 1))
     partial, closed, verdict = jets.oracle_integral(spec, args.pmax)
+    partial, closed = str(partial), str(closed)
     text = emit_table(
         [["partial", partial], ["closed", closed], ["verdict", verdict]])
-    _emit(args, text, {"partial": str(partial), "closed": str(closed),
+    _emit(args, text, {"partial": partial, "closed": closed,
                        "verdict": verdict})
     return EXIT_OK if verdict else EXIT_MATH
 

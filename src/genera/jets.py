@@ -11,9 +11,9 @@ and compared with the closed-form stratum integral.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .dense import Dense
 from .k0 import K0Class, lefschetz
@@ -61,8 +61,53 @@ def _coordinate_cell(order: int, n: int) -> Dense:
     return L_MINUS_1.shift(n - order)
 
 
-def _measure(spec: JetSpec, p: int) -> Dense:
-    """cylinder_measure as a dense polynomial in L."""
+def _walk(levels, budget: int, cell: Dense, weight: int = 0):
+    """Yield (weight, cell) for every choice of one (w, class) pair per
+    level whose weights add up to at most ``budget``; each level lists
+    its pairs by increasing weight.  The cell is ``cell`` times the
+    chosen classes: the product over a prefix of levels is taken once and
+    shared by every cell below it, so each cell costs one product."""
+    if not levels:
+        yield weight, cell
+        return
+    first, rest = levels[0], levels[1:]
+    for w, cls in first:
+        if weight + w > budget:
+            break
+        if rest:
+            yield from _walk(rest, budget, cell * cls, weight + w)
+        else:
+            yield weight + w, cell * cls
+
+
+def _contact_cells(spec: JetSpec, budget: int):
+    """(contact order, class in L_n(C^d)) of every cell whose contact
+    order sum a_i o_i is at most ``budget``: per positive coordinate the
+    orders o = 0..budget // a_i, times the free coordinates."""
+    n, d = spec.level, spec.dimension
+    weights = [a for a in spec.exponents if a > 0]
+    levels = [[(a * o, _coordinate_cell(o, n))
+               for o in range(budget // a + 1)] for a in weights]
+    return _walk(levels, budget, ONE.shift((n + 1) * (d - len(weights))))
+
+
+def _total(cells) -> Dense:
+    """The sum of cell * L^shift over the (shift, cell) pairs, added
+    coefficientwise into one table."""
+    acc = defaultdict(int)
+    for shift, cell in cells:
+        low = cell.low + shift
+        for i, c in enumerate(cell.coeffs):
+            acc[low + i] += c
+    if not acc:
+        return ZERO
+    low = min(acc)
+    return Dense("L", low, [acc[e] for e in range(low, max(acc) + 1)])
+
+
+def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
+    """Measure of {ord(E) = p}: the class of the cut-out subset of the
+    level-n jet space times L^(-n*d).  Stabilization requires n >= p."""
     if p < 0:
         raise ValueError("contact order must be nonnegative")
     n, d = spec.level, spec.dimension
@@ -70,40 +115,24 @@ def _measure(spec: JetSpec, p: int) -> Dense:
         raise ValueError(
             f"truncation level {n} too small for contact order {p} "
             f"(stabilization needs level >= order)")
-    positive = [i for i in range(d) if spec.exponents[i] > 0]
-    free_part = ONE.shift((n + 1) * (d - len(positive)))
-    total = ZERO
-    # orders p_i <= p whenever a_i >= 1 and sum a_i p_i = p
-    for orders in product(range(p + 1), repeat=len(positive)):
-        if sum(spec.exponents[i] * o
-               for i, o in zip(positive, orders)) != p:
-            continue
-        cell = free_part
-        for o in orders:
-            cell = cell * _coordinate_cell(o, n)
-        total = total + cell
+    total = _total((0, cell) for w, cell in _contact_cells(spec, p) if w == p)
+    return total.shift(-n * d).to_poly()
+
+
+def _partition_measure(spec: JetSpec) -> Dense:
+    """The summed measure of the exact-contact-order cells, each
+    coordinate of order 0..n or in the all-zero remainder cell."""
+    n, d = spec.level, spec.dimension
+    orders = [(0, _coordinate_cell(o, n)) for o in range(n + 1)] + [(0, ONE)]
+    total = _total((0, cell) for _, cell in _walk([orders] * d, 0, ONE))
     return total.shift(-n * d)
-
-
-def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
-    """Measure of {ord(E) = p}: the class of the cut-out subset of the
-    level-n jet space times L^(-n*d).  Stabilization requires n >= p."""
-    return _measure(spec, p).to_poly()
 
 
 def partition_check(spec: JetSpec) -> bool:
     """The exact-contact-order cells (including the deeper-than-level
     remainder per coordinate) partition the jet space: measures add up
     to L^d."""
-    n, d = spec.level, spec.dimension
-    total = ZERO
-    # per-coordinate order in 0..n, or the all-zero remainder cell
-    for orders in product(range(n + 2), repeat=d):
-        cell = ONE
-        for o in orders:
-            cell = cell * (_coordinate_cell(o, n) if o <= n else ONE)
-        total = total + cell
-    return total.shift(-n * d) == ONE.shift(d)
+    return _partition_measure(spec) == ONE.shift(spec.dimension)
 
 
 def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
@@ -117,7 +146,9 @@ def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
     free = lefschetz(1) ** (spec.dimension - m) \
         if spec.dimension > m else K0Class.point()
     torus = lefschetz(1) - K0Class.point()
-    strata = tuple(free * torus ** (m - mask.bit_count())
+    # the stratum of a mask is free * torus^j, j the components it misses
+    by_missing = [free * torus ** j for j in range(m + 1)]
+    strata = tuple(by_missing[m - mask.bit_count()]
                    for mask in range(1 << m))
     return ResolutionDatum("arc", 1, components, strata)
 
@@ -143,9 +174,8 @@ def oracle_integral(spec: JetSpec, p_max: int):
         raise ValueError("p_max must be nonnegative")
     level = max(spec.level, p_max)
     working = JetSpec(spec.dimension, spec.exponents, level)
-    partial = ZERO
-    for p in range(p_max + 1):
-        partial = partial + _measure(working, p).shift(-p)
+    partial = _total((-w, cell) for w, cell in _contact_cells(working, p_max))
+    partial = partial.shift(-level * spec.dimension)
     closed = closed_integral(spec)
     stratum_sum = motivic_integral(coordinate_datum(spec))
     return partial.to_poly(), closed, closed == stratum_sum

@@ -1,6 +1,7 @@
 """The dense integer kernel against MultiPoly, its gcd and the reduction
 of one-variable fractions against the Fraction Euclid they replaced, and
-the jets measures against their MultiPoly formulas."""
+the jets measures against their MultiPoly formulas and the
+product-and-filter enumeration that the cell walk replaced."""
 
 import math
 import random
@@ -13,7 +14,10 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from genera.dense import Dense  # noqa: E402
-from genera.jets import JetSpec, closed_integral, cylinder_measure  # noqa: E402
+from genera import jets  # noqa: E402
+from genera.jets import (  # noqa: E402
+    JetSpec, closed_integral, cylinder_measure, oracle_integral,
+    partition_check)
 from genera.rings import ExactDivisionError, MultiPoly, RationalFunction  # noqa: E402
 
 X = MultiPoly.var("x")
@@ -288,3 +292,92 @@ def test_jets_against_multipoly_formulas():
         closed = closed_integral(spec)
         assert (closed.numerator, closed.denominator) == \
             reference_closed(spec)
+
+
+def random_spec(rng, p_max: int) -> JetSpec:
+    """d <= 4 with zero exponents allowed, and a level above p_max."""
+    dim = rng.randint(1, 4)
+    return JetSpec(dim, tuple(rng.randint(0, 3) for _ in range(dim)),
+                   p_max + rng.randint(1, 3))
+
+
+def reference_partial(spec: JetSpec, p_max: int) -> MultiPoly:
+    return sum((reference_cylinder(spec, p) * L ** -p
+                for p in range(p_max + 1)), MultiPoly.const(0))
+
+
+def test_oracle_partial_against_reference_cylinders():
+    rng = random.Random(16)
+    for _ in range(30):
+        p_max = rng.randint(0, 4)
+        spec = random_spec(rng, p_max)
+        partial, _, _ = oracle_integral(spec, p_max)
+        assert partial == reference_partial(spec, p_max), spec
+
+
+class Orders(tuple):
+    """A tuple of orders whose product is concatenation: walked in place
+    of the cell classes, it records which orders make up each cell."""
+
+    def __mul__(self, other):
+        return Orders(self + other)
+
+
+def test_walk_yields_the_tuples_product_and_filter_keeps():
+    rng = random.Random(17)
+    for _ in range(60):
+        weights = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
+        budget = rng.randint(0, 9)
+        levels = [[(a * o, Orders((o,))) for o in range(budget // a + 1)]
+                  for a in weights]
+        walked = [(w, tuple(orders))
+                  for w, orders in jets._walk(levels, budget, Orders())]
+        kept = [(sum(a * o for a, o in zip(weights, orders)), orders)
+                for orders in product(range(budget + 1), repeat=len(weights))
+                if sum(a * o for a, o in zip(weights, orders)) <= budget]
+        assert walked == kept, (weights, budget)
+
+
+def reference_partition(spec: JetSpec) -> MultiPoly:
+    """partition_check's summed measure before the cell walk: every
+    order tuple in 0..n+1, n + 1 standing for the remainder cell."""
+    n, d = spec.level, spec.dimension
+    total = MultiPoly.const(0)
+    for orders in product(range(n + 2), repeat=d):
+        cell = MultiPoly.const(1)
+        for o in orders:
+            cell = cell * ((L - 1) * L ** (n - o) if o <= n else 1)
+        total = total + cell
+    return total * L ** (-n * d)
+
+
+def test_partition_against_product_loop():
+    for d in (1, 2, 3):
+        for level in (0, 1, 3, 5):
+            spec = JetSpec(d, (1,) * d, level)
+            assert jets._partition_measure(spec).to_poly() == \
+                reference_partition(spec) == L ** d
+            assert partition_check(spec)
+
+
+def test_a_changed_walk_changes_the_partial():
+    # negative control: the oracle partial rebuilt from the walked cells
+    # matches the reference, and loses the match when one cell is dropped
+    # or one contact order is shifted by one
+    rng = random.Random(18)
+    for _ in range(10):
+        p_max = rng.randint(1, 4)
+        spec = random_spec(rng, p_max)
+        expected = reference_partial(spec, p_max)
+        cells = list(jets._contact_cells(spec, p_max))
+
+        def partial(cells):
+            total = jets._total((-w, cell) for w, cell in cells)
+            return total.shift(-spec.level * spec.dimension).to_poly()
+
+        assert partial(cells) == expected
+        k = rng.randrange(len(cells))
+        assert partial(cells[:k] + cells[k + 1:]) != expected
+        w, cell = cells[k]
+        shifted = cells[:k] + [(w + 1, cell)] + cells[k + 1:]
+        assert partial(shifted) != expected
