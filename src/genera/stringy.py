@@ -18,7 +18,7 @@ from fractions import Fraction
 from .dense import Dense
 from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
-    e_polynomial, load_json_object, poly_to_class
+    load_json_object, poly_to_class
 from .rings import MultiPoly, RationalFunction, TruncSeries, exp_coeffs
 
 MAX_COMPONENTS = 14
@@ -196,20 +196,7 @@ def stringy_value_from_expr(text: str, r: int = 1) -> StringyValue:
 
 
 # ---------------------------------------------------------------------
-# motivic integral (variable L, classes realized through atoms)
-
-
-def _realize_in_l(cls: K0Class, lpoly: MultiPoly) -> Dense:
-    """Realize a class as a dense polynomial in the integral variable,
-    mapping the Lefschetz atom to lpoly, a power var^r of that variable;
-    any other atom is out of scope here."""
-    for atom in cls.atoms.values():
-        if atom != LEFSCHETZ:
-            raise ValidationError(
-                f"motivic integral needs classes polynomial in L, got atom "
-                f"{atom.name!r}")
-    (var,), ((r,),) = lpoly.vars, lpoly.terms
-    return Dense.from_poly(cls.poly, "L").scale(r, var)
+# motivic integral (variable L, other atoms kept as variables)
 
 
 def _superset_sums(table: list) -> list:
@@ -246,29 +233,77 @@ def _factors(d: ResolutionDatum, var: str):
     return factors, math.prod(factors, start=Dense(var, 0, (1,)))
 
 
+def _open_fold(d: ResolutionDatum, var: str):
+    """The open-stratum fold of each atom monomial's table: every stratum
+    class split by its monomial in the atoms other than L, a tuple of
+    (name, exponent) pairs, into dense parts in var with L -> var^r.
+    Returns the atoms by name, the tables, the folds (the integral's
+    numerator by monomial), and the denominator's factors and product."""
+    r, size, zero = d.index_r, len(d.strata), Dense(var, 0, ())
+    atoms, tables = {}, {}
+    for m, cls in enumerate(d.strata):
+        atoms.update(cls.atoms)
+        names = cls.poly.vars
+        il = names.index("L") if "L" in names else len(names)
+        rows = {}  # exponents of the other atoms -> {var degree: coeff}
+        for expo, coeff in cls.poly.terms.items():
+            rows.setdefault(expo[:il] + expo[il + 1:], {})[
+                r * expo[il] if il < len(names) else 0] = coeff.numerator
+        others = names[:il] + names[il + 1:]
+        for expo, row in rows.items():
+            coeffs = [row.get(e, 0) for e in range(max(row) + 1)]
+            key = tuple((n, e) for n, e in zip(others, expo) if e)
+            tables.setdefault(key, [zero] * size)[m] = Dense(var, 0, coeffs)
+    dens, den = _factors(d, var)
+    ins = [Dense(var, r, (1,)) - 1] * len(dens)
+    num = {key: _fold(t, ins, dens) for key, t in tables.items()}
+    return atoms, tables, num, dens, den
+
+
+def _sum_parts(num: dict, image, var: str) -> MultiPoly:
+    """The sum of num[key], renamed to var, times image(n)^e per (n, e)."""
+    terms = [math.prod((image(n) ** e for n, e in key),
+                       start=Dense(var, part.low, part.coeffs).to_poly())
+             for key, part in num.items()]
+    return sum(terms[1:], terms[0]) if terms else MultiPoly.const(0)
+
+
+def _checked_integral(d: ResolutionDatum):
+    """The motivic integral with its atoms, numerator by atom monomial and
+    denominator.  The closed-stratum fold must agree with the open one on
+    every atom monomial; a mismatch raises ConsistencyError."""
+    r = d.index_r
+    var = "L" if r == 1 else "t"
+    if r > 1 and any("t" in cls.atoms for cls in d.strata):
+        raise ValidationError(f"an atom named 't' clashes with t = L^(1/{r})")
+    atoms, tables, num, dens, den = _open_fold(d, var)
+    lm1 = Dense(var, r, (1,)) - 1
+    ins = [lm1 - f for f in dens]
+    if num != {key: _fold(_superset_sums(t), ins, dens)
+               for key, t in tables.items()}:
+        raise ConsistencyError(
+            "open- and closed-stratum forms of the motivic integral differ")
+    integral = RationalFunction(_sum_parts(num, MultiPoly.var, var),
+                                den.to_poly())
+    return integral, atoms, num, den
+
+
+def _realise(atoms: dict, num: dict, den: Dense, r: int) -> StringyValue:
+    """The E-realisation of an integral's numerator over den: each atom
+    goes to its E-polynomial and the variable to t, so L -> t^r = uv."""
+    return StringyValue(_sum_parts(num, lambda n: atoms[n].e_poly, "t"),
+                        Dense("t", den.low, den.coeffs).to_poly(), r)
+
+
 def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     """Sum over strata of [E_I^o] * prod_{i in I} (L-1)/(L^{a_i+1}-1),
-    as an exact rational function of L (of t with t^r = L when r > 1).
+    exact in L (in t with t^r = L when r > 1) and the other atoms.
 
     The closed-stratum form sum [E_I] * prod((L-1)/(L^{a_i+1}-1) - 1) is
     computed alongside and must agree; a mismatch raises ConsistencyError.
     The closed strata [E_I] are the superset sums of the open ones.
     """
-    r = d.index_r
-    lname = "L" if r == 1 else "t"
-    lpoly = MultiPoly.var(lname) ** r
-    k = len(d.components)
-    dens, den = _factors(d, lname)
-    lm1 = Dense(lname, r, (1,)) - 1
-
-    open_table = [_realize_in_l(cls, lpoly) for cls in d.strata]
-    open_num = _fold(open_table, [lm1] * k, dens)
-    closed_num = _fold(_superset_sums(open_table),
-                       [lm1 - f for f in dens], dens)
-    if open_num != closed_num:
-        raise ConsistencyError(
-            "open- and closed-stratum forms of the motivic integral differ")
-    return RationalFunction(open_num.to_poly(), den.to_poly())
+    return _checked_integral(d)[0]
 
 
 # ---------------------------------------------------------------------
@@ -277,22 +312,10 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
 
 def stringy_E(d: ResolutionDatum) -> StringyValue:
     """Sum over strata of E(E_I^o; u, v) * prod_{i in I}
-    (uv-1)/((uv)^{a_i+1}-1), with (uv)^{1/r} carried by t."""
-    r = d.index_r
-    dens, den = _factors(d, "t")
-    ins = [Dense("t", r, (1,)) - 1] * len(dens)
-    if all(atom == LEFSCHETZ
-           for cls in d.strata for atom in cls.atoms.values()):
-        # E(L) = uv = t^r once rewritten, so the table is the classes
-        # with L -> t^r, and the fold runs on dense polynomials in t
-        tr = MultiPoly.var("t") ** r
-        num = _fold([_realize_in_l(cls, tr) for cls in d.strata], ins, dens)
-        return StringyValue(num.to_poly(), den.to_poly(), r)
-    # canonical terms keep the fold small; times factors in t alone they
-    # stay canonical, so the constructor's rewrite of the sum changes nothing
-    table = [rewrite_uv(e_polynomial(cls), r) for cls in d.strata]
-    num = _fold(table, [f.to_poly() for f in ins], [f.to_poly() for f in dens])
-    return StringyValue(num, den.to_poly(), r)
+    (uv-1)/((uv)^{a_i+1}-1), with (uv)^{1/r} carried by t; the
+    E-realisation of the integral's open fold."""
+    atoms, _, num, _, den = _open_fold(d, "t")
+    return _realise(atoms, num, den, d.index_r)
 
 
 def _chi_y_of(e: StringyValue) -> RationalFunction:
@@ -435,10 +458,10 @@ class InvarianceReport:
 
 def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceReport:
     """Compare the four invariants of two resolution data for one pair;
-    chi_y only when both have index 1.  One E-function per datum feeds
-    its chi_y and the limit check of its Euler number."""
-    i1, i2 = motivic_integral(d1), motivic_integral(d2)
-    e1, e2 = stringy_E(d1), stringy_E(d2)
+    chi_y only when both have index 1.  Each datum's E-function realises
+    its checked integral, and feeds its chi_y and Euler limit check."""
+    (i1, *n1), (i2, *n2) = map(_checked_integral, (d1, d2))
+    e1, e2 = _realise(*n1, d1.index_r), _realise(*n2, d2.index_r)
     chi_y = None
     if d1.index_r == d2.index_r == 1:
         c1, c2 = _chi_y_of(e1), _chi_y_of(e2)

@@ -255,6 +255,30 @@ def test_compare_at_the_denominator_budget(capsys):
     assert out.count("True") == 4
 
 
+def test_atom_named_t_at_index_two(capsys, tmp_path):
+    # at index r > 1 the integral's variable is t = L^(1/r), which an atom
+    # named t would merge with; the E-function realises the atom instead,
+    # so efun and euler keep their values
+    path = str(FIXTURES / "atom_t_index2.json")
+    message = "error: an atom named 't' clashes with t = L^(1/2)\n"
+    assert run(capsys, "stringy", "integral", path) == \
+        (EXIT_VALIDATION, "", message)
+    assert run(capsys, "stringy", "compare", path, path) == \
+        (EXIT_VALIDATION, "", message)
+    assert run(capsys, "stringy", "efun", path) == \
+        (EXIT_OK, "(-t^2 - t^3 + 2*t^5) / (-1 + t^3)\n", "")
+    assert run(capsys, "stringy", "euler", path) == (EXIT_OK, "5/3\n", "")
+    # at index 1 the variable is L, and t is one more atom: t + L plus
+    # (L - 1)/(L^2 - 1), over a denominator a several-variable fraction
+    # does not reduce
+    data = json.loads(Path(path).read_text())
+    data.update(index_r=1, components=[{"name": "E", "a": "1"}])
+    one = tmp_path / "atom_t_index1.json"
+    one.write_text(json.dumps(data))
+    assert run(capsys, "stringy", "integral", str(one)) == \
+        (EXIT_OK, "(-1 - t + L^2*t + L^3) / (-1 + L^2)\n", "")
+
+
 FILE_VERBS = (("pro",), ("k0", "pro"), ("k0", "blowup-check"),
               ("stringy", "integral"), ("stringy", "efun"),
               ("stringy", "chiy"), ("stringy", "euler"),

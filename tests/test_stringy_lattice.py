@@ -9,14 +9,15 @@ from fractions import Fraction
 import pytest
 
 from genera import stringy
+from genera.dense import Dense
 from genera.k0 import (Atom, K0Class, LEFSCHETZ, e_polynomial,
                        euler_of_class, poly_to_class)
 from genera.rings import MultiPoly, RationalFunction, TruncSeries, binom_frac
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             invariance_check, motivic_integral, product_datum,
-                            rewrite_uv, stringy_E, stringy_euler)
+                            rewrite_uv, stringy_E, stringy_chi_y,
+                            stringy_euler)
 
-L = MultiPoly.var("L")
 C = Atom("C", 1, MultiPoly.var("u") * MultiPoly.var("v")
          - MultiPoly.var("u") - MultiPoly.var("v") + 1)
 ATOMS = {"L": LEFSCHETZ, "C": C}
@@ -81,8 +82,9 @@ def reference_E(d: ResolutionDatum):
 
 @pytest.mark.parametrize("k,r", CASES)
 def test_integral_matches_per_subset_sum(k, r):
-    d = random_datum(k, r, seed=100 * k + r)
-    assert str(motivic_integral(d)) == str(reference_integral(d))
+    for with_curve in (False, True):
+        d = random_datum(k, r, seed=100 * k + r, with_curve=with_curve)
+        assert str(motivic_integral(d)) == str(reference_integral(d))
 
 
 @pytest.mark.parametrize("k,r", CASES)
@@ -109,11 +111,15 @@ def test_euler_matches_per_subset_sum(k, r):
 def test_superset_sums_are_closed_strata(k, r):
     d = random_datum(k, r, seed=300 * k + r)
     table = stringy._superset_sums(d.strata)
-    lpoly = MultiPoly.var("t") ** r if r > 1 else L
     for m, closed in enumerate(table):
         assert closed == d.closed_stratum(m)
-        assert stringy._realize_in_l(closed, lpoly) == \
-            stringy._realize_in_l(d.closed_stratum(m), lpoly)
+    # the superset sums of the split open strata split the closed strata
+    var = "t" if r > 1 else "L"
+    parts = stringy._open_fold(d, var)[1]
+    closed_parts = stringy._open_fold(
+        ResolutionDatum(d.flavor, r, d.components, tuple(table)), var)[1]
+    assert {key: stringy._superset_sums(t) for key, t in parts.items()} == \
+        closed_parts
 
 
 @pytest.mark.parametrize("k1,k2,r", [
@@ -153,34 +159,115 @@ def superset_sums_skipping(skip):
 
 @pytest.mark.parametrize("r", (1, 2))
 def test_open_closed_check_is_live(monkeypatch, r):
-    d = random_datum(4, r, seed=7 + r)
-    expected = motivic_integral(d)
-    # the patched pass, skipping nothing, is the real one
-    monkeypatch.setattr(stringy, "_superset_sums", superset_sums_skipping(None))
-    assert motivic_integral(d) == expected
-    for skip in range(4):
+    for d in (random_datum(4, r, seed=7 + r),
+              random_datum(4, r, seed=9 + r, with_curve=True)):
+        expected = motivic_integral(d)
+        # the patched pass, skipping nothing, is the real one
         monkeypatch.setattr(stringy, "_superset_sums",
-                            superset_sums_skipping(skip))
-        with pytest.raises(ConsistencyError):
-            motivic_integral(d)
+                            superset_sums_skipping(None))
+        assert motivic_integral(d) == expected
+        for skip in range(4):
+            monkeypatch.setattr(stringy, "_superset_sums",
+                                superset_sums_skipping(skip))
+            with pytest.raises(ConsistencyError):
+                motivic_integral(d)
+            with pytest.raises(ConsistencyError):
+                invariance_check(d, d)
+        monkeypatch.undo()
+
+
+def recording_sums(monkeypatch):
+    """Patch stringy._superset_sums to record the tables it returns: a
+    fold of any other table of dense parts is an open fold."""
+    sums = []
+    real = stringy._superset_sums
+
+    def record(table):
+        sums.append(real(table))
+        return sums[-1]
+
+    monkeypatch.setattr(stringy, "_superset_sums", record)
+    return sums
+
+
+def is_open_fold(sums, table):
+    return isinstance(table[0], Dense) and not any(table is t for t in sums)
+
+
+@pytest.mark.parametrize("r", (1, 2))
+def test_open_fold_perturbation_is_caught(monkeypatch, r):
+    real_fold = stringy._fold
+    for d in (random_datum(3, r, seed=21 + r),
+              random_datum(3, r, seed=23 + r, with_curve=True)):
+        sums = recording_sums(monkeypatch)
+        for mask in range(8):
+            # one more point in one open stratum, in the open fold alone
+            def fold(table, ins, outs, mask=mask):
+                if is_open_fold(sums, table):
+                    table = [x + 1 if m == mask else x
+                             for m, x in enumerate(table)]
+                return real_fold(table, ins, outs)
+
+            monkeypatch.setattr(stringy, "_fold", fold)
+            with pytest.raises(ConsistencyError):
+                motivic_integral(d)
+            with pytest.raises(ConsistencyError):
+                invariance_check(d, d)
+        for i in range(3):
+            # component i folded out with its in and out factors swapped;
+            # they are equal when a_i = 0
+            if d.discrepancy(i) == 0:
+                continue
+
+            def fold(table, ins, outs, i=i):
+                if is_open_fold(sums, table):
+                    ins, outs = list(ins), list(outs)
+                    ins[i], outs[i] = outs[i], ins[i]
+                return real_fold(table, ins, outs)
+
+            monkeypatch.setattr(stringy, "_fold", fold)
+            with pytest.raises(ConsistencyError):
+                motivic_integral(d)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("r", (1, 2))
 def test_one_E_function_per_datum_in_compare(monkeypatch, r):
-    calls = []
-    real = stringy.stringy_E
+    # each class is realised once per datum, by its one open fold, and the
+    # data in L alone hold one atom monomial: one open and one closed fold
+    # of dense parts per datum
+    calls, folds = [], []
+    real_open, real_fold = stringy._open_fold, stringy._fold
 
-    def counted(d):
+    def open_fold(d, var):
         calls.append(d)
-        return real(d)
+        return real_open(d, var)
 
-    monkeypatch.setattr(stringy, "stringy_E", counted)
+    def fold(table, ins, outs):
+        folds.append(table)
+        return real_fold(table, ins, outs)
+
+    sums = recording_sums(monkeypatch)
+    monkeypatch.setattr(stringy, "_open_fold", open_fold)
+    monkeypatch.setattr(stringy, "_fold", fold)
     d1, d2 = random_datum(3, r, seed=11), random_datum(2, r, seed=12)
     report = invariance_check(d1, d2)
     assert calls == [d1, d2]
+    assert sum(is_open_fold(sums, t) for t in folds) == 2
+    assert sum(any(t is u for u in sums) for t in folds) == 2
     assert (report.chi_y is None) == (r > 1)
     assert report.euler == (stringy_euler(d1), stringy_euler(d2),
                             stringy_euler(d1) == stringy_euler(d2))
+
+
+@pytest.mark.parametrize("with_curve", (False, True))
+def test_standalone_E_runs_the_open_fold_alone(monkeypatch, with_curve):
+    def no_closed_fold(table):
+        raise AssertionError("closed fold outside the integral")
+
+    d = random_datum(3, 1, seed=31, with_curve=with_curve)
+    monkeypatch.setattr(stringy, "_superset_sums", no_closed_fold)
+    stringy_E(d), stringy_chi_y(d), stringy_euler(d)
 
 
 def test_index_two_report_skips_chi_y():
