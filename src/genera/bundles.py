@@ -8,6 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import GradedRing
+from .k0 import ValidationError
 from .rings import MultiPoly, TruncSeries, coeff_inverse
 
 Y = MultiPoly.var("y")
@@ -152,63 +153,62 @@ def s_op(bundle: FormalBundle, t_order: int) -> TruncSeries:
 # ---------------------------------------------------------------------
 # line-level K-theory model (split bundles) and the elliptic class
 #
-# The line with first Chern class sum m_i alpha_i, where alpha_1..alpha_r
-# are the split roots, is the Laurent monomial prod x_i^m_i in one
-# variable x_i per root; coefficients lie in Z[y, 1/y].  Tensor product
-# of lines is the product of monomials.  This is a cover of the line
-# K-theory: when roots repeat (or reduce to the same class), distinct
-# monomials can name the same line, and only `line_ch` identifies them.
+# Each split root is an integer linear form sum m_h h in the ring's
+# weight-1 variables h, and the line with that first Chern class is the
+# Laurent monomial prod x_h^m_h, in one line variable x_h per such
+# variable; coefficients lie in Z[y, 1/y].  Tensor product of lines is
+# the product of monomials, and distinct monomials are distinct lines.
 
 
-def _line_names(bundle: FormalBundle) -> list:
-    """The names x1..xr of the line variables of a split bundle."""
+def _line_monomials(bundle: FormalBundle):
+    """Yield the line monomial prod x_h^m_h of each split root sum m_h h."""
     if bundle.rank and bundle.split_roots is None:
         raise ValueError("the line-level model needs declared split roots")
-    return [f"x{i}" for i in range(1, bundle.rank + 1)]
+    for root in bundle.split_roots or ():
+        powers = {}
+        for expo, m in root.terms.items():
+            h = root.vars[expo.index(1)] if [e for e in expo if e] == [1] else ""
+            if m.denominator != 1 or bundle.ring.weights.get(h) != 1:
+                raise ValidationError(f"split root {root} is not an integer "
+                                      f"linear form in weight-1 variables")
+            powers[f"x_{h}"] = int(m)
+        yield MultiPoly.monomial(powers)
 
 
 def line_ch(value, bundle: FormalBundle) -> MultiPoly:
-    """Chern character of a line-level value of ``bundle``: each term
-    coeff * prod x_i^m_i maps to coeff * exp(sum m_i alpha_i), reduced in
-    the bundle's ring.  Monomials naming the same line (repeated roots)
-    meet here."""
+    """Chern character of a line-level value of ``bundle``: split by its
+    line monomials prod x_h^m_h, each coefficient c maps to
+    c * exp(sum m_h h), one exp per line, reduced in the bundle's ring."""
     ring = bundle.ring
     parts = [(MultiPoly.const(0), MultiPoly._coerce(value))]
-    for name, root in zip(_line_names(bundle), bundle.split_roots or ()):
-        parts = [(alpha + m * root, coeff) for alpha, rest in parts
-                 for m, coeff in rest.coefficients_in(name).items()]
-    by_class = {}
-    for alpha, coeff in parts:
-        alpha = ring.reduce(alpha)
-        by_class[alpha] = by_class.get(alpha, 0) + coeff
+    for h in (h for h, w in ring.weights.items() if w == 1):
+        parts = [(alpha + m * MultiPoly.var(h), coeff) for alpha, rest in parts
+                 for m, coeff in rest.coefficients_in(f"x_{h}").items()]
     return ring.reduce(sum((coeff * ring.exp_nilpotent(alpha)
-                            for alpha, coeff in by_class.items()),
-                           MultiPoly.const(0)))
+                            for alpha, coeff in parts), MultiPoly.const(0)))
 
 
 def _line_factor(x: MultiPoly, q_order: int) -> TruncSeries:
     """q-series elliptic factor of the line x: (1 + y/x) times
-    prod_n (1 + y q^n / x)(1 + q^n x / y) S_{q^n}(1/x) S_{q^n}(x)."""
+    prod_n (1 + y q^n / x) S_{q^n}(1/x) (1 + q^n x / y) S_{q^n}(x), with
+    (1 + c q^n L) S_{q^n}(L) = 1 + (1 + c) sum_{k>=1} L^k q^(nk)."""
     zero = MultiPoly.const(0)
     out = TruncSeries("q", q_order, [1 + Y * x ** -1] + [zero] * q_order)
     for n in range(1, q_order + 1):
-        for line, coeff in ((x ** -1, Y), (x, Y ** -1)):
-            lam = [MultiPoly.const(1)] + [zero] * q_order
-            lam[n] = coeff * line
-            s = [line ** (m // n) if m % n == 0 else zero
-                 for m in range(q_order + 1)]
-            out = out * TruncSeries("q", q_order, lam) * \
-                TruncSeries("q", q_order, s)
+        for line, c in ((x ** -1, Y), (x, Y ** -1)):
+            out = out * TruncSeries("q", q_order, [MultiPoly.const(1)] + [
+                (1 + c) * line ** (m // n) if m % n == 0 else zero
+                for m in range(1, q_order + 1)])
     return out
 
 
 def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> TruncSeries:
     """ELL(E) = Lambda_y(E^*) tensor W(E) as a series in q whose
     coefficients are line-level values: Laurent polynomials in y and the
-    line variables x_i (see `line_ch` for their Chern character).  With
-    repeated roots, two different values can have the same `line_ch`.
+    line variables x_h (see `line_ch` for their Chern character).
 
-    Requires a split bundle (rank 0 is the empty product).  The q^0
+    Requires a split bundle (rank 0 is the empty product) whose roots are
+    integer linear forms, else raises ValidationError.  The q^0
     coefficient is Lambda_y(E^*).  Other normalizations in the literature
     replace y by -y and rescale by y^(rank/2); this implementation pins the
     convention above and leaves that dictionary to the docs.
@@ -217,14 +217,14 @@ def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> TruncSeries:
         raise ValueError("q_order must be >= 0")
     out = TruncSeries("q", q_order,
                       [MultiPoly.const(1)] + [MultiPoly.const(0)] * q_order)
-    for x in map(MultiPoly.var, _line_names(bundle)):
+    for x in _line_monomials(bundle):
         out = out * _line_factor(x, q_order)
     return out
 
 
 def lambda_y_dual_lines(bundle: FormalBundle) -> MultiPoly:
-    """Lambda_y(E^*) at the line level: prod (1 + y/x_i)."""
+    """Lambda_y(E^*) at the line level: prod (1 + y/x) over root lines x."""
     out = MultiPoly.const(1)
-    for x in map(MultiPoly.var, _line_names(bundle)):
+    for x in _line_monomials(bundle):
         out = out * (1 + Y * x ** -1)
     return out

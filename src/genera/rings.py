@@ -445,10 +445,11 @@ def _from_dense(names: tuple, p, num: int, den: int) -> MultiPoly:
 def _reduced_univariate(numerator: MultiPoly, denominator: MultiPoly):
     """(numerator, denominator) in lowest terms, the denominator an
     integer polynomial with content 1 and positive leading coefficient;
-    None unless both are polynomials in at most one shared variable."""
+    None unless the denominator is a polynomial in at most one variable
+    v and the numerator has no negative power of v."""
     names = tuple(set(numerator.vars) | set(denominator.vars))
     if len(names) > 1:
-        return None
+        return _reduced_over_univariate(numerator, denominator)
     n, dn = _cleared(numerator, names)
     d, dd = _cleared(denominator, names)
     if n.low < 0 or d.low < 0:
@@ -460,6 +461,37 @@ def _reduced_univariate(numerator: MultiPoly, denominator: MultiPoly):
     c = math.gcd(*d.coeffs) if d.coeffs[-1] > 0 else -math.gcd(*d.coeffs)
     # n/dn over (c * (d/c))/dd is (n*dd / (dn*c)) over d/c
     return _from_dense(names, n, dd, dn * c), _from_dense(names, d, 1, c)
+
+
+def _reduced_over_univariate(numerator: MultiPoly, denominator: MultiPoly):
+    """As ``_reduced_univariate`` for a numerator in more variables: a
+    common factor with a denominator in one variable v lies in v alone,
+    so it is the gcd of the denominator with the numerator's coefficient
+    (a polynomial in v) of each monomial in the other variables."""
+    var = denominator.vars
+    if len(var) > 1:
+        return None
+    at = [i for i, name in enumerate(numerator.vars) if name in var]
+    parts = {}  # monomial in the other variables -> its coefficient in v
+    for expo, coeff in numerator.terms.items():
+        rest = tuple(0 if i in at else e for i, e in enumerate(expo))
+        parts.setdefault(rest, {})[tuple(expo[i] for i in at)] = coeff
+    own = tuple(numerator.vars[i] for i in at)
+    parts = {m: _cleared(MultiPoly(own, t), var) for m, t in parts.items()}
+    d, dd = _cleared(denominator, var)
+    if d.low < 0 or any(p.low < 0 for p, _ in parts.values()):
+        return None
+    g = d
+    for p, _ in parts.values():
+        g = g.gcd(p)
+        if g.is_constant():
+            break
+    d = d / g
+    c = math.gcd(*d.coeffs) if d.coeffs[-1] > 0 else -math.gcd(*d.coeffs)
+    numerator = sum((MultiPoly(numerator.vars, {m: 1}) *
+                     _from_dense(var, p / g, dd, dp * c)
+                     for m, (p, dp) in parts.items()), MultiPoly.const(0))
+    return numerator, _from_dense(var, d, 1, c)
 
 
 # ---------------------------------------------------------------------
@@ -707,11 +739,14 @@ class TruncSeries:
 
 
 class RationalFunction:
-    """Quotient of MultiPolys, normalized by content/sign and by the monic
-    gcd whenever numerator and denominator are univariate in one shared
-    variable.  Two such reduced fractions are equal iff their parts are;
-    equality falls back to cross-multiplication otherwise, so values are
-    well defined even when full gcd reduction is unavailable.
+    """Quotient of MultiPolys, normalized by content/sign, and reduced to
+    lowest terms whenever the denominator is a polynomial in at most one
+    variable and the numerator has no negative power of it; a numerator
+    in more variables is reduced by the gcd of the denominator with its
+    coefficient of each monomial in the others.  Two reduced fractions in
+    one shared variable are equal iff their parts are; equality falls
+    back to cross-multiplication otherwise, so values are well defined
+    even when full gcd reduction is unavailable.
     """
 
     __slots__ = ("numerator", "denominator", "_reduced")
@@ -729,7 +764,8 @@ class RationalFunction:
             numerator, denominator = reduced
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_reduced", reduced is not None)
+        object.__setattr__(self, "_reduced", reduced is not None and len(
+            set(numerator.vars) | set(denominator.vars)) < 2)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -804,10 +840,11 @@ class RationalFunction:
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __hash__(self):
-        # A fraction equal to a polynomial hashes like it.  Several-variable
-        # fractions are not reduced, so equal values can have different
-        # numerators; hash what all of them share: the degree of numerator
-        # minus denominator in each variable.
+        # A fraction equal to a polynomial hashes like it.  A Laurent
+        # fraction, or one whose denominator has several variables, is not
+        # reduced, so equal values can have different numerators; hash what
+        # all of them share: the degree of numerator minus denominator in
+        # each variable.
         try:
             return hash(self.as_polynomial())
         except ExactDivisionError:

@@ -1,6 +1,7 @@
 """Chern roots vs classes: Newton identities, multiplicative classes,
 lambda/S operations, and the elliptic q-series."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from genera.bundles import (FormalBundle, chern_character,
                             s_op)
 from genera.catalog import SERIES_NAMES, builtin_series
 from genera.graded import ChernRing, GradedRing
+from genera.k0 import ValidationError
 from genera.projspace import ProjSpaceRing
 from genera.rings import MultiPoly, TruncSeries
 
@@ -168,14 +170,23 @@ def cohomology_elliptic(bundle, q_order, swap=False):
     return out
 
 
-def repeated_root_bundle():
-    ring = ProjSpaceRing([2])
-    return FormalBundle(ring, 3, split_roots=(ring.h(),) * 3)
+def repeated_root_bundle(n=2, rank=3):
+    ring = ProjSpaceRing([n])
+    return FormalBundle(ring, rank, split_roots=(ring.h(),) * rank)
+
+
+def sum_root_bundle():
+    """(h1, h2, h1 + h2) on P^1 x P^2."""
+    ring = ProjSpaceRing([1, 2])
+    h1, h2 = ring.h(0), ring.h(1)
+    return FormalBundle(ring, 3, split_roots=(h1, h2, h1 + h2))
 
 
 @pytest.mark.parametrize("make", [lambda: split_pair(4)[1],
-                                  repeated_root_bundle],
-                         ids=["a,b", "h,h,h"])
+                                  repeated_root_bundle,
+                                  lambda: repeated_root_bundle(3, 4),
+                                  sum_root_bundle],
+                         ids=["a,b", "h,h,h", "h,h,h,h", "h1,h2,h1+h2"])
 def test_elliptic_ch_is_a_ring_map(make):
     bundle = make()
     ell = elliptic_class_qseries(bundle, 2)
@@ -185,6 +196,31 @@ def test_elliptic_ch_is_a_ring_map(make):
         value = line_ch(ell[k], bundle)
         assert value == ref[k], k
         assert value != control[k], k
+
+
+def test_line_model_is_reduced():
+    """One line variable per ring variable: repeated roots share a line
+    monomial, and a sum of roots is the product of their lines."""
+    ell = elliptic_class_qseries(repeated_root_bundle(3, 4), 3)
+    assert [len(ell[k].terms) for k in range(4)] == [5, 17, 33, 53]
+    x1, x2 = MultiPoly.var("x_h1"), MultiPoly.var("x_h2")
+    expected = (1 + Y * x1 ** -1) * (1 + Y * x2 ** -1) * \
+        (1 + Y * (x1 * x2) ** -1)
+    assert elliptic_class_qseries(sum_root_bundle(), 1)[0] == expected
+
+
+A, B, C2 = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("c2")
+
+
+@pytest.mark.parametrize("root", [A * Fraction(1, 2), A * B, A + 1, C2],
+                         ids=["a/2", "a*b", "a+1", "c2"])
+def test_line_model_rejects_non_linear_roots(root):
+    ring = GradedRing({"a": 1, "b": 1, "c2": 2}, 4)
+    bundle = FormalBundle(ring, 2, split_roots=(MultiPoly.var("a"), root))
+    for build in (lambda: elliptic_class_qseries(bundle, 1),
+                  lambda: lambda_y_dual_lines(bundle)):
+        with pytest.raises(ValidationError, match=re.escape(str(root))):
+            build()
 
 
 def test_split_root_validation():

@@ -269,14 +269,14 @@ def test_atom_named_t_at_index_two(capsys, tmp_path):
         (EXIT_OK, "(-t^2 - t^3 + 2*t^5) / (-1 + t^3)\n", "")
     assert run(capsys, "stringy", "euler", path) == (EXIT_OK, "5/3\n", "")
     # at index 1 the variable is L, and t is one more atom: t + L plus
-    # (L - 1)/(L^2 - 1), over a denominator a several-variable fraction
-    # does not reduce
+    # (L - 1)/(L^2 - 1), the common factor L - 1 cancelled from the
+    # denominator and from the coefficient of each power of t
     data = json.loads(Path(path).read_text())
     data.update(index_r=1, components=[{"name": "E", "a": "1"}])
     one = tmp_path / "atom_t_index1.json"
     one.write_text(json.dumps(data))
     assert run(capsys, "stringy", "integral", str(one)) == \
-        (EXIT_OK, "(-1 - t + L^2*t + L^3) / (-1 + L^2)\n", "")
+        (EXIT_OK, "(1 + t + L + L*t + L^2) / (1 + L)\n", "")
 
 
 FILE_VERBS = (("pro",), ("k0", "pro"), ("k0", "blowup-check"),

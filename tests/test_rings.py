@@ -212,6 +212,22 @@ def test_rational_function_equality():
         RationalFunction(X, MultiPoly.const(0))
 
 
+@pytest.mark.parametrize("num,den,reduced", [
+    ((X - 1) * (X + Y), X ** 2 - 1, (X + Y, X + 1)),
+    ((X - 1) * Y + 1, 1 - X ** 2, (Y - 1 - X * Y, X ** 2 - 1)),
+    (X * Y + X ** 2 * Z, 3 * X ** 3, ((Y + X * Z) / 3, X ** 2)),
+    ((X - 1) * Y * Fraction(1, 2), 2 * X - 2, (Y / 4, 1)),
+    (X * Y + 1, 2, ((X * Y + 1) / 2, 1)),
+], ids=["common", "coprime", "power", "constant", "scalar"])
+def test_rational_function_reduces_over_a_one_variable_denominator(
+        num, den, reduced):
+    # the common factor is the gcd of the denominator with the numerator's
+    # coefficient of each monomial in the other variables
+    f = RationalFunction(num, den)
+    assert (f.numerator, f.denominator) == reduced
+    assert f == RationalFunction(*reduced)
+
+
 def test_rational_function_hash_agrees_with_equality():
     a, b = RationalFunction(X * Y, X * Y * Z), RationalFunction(1, Z)
     assert a == b
