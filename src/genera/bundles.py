@@ -165,14 +165,14 @@ def _line_monomials(bundle: FormalBundle):
     if bundle.rank and bundle.split_roots is None:
         raise ValueError("the line-level model needs declared split roots")
     for root in bundle.split_roots or ():
-        powers = {}
         for expo, m in root.terms.items():
-            h = root.vars[expo.index(1)] if [e for e in expo if e] == [1] else ""
-            if m.denominator != 1 or bundle.ring.weights.get(h) != 1:
+            if expo.count(1) != 1 or expo.count(0) != len(expo) - 1 or \
+                    m.denominator != 1 or \
+                    bundle.ring.weights.get(root.vars[expo.index(1)]) != 1:
                 raise ValidationError(f"split root {root} is not an integer "
                                       f"linear form in weight-1 variables")
-            powers[f"x_{h}"] = int(m)
-        yield MultiPoly.monomial(powers)
+        yield MultiPoly.monomial({f"x_{root.vars[expo.index(1)]}": int(m)
+                                  for expo, m in root.terms.items()})
 
 
 def line_ch(value, bundle: FormalBundle) -> MultiPoly:

@@ -426,7 +426,8 @@ def _frac_str(q: Fraction) -> str:
 
 # ---------------------------------------------------------------------
 # one-variable polynomials over Z, for the gcd, the reduction of
-# one-variable fractions and the power of a one-variable base
+# fractions over a one-variable denominator and the power of a
+# one-variable base
 
 def _cleared(poly: MultiPoly, names: tuple):
     """(D * poly as a Dense, D) for a polynomial in the variables
@@ -442,42 +443,26 @@ def _from_dense(names: tuple, p, num: int, den: int) -> MultiPoly:
                              for i, c in enumerate(p.coeffs) if c})
 
 
-def _reduced_univariate(numerator: MultiPoly, denominator: MultiPoly):
+def _lowest_terms(numerator: MultiPoly, denominator: MultiPoly):
     """(numerator, denominator) in lowest terms, the denominator an
     integer polynomial with content 1 and positive leading coefficient;
     None unless the denominator is a polynomial in at most one variable
-    v and the numerator has no negative power of v."""
+    v and the numerator has no negative power of v.  A common factor lies
+    in v alone, so it is the gcd of the denominator with the numerator's
+    coefficient (a polynomial in v) of each monomial in the other
+    variables; a numerator in v alone is the one such coefficient."""
     names = tuple(set(numerator.vars) | set(denominator.vars))
-    if len(names) > 1:
-        return _reduced_over_univariate(numerator, denominator)
-    n, dn = _cleared(numerator, names)
-    d, dd = _cleared(denominator, names)
-    if n.low < 0 or d.low < 0:
-        return None
-    if not n.coeffs:
-        return numerator, MultiPoly.const(1)
-    g = n.gcd(d)
-    n, d = n / g, d / g
-    c = math.gcd(*d.coeffs) if d.coeffs[-1] > 0 else -math.gcd(*d.coeffs)
-    # n/dn over (c * (d/c))/dd is (n*dd / (dn*c)) over d/c
-    return _from_dense(names, n, dd, dn * c), _from_dense(names, d, 1, c)
-
-
-def _reduced_over_univariate(numerator: MultiPoly, denominator: MultiPoly):
-    """As ``_reduced_univariate`` for a numerator in more variables: a
-    common factor with a denominator in one variable v lies in v alone,
-    so it is the gcd of the denominator with the numerator's coefficient
-    (a polynomial in v) of each monomial in the other variables."""
-    var = denominator.vars
+    var = denominator.vars if len(names) > 1 else names
     if len(var) > 1:
         return None
-    at = [i for i, name in enumerate(numerator.vars) if name in var]
+    at = numerator.vars.index(var[0]) if var and var[0] in numerator.vars \
+        else None
     parts = {}  # monomial in the other variables -> its coefficient in v
     for expo, coeff in numerator.terms.items():
-        rest = tuple(0 if i in at else e for i, e in enumerate(expo))
-        parts.setdefault(rest, {})[tuple(expo[i] for i in at)] = coeff
-    own = tuple(numerator.vars[i] for i in at)
-    parts = {m: _cleared(MultiPoly(own, t), var) for m, t in parts.items()}
+        rest, e = (expo, 0) if at is None else \
+            (expo[:at] + (0,) + expo[at + 1:], expo[at])
+        parts.setdefault(rest, {})[(e,)[:len(var)]] = coeff
+    parts = {m: _cleared(MultiPoly(var, t), var) for m, t in parts.items()}
     d, dd = _cleared(denominator, var)
     if d.low < 0 or any(p.low < 0 for p, _ in parts.values()):
         return None
@@ -488,10 +473,14 @@ def _reduced_over_univariate(numerator: MultiPoly, denominator: MultiPoly):
             break
     d = d / g
     c = math.gcd(*d.coeffs) if d.coeffs[-1] > 0 else -math.gcd(*d.coeffs)
-    numerator = sum((MultiPoly(numerator.vars, {m: 1}) *
-                     _from_dense(var, p / g, dd, dp * c)
-                     for m, (p, dp) in parts.items()), MultiPoly.const(0))
-    return numerator, _from_dense(var, d, 1, c)
+    # p/dp over (c * (d/c))/dd is (p*dd / (dp*c)) over d/c
+    terms = {}
+    for rest, (p, dp) in parts.items():
+        p = p / g
+        for k, a in enumerate(p.coeffs, p.low):
+            key = rest if at is None else rest[:at] + (k,) + rest[at + 1:]
+            terms[key] = Fraction(a * dd, dp * c)
+    return MultiPoly(numerator.vars, terms), _from_dense(var, d, 1, c)
 
 
 # ---------------------------------------------------------------------
@@ -743,10 +732,10 @@ class RationalFunction:
     lowest terms whenever the denominator is a polynomial in at most one
     variable and the numerator has no negative power of it; a numerator
     in more variables is reduced by the gcd of the denominator with its
-    coefficient of each monomial in the others.  Two reduced fractions in
-    one shared variable are equal iff their parts are; equality falls
-    back to cross-multiplication otherwise, so values are well defined
-    even when full gcd reduction is unavailable.
+    coefficient of each monomial in the others.  Two reduced fractions
+    whose numerators have no negative exponent are equal iff their parts
+    are; equality falls back to cross-multiplication otherwise, so values
+    are well defined even when full gcd reduction is unavailable.
     """
 
     __slots__ = ("numerator", "denominator", "_reduced")
@@ -756,7 +745,7 @@ class RationalFunction:
         denominator = _to_poly(denominator)
         if denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        reduced = _reduced_univariate(numerator, denominator)
+        reduced = _lowest_terms(numerator, denominator)
         if reduced is None:
             unit, denominator = denominator.content_normalized()
             numerator = numerator / unit
@@ -764,8 +753,10 @@ class RationalFunction:
             numerator, denominator = reduced
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_reduced", reduced is not None and len(
-            set(numerator.vars) | set(denominator.vars)) < 2)
+        # lowest terms are unique once the numerator has no negative
+        # exponent; a Laurent one trades monomials: x/v is x*v^-1 over 1
+        object.__setattr__(self, "_reduced", reduced is not None and all(
+            min(expo, default=0) >= 0 for expo in numerator.terms))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -834,7 +825,7 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         if self._reduced and other._reduced:
-            # the reduced form of a fraction in one variable is unique
+            # both are in their unique lowest terms
             return self.numerator == other.numerator and \
                 self.denominator == other.denominator
         return self.numerator * other.denominator == other.numerator * self.denominator

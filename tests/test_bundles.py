@@ -212,8 +212,9 @@ def test_line_model_is_reduced():
 A, B, C2 = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("c2")
 
 
-@pytest.mark.parametrize("root", [A * Fraction(1, 2), A * B, A + 1, C2],
-                         ids=["a/2", "a*b", "a+1", "c2"])
+@pytest.mark.parametrize("root", [A * Fraction(1, 2), A * B, A + 1, C2,
+                                  A ** 2, A ** -1, MultiPoly.var("z")],
+                         ids=["a/2", "a*b", "a+1", "c2", "a^2", "1/a", "z"])
 def test_line_model_rejects_non_linear_roots(root):
     ring = GradedRing({"a": 1, "b": 1, "c2": 2}, 4)
     bundle = FormalBundle(ring, 2, split_roots=(MultiPoly.var("a"), root))

@@ -228,6 +228,15 @@ def test_rational_function_reduces_over_a_one_variable_denominator(
     assert f == RationalFunction(*reduced)
 
 
+def test_laurent_lowest_terms_compare_by_value():
+    # a Laurent numerator trades monomials with the denominator, so its
+    # lowest terms are not unique: x/y is x*y^-1 over 1
+    for f, g in [(RationalFunction(X, Y), RationalFunction(X * Y ** -1)),
+                 (RationalFunction(X ** -1, Y), RationalFunction(Y ** -1, X))]:
+        assert (f.numerator, f.denominator) != (g.numerator, g.denominator)
+        assert f == g and hash(f) == hash(g)
+
+
 def test_rational_function_hash_agrees_with_equality():
     a, b = RationalFunction(X * Y, X * Y * Z), RationalFunction(1, Z)
     assert a == b
@@ -250,9 +259,10 @@ def test_rational_function_hashes_like_its_polynomial():
 
 
 def test_rational_function_equality_against_cross_multiplication():
-    # reduced one-variable fractions compare their parts; a Laurent or a
-    # two-variable fraction cross-multiplies.  Each pool holds one value
-    # written several ways, beside others
+    # fractions in lowest terms with a polynomial numerator compare their
+    # parts; a Laurent numerator or a two-variable denominator
+    # cross-multiplies.  Each pool holds one value written several ways,
+    # beside others
     rng = random.Random(15)
     seen = set()
     for _ in range(40):
@@ -265,7 +275,7 @@ def test_rational_function_equality_against_cross_multiplication():
             pool.append(RationalFunction(a * scale, b * scale))
         pool += [RationalFunction(b, a) if not a.is_zero() else pool[0],
                  RationalFunction(a + 1, b), RationalFunction(a, b * (X + 3)),
-                 RationalFunction(a * Y, b)]
+                 RationalFunction(a * Y, b), RationalFunction(a * Y ** -1, b)]
         for f in pool:
             for g in pool:
                 cross = f.numerator * g.denominator == \
