@@ -5,6 +5,7 @@ class as a q-series.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .graded import GradedRing
@@ -217,8 +218,11 @@ def elliptic_class_qseries(bundle: FormalBundle, q_order: int) -> TruncSeries:
         raise ValueError("q_order must be >= 0")
     out = TruncSeries("q", q_order,
                       [MultiPoly.const(1)] + [MultiPoly.const(0)] * q_order)
-    for x in _line_monomials(bundle):
-        out = out * _line_factor(x, q_order)
+    # one factor per distinct line, multiplied in once per root on it
+    for x, multiplicity in Counter(_line_monomials(bundle)).items():
+        factor = _line_factor(x, q_order)
+        for _ in range(multiplicity):
+            out = out * factor
     return out
 
 

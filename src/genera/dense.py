@@ -88,46 +88,48 @@ class Dense:
                          f"do not mix")
 
     # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+    def _add(self, other, sign: int):
+        """self + sign * other, sign = 1 or -1, for a Dense or int other."""
+        if isinstance(other, Dense):
+            var, blow, b = self._shared_var(other), other.low, other.coeffs
+        elif isinstance(other, int):
+            var, blow, b = self.var, 0, (other,) if other else ()
+        else:
             return NotImplemented
-        var = self._shared_var(other)
-        a, b = self.coeffs, other.coeffs
+        a, alow = self.coeffs, self.low
         if not b:
             return self
         if not a:
-            return other
-        low = min(self.low, other.low)
-        out = [0] * (max(self.low + len(a), other.low + len(b)) - low)
-        i = self.low - low
+            return Dense(var, blow, b if sign > 0 else [-y for y in b])
+        low = min(alow, blow)
+        out = [0] * (max(alow + len(a), blow + len(b)) - low)
+        i = alow - low
         out[i:i + len(a)] = a
-        j = other.low - low
-        out[j:j + len(b)] = [x + y for x, y in zip(out[j:j + len(b)], b)]
+        j = blow - low
+        window = out[j:j + len(b)]
+        out[j:j + len(b)] = [x + y for x, y in zip(window, b)] if sign > 0 \
+            else [x - y for x, y in zip(window, b)]
         return Dense(var, low, out)
 
+    def __add__(self, other):
+        return self._add(other, 1)
+
     __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        out = self._add(other, -1)
+        return out if out is NotImplemented else -out
 
     def __neg__(self):
         return Dense(self.var, self.low, [-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Dense(self.var, self.low, [other * x for x in self.coeffs])
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Dense):
             return NotImplemented
         var = self._shared_var(other)
         a, b = self.coeffs, other.coeffs

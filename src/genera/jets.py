@@ -11,14 +11,15 @@ and compared with the closed-form stratum integral.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dense import Dense
-from .k0 import K0Class, lefschetz
+from .k0 import LEFSCHETZ, K0Class
 from .rings import MultiPoly, RationalFunction
-from .stringy import ResolutionDatum, motivic_integral
+from .stringy import ResolutionDatum, _checked_integral
 
 MAX_DIM = 4
 MAX_LEVEL = 64
@@ -143,42 +144,55 @@ def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
     m = len(positive)
     components = tuple(
         (f"H{i + 1}", Fraction(spec.exponents[i])) for i in positive)
-    free = lefschetz(1) ** (spec.dimension - m) \
-        if spec.dimension > m else K0Class.point()
-    torus = lefschetz(1) - K0Class.point()
-    # the stratum of a mask is free * torus^j, j the components it misses
-    by_missing = [free * torus ** j for j in range(m + 1)]
-    strata = tuple(by_missing[m - mask.bit_count()]
-                   for mask in range(1 << m))
+    # the stratum of a mask is L^(d-m) (L-1)^j, j the components it misses
+    by_missing = [ONE.shift(spec.dimension - m)]
+    for _ in range(m):
+        by_missing.append(by_missing[-1] * L_MINUS_1)
+    classes = [K0Class(c.to_poly(), {"L": LEFSCHETZ}) for c in by_missing]
+    strata = tuple(classes[m - mask.bit_count()] for mask in range(1 << m))
     return ResolutionDatum("arc", 1, components, strata)
+
+
+def _closed_parts(spec: JetSpec):
+    """Numerator and denominator of the closed form, unreduced: the
+    product over the coordinates of (L-1) L^(a+1) / (L^(a+1) - 1) when
+    a > 0, else L."""
+    positive = [a for a in spec.exponents if a > 0]
+    shift = sum(positive) + spec.dimension
+    num = (L_MINUS_1 ** len(positive)).shift(shift)
+    den = math.prod((ONE.shift(a + 1) - 1 for a in positive), start=ONE)
+    return num, den
 
 
 def closed_integral(spec: JetSpec) -> RationalFunction:
     """Exact geometric-series summation of sum_p measure(p) * L^(-p):
     per coordinate, (L-1) L^(a+1) / (L^(a+1) - 1) when a > 0, else L."""
-    num, den = ONE, ONE
-    for a in spec.exponents:
-        if a > 0:
-            num = num * L_MINUS_1.shift(a + 1)
-            den = den * (ONE.shift(a + 1) - 1)
-        else:
-            num = num.shift(1)
+    num, den = _closed_parts(spec)
     return RationalFunction(num.to_poly(), den.to_poly())
 
 
-def oracle_integral(spec: JetSpec, p_max: int):
-    """(partial, closed, verdict): the truncated sum of cylinder measures
-    against L^-p, the closed form, and agreement of the closed form with
-    the stratum-sum motivic integral of the matching coordinate datum."""
+def _partial(spec: JetSpec, p_max: int) -> Dense:
+    """The sum of the cylinder measures of contact order p <= p_max
+    against L^-p, at a level of at least p_max."""
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     level = max(spec.level, p_max)
     working = JetSpec(spec.dimension, spec.exponents, level)
     partial = _total((-w, cell) for w, cell in _contact_cells(working, p_max))
-    partial = partial.shift(-level * spec.dimension)
-    closed = closed_integral(spec)
-    stratum_sum = motivic_integral(coordinate_datum(spec))
-    return partial.to_poly(), closed, closed == stratum_sum
+    return partial.shift(-level * spec.dimension)
+
+
+def oracle_integral(spec: JetSpec, p_max: int):
+    """(partial, closed, verdict): the truncated sum of cylinder measures
+    against L^-p, the closed form, and agreement of the closed form with
+    the checked stratum-sum motivic integral of the matching coordinate
+    datum, decided by one cross-multiplication of the unreduced parts."""
+    partial = _partial(spec, p_max)
+    cnum, cden = _closed_parts(spec)
+    _, num, den = _checked_integral(coordinate_datum(spec))
+    verdict = list(num) == [()] and cnum * den == num[()] * cden
+    closed = RationalFunction(cnum.to_poly(), cden.to_poly())
+    return partial.to_poly(), closed, verdict
 
 
 def tail_bound_check(spec: JetSpec, p_max: int) -> bool:
@@ -186,7 +200,8 @@ def tail_bound_check(spec: JetSpec, p_max: int) -> bool:
     the per-coordinate tails factor, so compare via the remainder of the
     one-variable series.  With all exponents zero the partial is already
     exact."""
-    partial, closed, _ = oracle_integral(spec, p_max)
+    partial = _partial(spec, p_max).to_poly()
+    closed = closed_integral(spec)
     # the difference must vanish at least like L^-(p_max+1); compare as a
     # single Laurent polynomial to avoid fraction normalization
     diff = partial * closed.denominator - closed.numerator

@@ -233,27 +233,38 @@ def _factors(d: ResolutionDatum, var: str):
     return factors, math.prod(factors, start=Dense(var, 0, (1,)))
 
 
+def _split(cls: K0Class, r: int, var: str) -> list:
+    """The class as (atom monomial, dense part) pairs: its terms grouped
+    by their monomial in the atoms other than L, a tuple of (name,
+    exponent) pairs, each group a dense polynomial in var with
+    L -> var^r."""
+    names = cls.poly.vars
+    il = names.index("L") if "L" in names else len(names)
+    rows = {}  # exponents of the other atoms -> {var degree: coeff}
+    for expo, coeff in cls.poly.terms.items():
+        rows.setdefault(expo[:il] + expo[il + 1:], {})[
+            r * expo[il] if il < len(names) else 0] = coeff.numerator
+    others = names[:il] + names[il + 1:]
+    return [(tuple((n, e) for n, e in zip(others, expo) if e),
+             Dense(var, 0, [row.get(e, 0) for e in range(max(row) + 1)]))
+            for expo, row in rows.items()]
+
+
 def _open_fold(d: ResolutionDatum, var: str):
     """The open-stratum fold of each atom monomial's table: every stratum
-    class split by its monomial in the atoms other than L, a tuple of
-    (name, exponent) pairs, into dense parts in var with L -> var^r.
-    Returns the atoms by name, the tables, the folds (the integral's
-    numerator by monomial), and the denominator's factors and product."""
+    class split by ``_split``, once per distinct class object.  Returns
+    the atoms by name, the tables, the folds (the integral's numerator by
+    monomial), and the denominator's factors and product."""
     r, size, zero = d.index_r, len(d.strata), Dense(var, 0, ())
-    atoms, tables = {}, {}
+    atoms, tables, parts = {}, {}, {}
     for m, cls in enumerate(d.strata):
-        atoms.update(cls.atoms)
-        names = cls.poly.vars
-        il = names.index("L") if "L" in names else len(names)
-        rows = {}  # exponents of the other atoms -> {var degree: coeff}
-        for expo, coeff in cls.poly.terms.items():
-            rows.setdefault(expo[:il] + expo[il + 1:], {})[
-                r * expo[il] if il < len(names) else 0] = coeff.numerator
-        others = names[:il] + names[il + 1:]
-        for expo, row in rows.items():
-            coeffs = [row.get(e, 0) for e in range(max(row) + 1)]
-            key = tuple((n, e) for n, e in zip(others, expo) if e)
-            tables.setdefault(key, [zero] * size)[m] = Dense(var, 0, coeffs)
+        # the strata tuple keeps every class alive, so ids stay distinct
+        split = parts.get(id(cls))
+        if split is None:
+            split = parts[id(cls)] = _split(cls, r, var)
+            atoms.update(cls.atoms)
+        for key, part in split:
+            tables.setdefault(key, [zero] * size)[m] = part
     dens, den = _factors(d, var)
     ins = [Dense(var, r, (1,)) - 1] * len(dens)
     num = {key: _fold(t, ins, dens) for key, t in tables.items()}
@@ -269,9 +280,10 @@ def _sum_parts(num: dict, image, var: str) -> MultiPoly:
 
 
 def _checked_integral(d: ResolutionDatum):
-    """The motivic integral with its atoms, numerator by atom monomial and
-    denominator.  The closed-stratum fold must agree with the open one on
-    every atom monomial; a mismatch raises ConsistencyError."""
+    """The motivic integral as its atoms, numerator by atom monomial and
+    denominator, all dense in L (in t when r > 1).  The closed-stratum
+    fold must agree with the open one on every atom monomial; a mismatch
+    raises ConsistencyError."""
     r = d.index_r
     var = "L" if r == 1 else "t"
     if r > 1 and any("t" in cls.atoms for cls in d.strata):
@@ -283,9 +295,14 @@ def _checked_integral(d: ResolutionDatum):
                for key, t in tables.items()}:
         raise ConsistencyError(
             "open- and closed-stratum forms of the motivic integral differ")
-    integral = RationalFunction(_sum_parts(num, MultiPoly.var, var),
-                                den.to_poly())
-    return integral, atoms, num, den
+    return atoms, num, den
+
+
+def _integral(num: dict, den: Dense) -> RationalFunction:
+    """The integral of a ``_checked_integral`` numerator and denominator,
+    with the other atoms as variables."""
+    return RationalFunction(_sum_parts(num, MultiPoly.var, den.var),
+                            den.to_poly())
 
 
 def _realise(atoms: dict, num: dict, den: Dense, r: int) -> StringyValue:
@@ -303,7 +320,8 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     computed alongside and must agree; a mismatch raises ConsistencyError.
     The closed strata [E_I] are the superset sums of the open ones.
     """
-    return _checked_integral(d)[0]
+    _, num, den = _checked_integral(d)
+    return _integral(num, den)
 
 
 # ---------------------------------------------------------------------
@@ -460,7 +478,8 @@ def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceRepo
     """Compare the four invariants of two resolution data for one pair;
     chi_y only when both have index 1.  Each datum's E-function realises
     its checked integral, and feeds its chi_y and Euler limit check."""
-    (i1, *n1), (i2, *n2) = map(_checked_integral, (d1, d2))
+    n1, n2 = _checked_integral(d1), _checked_integral(d2)
+    i1, i2 = _integral(*n1[1:]), _integral(*n2[1:])
     e1, e2 = _realise(*n1, d1.index_r), _realise(*n2, d2.index_r)
     chi_y = None
     if d1.index_r == d2.index_r == 1:

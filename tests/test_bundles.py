@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from genera.bundles import (FormalBundle, chern_character,
-                            elliptic_class_qseries, lambda_op,
-                            lambda_y_dual_lines, line_ch,
+from genera.bundles import (FormalBundle, _line_factor, _line_monomials,
+                            chern_character, elliptic_class_qseries,
+                            lambda_op, lambda_y_dual_lines, line_ch,
                             multiplicative_class, power_sums_from_chern,
                             s_op)
 from genera.catalog import SERIES_NAMES, builtin_series
@@ -182,11 +182,13 @@ def sum_root_bundle():
     return FormalBundle(ring, 3, split_roots=(h1, h2, h1 + h2))
 
 
-@pytest.mark.parametrize("make", [lambda: split_pair(4)[1],
-                                  repeated_root_bundle,
-                                  lambda: repeated_root_bundle(3, 4),
-                                  sum_root_bundle],
-                         ids=["a,b", "h,h,h", "h,h,h,h", "h1,h2,h1+h2"])
+line_bundles = pytest.mark.parametrize(
+    "make", [lambda: split_pair(4)[1], repeated_root_bundle,
+             lambda: repeated_root_bundle(3, 4), sum_root_bundle],
+    ids=["a,b", "h,h,h", "h,h,h,h", "h1,h2,h1+h2"])
+
+
+@line_bundles
 def test_elliptic_ch_is_a_ring_map(make):
     bundle = make()
     ell = elliptic_class_qseries(bundle, 2)
@@ -207,6 +209,19 @@ def test_line_model_is_reduced():
     expected = (1 + Y * x1 ** -1) * (1 + Y * x2 ** -1) * \
         (1 + Y * (x1 * x2) ** -1)
     assert elliptic_class_qseries(sum_root_bundle(), 1)[0] == expected
+
+
+@line_bundles
+def test_equal_lines_share_one_factor(make):
+    """The series with one factor per distinct line equals the product of
+    one factor per root."""
+    bundle = make()
+    for q_order in range(4):
+        per_root = TruncSeries("q", q_order, [MultiPoly.const(1)] +
+                               [MultiPoly.const(0)] * q_order)
+        for x in _line_monomials(bundle):
+            per_root = per_root * _line_factor(x, q_order)
+        assert elliptic_class_qseries(bundle, q_order) == per_root, q_order
 
 
 A, B, C2 = MultiPoly.var("a"), MultiPoly.var("b"), MultiPoly.var("c2")

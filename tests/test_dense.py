@@ -4,6 +4,7 @@ the jets measures against their MultiPoly formulas and the
 product-and-filter enumeration that the cell walk replaced."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -33,6 +34,7 @@ denses = st.one_of(
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(denses, denses)
+@hypothesis.example(Dense("x", -1, (2, 0, 1)), Dense("y", 0, (5,)))
 def test_ring_operations_against_multipoly(a, b):
     pa, pb = a.to_poly(), b.to_poly()
     assert (a + b).to_poly() == pa + pb
@@ -43,8 +45,17 @@ def test_ring_operations_against_multipoly(a, b):
     if a == b:
         assert hash(a) == hash(b)
     assert (a + 3).to_poly() == pa + 3
+    assert (3 + a).to_poly() == 3 + pa
+    assert (a - 3).to_poly() == pa - 3
     assert (3 - a).to_poly() == 3 - pa
+    assert (-a + b).to_poly() == -pa + pb
     assert (a * -2).to_poly() == pa * -2
+    # a MultiPoly does not mix with a Dense, from either side
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(a, pb)
+        with pytest.raises(TypeError):
+            op(pa, b)
 
 
 @hypothesis.settings(max_examples=100, deadline=None)

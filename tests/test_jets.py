@@ -1,13 +1,21 @@
 """Jet-space counting oracle for monomial divisors."""
 
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from genera import jets
+from genera.cli import EXIT_MATH, EXIT_OK, main
 from genera.jets import (JetSpec, closed_integral, coordinate_datum,
                          cylinder_measure, jet_space_class, oracle_integral,
                          partition_check, tail_bound_check)
+from genera.k0 import K0Class, lefschetz
 from genera.rings import MultiPoly, RationalFunction
+from genera.stringy import (ResolutionDatum, load_datum, motivic_integral,
+                            stringy_E, stringy_euler)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 L = MultiPoly.var("L")
 
@@ -79,3 +87,90 @@ def test_coordinate_datum_shape():
     total = datum.total_class()
     # [C^2] has chi = 1
     assert euler_of_class(total) == 1
+
+
+def reference_strata(spec: JetSpec) -> tuple:
+    """coordinate_datum's strata by K0Class arithmetic: free * torus^j
+    at a mask that misses j of the m components."""
+    m = sum(a > 0 for a in spec.exponents)
+    free = lefschetz(1) ** (spec.dimension - m) \
+        if spec.dimension > m else K0Class.point()
+    torus = lefschetz(1) - K0Class.point()
+    return tuple(free * torus ** (m - mask.bit_count())
+                 for mask in range(1 << m))
+
+
+def test_coordinate_datum_against_k0_arithmetic():
+    for d in range(1, 5):
+        for exponents in product((0, 1, 2), repeat=d):
+            spec = JetSpec(d, exponents, 4)
+            datum = coordinate_datum(spec)
+            assert datum.strata == reference_strata(spec), exponents
+            assert [a for _, a in datum.components] == \
+                [a for a in exponents if a > 0]
+
+
+ORACLE_SPECS = [(1, (0,)), (1, (2,)), (2, (0, 0)), (2, (1, 3)),
+                (3, (1, 0, 2)), (4, (0, 1, 0, 2))]
+
+
+def oracle_exit(dim, exponents) -> int:
+    return main(["jets", "oracle", "--dim", str(dim), "--exponents",
+                 ",".join(map(str, exponents)), "--pmax", "3",
+                 "--output", "json"])
+
+
+def test_a_shifted_closed_numerator_fails_the_verdict(monkeypatch, capsys):
+    # negative control: the closed form times L disagrees with the fold
+    honest = jets._closed_parts
+    for dim, exponents in ORACLE_SPECS:
+        assert oracle_integral(JetSpec(dim, exponents, 3), 3)[2]
+        assert oracle_exit(dim, exponents) == EXIT_OK
+    monkeypatch.setattr(jets, "_closed_parts",
+                        lambda spec: (honest(spec)[0].shift(1),
+                                      honest(spec)[1]))
+    for dim, exponents in ORACLE_SPECS:
+        assert not oracle_integral(JetSpec(dim, exponents, 3), 3)[2]
+        assert oracle_exit(dim, exponents) == EXIT_MATH
+    capsys.readouterr()
+
+
+def test_a_changed_stratum_fails_the_verdict(monkeypatch, capsys):
+    # negative control: one stratum plus a point still passes the fold's
+    # own open/closed check, but no longer matches the closed form
+    honest = jets.coordinate_datum
+
+    def bumped(spec):
+        datum = honest(spec)
+        strata = (datum.strata[0] + 1,) + datum.strata[1:]
+        return ResolutionDatum(datum.flavor, datum.index_r,
+                               datum.components, strata)
+
+    monkeypatch.setattr(jets, "coordinate_datum", bumped)
+    for dim, exponents in ORACLE_SPECS:
+        assert not oracle_integral(JetSpec(dim, exponents, 3), 3)[2]
+        assert oracle_exit(dim, exponents) == EXIT_MATH
+    capsys.readouterr()
+
+
+def copied(datum: ResolutionDatum) -> ResolutionDatum:
+    """The datum with every stratum an equal but distinct object."""
+    strata = tuple(K0Class(cls.poly, cls.atoms) for cls in datum.strata)
+    return ResolutionDatum(datum.flavor, datum.index_r, datum.components,
+                           strata)
+
+
+def test_repeated_stratum_objects_fold_like_copies():
+    curve = load_datum(str(FIXTURES / "curve_atom.json")).strata
+    data = [coordinate_datum(JetSpec(4, (1, 2, 0, 3), 4))]
+    for r in (1, 2):
+        data.append(ResolutionDatum("stringy", r, (("E", 1), ("F", 2)),
+                                    (curve[0], curve[2], curve[0],
+                                     curve[2])))
+    for datum in data:
+        assert len(set(map(id, datum.strata))) < len(datum.strata)
+        twin = copied(datum)
+        assert len(set(map(id, twin.strata))) == len(twin.strata)
+        assert motivic_integral(datum) == motivic_integral(twin)
+        assert stringy_E(datum) == stringy_E(twin)
+        assert stringy_euler(datum) == stringy_euler(twin)
