@@ -46,8 +46,17 @@ class Atom:
     e_poly: MultiPoly
 
     def __post_init__(self):
+        if type(self.dim) is not int:
+            raise ValidationError(
+                f"atom dimension must be an integer, got {self.dim!r}")
         if self.dim < 0:
             raise ValidationError("atom dimension must be nonnegative")
+        if set(self.e_poly.vars) - {"u", "v"} or any(
+                c.denominator != 1 or min(e, default=0) < 0
+                for e, c in self.e_poly.terms.items()):
+            raise ValidationError(
+                f"the E-polynomial of atom {self.name!r} must be an integer "
+                f"polynomial in u and v, got {self.e_poly}")
         if self.e_poly.total_degree() > 2 * self.dim:
             raise ValidationError(
                 f"E-polynomial degree exceeds 2*dim for atom {self.name!r}")
@@ -219,16 +228,13 @@ def euler_of_class(a: K0Class) -> int:
     The source text states E(-1,-1) = chi; mixed-Hodge additivity forces
     E(1,1) = chi_c, which is what every worked value here requires, so
     E(1,1) it is (flagged, not silently reconciled).  Each atom enters
-    through its own chi, its E-polynomial at (1, 1), which must be an
-    integer; the class is then evaluated at those integers.
+    through its own chi, its E-polynomial at (1, 1), an integer since
+    ``Atom`` admits only integer E-polynomials; the class is then
+    evaluated at those integers.
     """
-    chis = []
-    for name in a.poly.vars:
-        # an E-polynomial at (1, 1) is the sum of its coefficients
-        chi = sum(a.atoms[name].e_poly.terms.values(), Fraction(0))
-        if chi.denominator != 1:
-            raise ValidationError("Euler characteristic must be an integer")
-        chis.append(chi.numerator)
+    # an E-polynomial at (1, 1) is the sum of its coefficients
+    chis = [sum(c.numerator for c in a.atoms[name].e_poly.terms.values())
+            for name in a.poly.vars]
     out = 0
     for expo, coeff in a.poly.terms.items():
         term = coeff.numerator

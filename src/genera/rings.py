@@ -444,17 +444,26 @@ def _from_dense(names: tuple, p, num: int, den: int) -> MultiPoly:
 
 
 def _lowest_terms(numerator: MultiPoly, denominator: MultiPoly):
-    """(numerator, denominator) in lowest terms, the denominator an
-    integer polynomial with content 1 and positive leading coefficient;
-    None unless the denominator is a polynomial in at most one variable
-    v and the numerator has no negative power of v.  A common factor lies
-    in v alone, so it is the gcd of the denominator with the numerator's
-    coefficient (a polynomial in v) of each monomial in the other
-    variables; a numerator in v alone is the one such coefficient."""
+    """(numerator, denominator) in lowest terms, which are unique: the
+    denominator is an integer polynomial in at most one variable v, with a
+    nonzero constant term, content 1 and a positive leading coefficient.
+    A monomial factor of the denominator is a unit, so it moves to the
+    numerator first; a denominator left in several variables raises
+    ValueError.  A common factor lies in v alone, so it is the gcd of the
+    denominator with the numerator's coefficient (a Laurent polynomial in
+    v) of each monomial in the other variables, each stripped of its own
+    power of v; a numerator in v alone is the one such coefficient."""
+    if numerator.is_zero():
+        return numerator, MultiPoly.const(1)
+    shift = {name: -min(e[i] for e in denominator.terms)
+             for i, name in enumerate(denominator.vars)}
+    if any(shift.values()):
+        unit = MultiPoly.monomial(shift)
+        numerator, denominator = numerator * unit, denominator * unit
+    if len(denominator.vars) > 1:
+        raise ValueError(f"denominator in several variables: {denominator}")
     names = tuple(set(numerator.vars) | set(denominator.vars))
     var = denominator.vars if len(names) > 1 else names
-    if len(var) > 1:
-        return None
     at = numerator.vars.index(var[0]) if var and var[0] in numerator.vars \
         else None
     parts = {}  # monomial in the other variables -> its coefficient in v
@@ -464,11 +473,9 @@ def _lowest_terms(numerator: MultiPoly, denominator: MultiPoly):
         parts.setdefault(rest, {})[(e,)[:len(var)]] = coeff
     parts = {m: _cleared(MultiPoly(var, t), var) for m, t in parts.items()}
     d, dd = _cleared(denominator, var)
-    if d.low < 0 or any(p.low < 0 for p, _ in parts.values()):
-        return None
     g = d
     for p, _ in parts.values():
-        g = g.gcd(p)
+        g = g.gcd(p.shift(-p.low))
         if g.is_constant():
             break
     d = d / g
@@ -728,35 +735,25 @@ class TruncSeries:
 
 
 class RationalFunction:
-    """Quotient of MultiPolys, normalized by content/sign, and reduced to
-    lowest terms whenever the denominator is a polynomial in at most one
-    variable and the numerator has no negative power of it; a numerator
-    in more variables is reduced by the gcd of the denominator with its
-    coefficient of each monomial in the others.  Two reduced fractions
-    whose numerators have no negative exponent are equal iff their parts
-    are; equality falls back to cross-multiplication otherwise, so values
-    are well defined even when full gcd reduction is unavailable.
+    """Quotient of MultiPolys, always in its unique lowest terms
+    (``_lowest_terms``): the denominator is an integer polynomial in at
+    most one variable with a nonzero constant term, content 1 and a
+    positive leading coefficient.  So two fractions are equal iff their
+    parts are, and a fraction is a Laurent polynomial iff its denominator
+    is 1.  A denominator in several variables, once its monomial factor
+    is moved to the numerator, raises ValueError.
     """
 
-    __slots__ = ("numerator", "denominator", "_reduced")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator, denominator=1):
         numerator = _to_poly(numerator)
         denominator = _to_poly(denominator)
         if denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        reduced = _lowest_terms(numerator, denominator)
-        if reduced is None:
-            unit, denominator = denominator.content_normalized()
-            numerator = numerator / unit
-        else:
-            numerator, denominator = reduced
+        numerator, denominator = _lowest_terms(numerator, denominator)
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-        # lowest terms are unique once the numerator has no negative
-        # exponent; a Laurent one trades monomials: x/v is x*v^-1 over 1
-        object.__setattr__(self, "_reduced", reduced is not None and all(
-            min(expo, default=0) >= 0 for expo in numerator.terms))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -824,45 +821,28 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self._reduced and other._reduced:
-            # both are in their unique lowest terms
-            return self.numerator == other.numerator and \
-                self.denominator == other.denominator
-        return self.numerator * other.denominator == other.numerator * self.denominator
+        return self.numerator == other.numerator and \
+            self.denominator == other.denominator
 
     def __hash__(self):
-        # A fraction equal to a polynomial hashes like it.  A Laurent
-        # fraction, or one whose denominator has several variables, is not
-        # reduced, so equal values can have different numerators; hash what
-        # all of them share: the degree of numerator minus denominator in
-        # each variable.
-        try:
-            return hash(self.as_polynomial())
-        except ExactDivisionError:
-            pass
-        names = sorted(set(self.numerator.vars) | set(self.denominator.vars))
-        shifts = ((name, self.numerator.degree_in(name)
-                   - self.denominator.degree_in(name)) for name in names)
-        return hash(tuple((name, d) for name, d in shifts if d))
+        # a fraction equal to a polynomial hashes like it
+        if self.denominator.is_constant():
+            return hash(self.numerator)
+        return hash((self.numerator, self.denominator))
 
     def as_polynomial(self) -> MultiPoly:
         """The Laurent polynomial equal to this fraction; raises
         ExactDivisionError when there is none."""
-        # a monomial factor of the denominator is a unit: move it to the
-        # numerator, so the division is exact whenever the value is a
-        # Laurent polynomial
-        den = self.denominator
-        low = {name: min(e[i] for e in den.terms)
-               for i, name in enumerate(den.vars)}
-        unit = MultiPoly.monomial(low).monomial_inverse()
-        return (self.numerator * unit).laurent_div_exact(den * unit)
+        if not self.denominator.is_constant():
+            raise ExactDivisionError(f"not a Laurent polynomial: {self}")
+        return self.numerator
 
     def substitute(self, name, value) -> "RationalFunction":
         return RationalFunction(self.numerator.substitute_map({name: value}),
                                 self.denominator.substitute_map({name: value}))
 
     def __str__(self):
-        if self.denominator == MultiPoly.const(1):
+        if self.denominator.is_constant():
             return str(self.numerator)
         return f"({self.numerator}) / ({self.denominator})"
 

@@ -512,7 +512,7 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     try:
         for spec in data.get("atoms", ()):
             e_poly = parse_expr(spec["e"], variables=("u", "v"))
-            atom = Atom(spec["name"], int(spec["dim"]), e_poly)
+            atom = Atom(spec["name"], spec["dim"], e_poly)
             if atoms.setdefault(atom.name, atom) != atom:
                 raise ValidationError(
                     f"atom {atom.name!r} conflicts with an earlier definition")

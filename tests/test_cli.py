@@ -279,6 +279,29 @@ def test_atom_named_t_at_index_two(capsys, tmp_path):
         (EXIT_OK, "(1 + t + L + L*t + L^2) / (1 + L)\n", "")
 
 
+STRINGY_VERBS = ("integral", "efun", "chiy", "euler")
+
+
+@pytest.mark.parametrize("verb", STRINGY_VERBS)
+@pytest.mark.parametrize("atom, message", [
+    ({"dim": 1.5}, "atom dimension must be an integer, got 1.5"),
+    ({"dim": True}, "atom dimension must be an integer, got True"),
+    ({"dim": "2"}, "atom dimension must be an integer, got '2'"),
+    ({"e": "1/2*u"}, "the E-polynomial of atom 'C' must be an integer "
+     "polynomial in u and v, got 1/2*u"),
+    ({"e": "u^-1 + u*v"}, "the E-polynomial of atom 'C' must be an "
+     "integer polynomial in u and v, got u^-1 + u*v"),
+], ids=["dim-float", "dim-bool", "dim-str", "e-fraction", "e-laurent"])
+def test_malformed_atom_exits_3(tmp_path, capsys, verb, atom, message):
+    # the atom is checked where it is built, so every verb rejects it
+    data = {**GOOD_DATUM, "atoms": [{"name": "C", "dim": 1, "e": "u*v",
+                                     **atom}]}
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, "stringy", verb, str(path)) == \
+        (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
 FILE_VERBS = (("pro",), ("k0", "pro"), ("k0", "blowup-check"),
               ("stringy", "integral"), ("stringy", "efun"),
               ("stringy", "chiy"), ("stringy", "euler"),

@@ -176,13 +176,17 @@ def euclid_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
 
 def reference_fraction(num: MultiPoly, den: MultiPoly):
-    """Euclid's monic gcd, exact division, then content normalisation of
-    the denominator."""
+    """Euclid's monic gcd, exact division, content normalisation of the
+    denominator, then its monomial factor, a unit, moved to the
+    numerator."""
     g = euclid_gcd(num, den)
     if not g.is_constant():
         num, den = num.div_exact(g), den.div_exact(g)
     unit, den = den.content_normalized()
-    return num / unit, den
+    low = {name: min(e[i] for e in den.terms)
+           for i, name in enumerate(den.vars)}
+    mono = MultiPoly.monomial(low).monomial_inverse()
+    return num / unit * mono, den * mono
 
 
 def random_poly(rng, fractions: bool) -> MultiPoly:
@@ -250,13 +254,14 @@ def test_gcd_against_fraction_euclid():
             assert da / got * got == da
 
 
-def test_laurent_fraction_keeps_the_content_path():
-    # a negative exponent on either side: no gcd, so (L - 1) stays
+def test_laurent_fraction_reduces():
+    # a negative exponent on either side: the monomial factor moves to
+    # the numerator and the gcd still cancels L - 1
     rf = RationalFunction((L - 1) * L ** -2 / 3,
                           (2 * L - 2) * (L + 1) * Fraction(1, 2))
-    assert str(rf) == "(-1/3*L^-2 + 1/3*L^-1) / (-1 + L^2)"
+    assert str(rf) == "(1/3*L^-2) / (1 + L)"
     rf = RationalFunction(2 * L - 2, L ** -1 * (L ** 2 - 1) * 3)
-    assert str(rf) == "(-2/3 + 2/3*L) / (-L^-1 + L)"
+    assert str(rf) == "(2/3*L) / (1 + L)"
 
 
 # ---------------------------------------------------------------------

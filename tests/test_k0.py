@@ -55,6 +55,11 @@ def test_chi_y_and_euler():
 def test_atom_invariants():
     with pytest.raises(ValidationError):
         Atom("bad", 0, U * V)  # degree exceeds 2*dim
+    # an integer dimension and an integer polynomial in u and v
+    for dim, e in [(1.0, U), (True, U), (1, U / 2), (1, U * Y),
+                   (1, U ** -1), (1, MultiPoly.const(Fraction(1, 2)))]:
+        with pytest.raises(ValidationError):
+            Atom("bad", dim, e)
     torus = Atom("T", 1, U * V - 1)
     assert euler_of_class(K0Class.atom(torus)) == 0
 
