@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .dense import Dense
 from .graded import GradedRing
-from .rings import (ExactDivisionError, MultiPoly, TruncSeries, as_fraction,
+from .rings import (ExactDivisionError, MultiPoly, TruncSeries,
                     coeff_div_exact, exp_coeffs)
 
 Y = MultiPoly.var("y")
@@ -124,9 +124,8 @@ def _power_coefficient_over_z(series: TruncSeries, m: int):
     coeffs = series.coeffs
     scalar = all(isinstance(c, (int, Fraction)) for c in coeffs)
     if scalar:
-        qs = [as_fraction(c) for c in coeffs]
-        d = math.lcm(*(q.denominator for q in qs))
-        cleared = [q.numerator * (d // q.denominator) for q in qs]
+        d = math.lcm(*(c.denominator for c in coeffs))
+        cleared = [c.numerator * (d // c.denominator) for c in coeffs]
     else:
         polys = [MultiPoly._coerce(c) for c in coeffs]
         if None in polys:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from operator import add, itemgetter, mul
 
-from .rings import MultiPoly
+from .rings import MultiPoly, _div
 
 
 class GradedRing:
@@ -113,8 +113,7 @@ class GradedRing:
             n >>= 1
             if n:
                 base = self._product(elt.vars, base, base)
-        return MultiPoly(elt.vars, {e: Fraction(c, dn)
-                                    for e, c in out.items()})
+        return MultiPoly(elt.vars, {e: _div(c, dn) for e, c in out.items()})
 
     def prod(self, elts) -> MultiPoly:
         out = MultiPoly.const(1)

@@ -52,7 +52,7 @@ class Atom:
         if self.dim < 0:
             raise ValidationError("atom dimension must be nonnegative")
         if set(self.e_poly.vars) - {"u", "v"} or any(
-                c.denominator != 1 or min(e, default=0) < 0
+                not isinstance(c, int) or min(e, default=0) < 0
                 for e, c in self.e_poly.terms.items()):
             raise ValidationError(
                 f"the E-polynomial of atom {self.name!r} must be an integer "
@@ -78,7 +78,7 @@ class K0Class:
 
     def __init__(self, poly: MultiPoly, atoms: dict):
         for expo, coeff in poly.terms.items():
-            if coeff.denominator != 1:
+            if not isinstance(coeff, int):
                 raise ValidationError("K0 classes have integer coefficients")
             if min(expo, default=0) < 0:
                 raise ValidationError("negative atom powers are not in K0")
@@ -233,14 +233,12 @@ def euler_of_class(a: K0Class) -> int:
     evaluated at those integers.
     """
     # an E-polynomial at (1, 1) is the sum of its coefficients
-    chis = [sum(c.numerator for c in a.atoms[name].e_poly.terms.values())
-            for name in a.poly.vars]
+    chis = [sum(a.atoms[name].e_poly.terms.values()) for name in a.poly.vars]
     out = 0
     for expo, coeff in a.poly.terms.items():
-        term = coeff.numerator
         for chi, e in zip(chis, expo):
-            term *= chi ** e
-        out += term
+            coeff *= chi ** e
+        out += coeff
     return out
 
 

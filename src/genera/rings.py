@@ -1,9 +1,10 @@
 """Exact arithmetic foundation: multivariate polynomials, truncated power
 series and rational functions over arbitrary-precision rationals.
 
-All values are immutable; every operation returns a new object.  Rationals
-are ``fractions.Fraction`` throughout, renormalized at every step, so
-equality testing is always exact structural comparison.
+All values are immutable; every operation returns a new object.  A
+polynomial coefficient is canonical: an ``int`` when it is integral, a
+``fractions.Fraction`` otherwise, so equality testing is always exact
+structural comparison and integer work stays on ints.
 """
 
 from __future__ import annotations
@@ -16,12 +17,23 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _scalar(x):
+    """A coefficient in canonical form: an int when it is integral, a
+    Fraction otherwise; anything else, a float included, is a TypeError."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return int(x) if x.denominator == 1 else x
     raise TypeError(f"not a rational scalar: {x!r}")
+
+
+def _div(a, b):
+    """a / b, exact: an int over an int is an int when it divides, else a
+    Fraction, never a float; any other pair is plain ``/``."""
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 def exp_coeffs(a, order: int) -> list:
@@ -35,7 +47,6 @@ def exp_coeffs(a, order: int) -> list:
 
 def binom_frac(a: Fraction, k: int) -> Fraction:
     """Generalized binomial coefficient C(a, k) for rational a."""
-    a = as_fraction(a)
     out = Fraction(1)
     for i in range(k):
         out *= (a - i)
@@ -43,7 +54,8 @@ def binom_frac(a: Fraction, k: int) -> Fraction:
 
 
 class MultiPoly:
-    """Multivariate polynomial with Fraction coefficients.
+    """Multivariate polynomial with rational coefficients, each an int when
+    it is integral and a Fraction otherwise (``_scalar``).
 
     Variables are kept sorted and unused variables are dropped, so two
     polynomials are equal iff their internal representations coincide.
@@ -55,25 +67,14 @@ class MultiPoly:
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
-        clean = {}
-        for expo, coeff in terms.items():
-            coeff = as_fraction(coeff)
-            if coeff != 0:
-                clean[tuple(expo)] = coeff
-        # drop variables that never occur with a nonzero exponent
+        clean = {tuple(e): s for e, c in terms.items() if (s := _scalar(c))}
+        # drop variables that never occur with a nonzero exponent, and sort
+        # the rest; distinct names keep distinct exponent tuples distinct
         used = [i for i in range(len(variables)) if any(e[i] for e in clean)]
         if len(used) != len(variables) or list(variables) != sorted(variables):
-            names = sorted(variables[i] for i in used)
-            index = {n: i for i, n in enumerate(names)}
-            remapped = {}
-            for expo, coeff in clean.items():
-                new = [0] * len(names)
-                for i in used:
-                    new[index[variables[i]]] = expo[i]
-                key = tuple(new)
-                remapped[key] = remapped.get(key, Fraction(0)) + coeff
-            clean = {e: c for e, c in remapped.items() if c != 0}
-            variables = tuple(names)
+            used.sort(key=variables.__getitem__)
+            clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
+            variables = tuple(variables[i] for i in used)
         object.__setattr__(self, "vars", variables)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -84,17 +85,16 @@ class MultiPoly:
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        c = as_fraction(c)
-        return cls((), {(): c} if c != 0 else {})
+        return cls((), {(): c})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     @classmethod
     def monomial(cls, powers: dict, coeff=1) -> "MultiPoly":
         names = tuple(sorted(powers))
-        return cls(names, {tuple(powers[n] for n in names): as_fraction(coeff)})
+        return cls(names, {tuple(powers[n] for n in names): coeff})
 
     # -- helpers ------------------------------------------------------
     @staticmethod
@@ -130,11 +130,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return not self.vars
 
-    def constant_value(self) -> Fraction:
-        """The constant term (all exponents zero)."""
-        if not self.vars:
-            return self.terms.get((), Fraction(0))
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def constant_value(self):
+        """The constant term (all exponents zero), an int or a Fraction."""
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -154,7 +152,7 @@ class MultiPoly:
             return NotImplemented
         names, a, b = self._align(other)
         for expo, coeff in b.items():
-            a[expo] = a.get(expo, Fraction(0)) + coeff
+            a[expo] = a.get(expo, 0) + coeff
         return MultiPoly(names, a)
 
     __radd__ = __add__
@@ -183,17 +181,17 @@ class MultiPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(names, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            if q == 0:
+            if other == 0:
                 raise ZeroDivisionError("division of polynomial by zero")
-            return MultiPoly(self.vars, {e: c / q for e, c in self.terms.items()})
+            return MultiPoly(self.vars, {e: _div(c, other)
+                                         for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -233,7 +231,7 @@ class MultiPoly:
         if len(self.terms) != 1:
             raise ExactDivisionError("only monomials are invertible")
         (expo, coeff), = self.terms.items()
-        return MultiPoly(self.vars, {tuple(-e for e in expo): 1 / coeff})
+        return MultiPoly(self.vars, {tuple(-e for e in expo): _div(1, coeff)})
 
     # -- comparison ---------------------------------------------------
     def __eq__(self, other):
@@ -332,11 +330,11 @@ class MultiPoly:
             q_expo = tuple(x - y for x, y in zip(r_expo, dl_expo))
             if any(e < 0 for e in q_expo):
                 raise ExactDivisionError("nonzero remainder in exact division")
-            q_coeff = r_coeff / dl_coeff
-            quot[q_expo] = quot.get(q_expo, Fraction(0)) + q_coeff
+            q_coeff = _div(r_coeff, dl_coeff)
+            quot[q_expo] = quot.get(q_expo, 0) + q_coeff
             for d_expo, d_coeff in div.items():
                 key = tuple(x + y for x, y in zip(q_expo, d_expo))
-                val = rem.get(key, Fraction(0)) - q_coeff * d_coeff
+                val = rem.get(key, 0) - q_coeff * d_coeff
                 if val == 0:
                     rem.pop(key, None)
                 else:
@@ -361,11 +359,11 @@ class MultiPoly:
         """(unit, primitive) with primitive having integer content 1 and
         positive leading coefficient in graded lex order."""
         if self.is_zero():
-            return Fraction(1), self
+            return 1, self
         coeffs = list(self.terms.values())
-        num_gcd = math.gcd(*(abs(c.numerator) for c in coeffs))
+        num_gcd = math.gcd(*(c.numerator for c in coeffs))
         den_lcm = math.lcm(*(c.denominator for c in coeffs))
-        unit = Fraction(num_gcd, den_lcm)
+        unit = _div(num_gcd, den_lcm)
         if self._lead()[1] < 0:
             unit = -unit
         return unit, self / unit
@@ -438,8 +436,8 @@ def _cleared(poly: MultiPoly, names: tuple):
 
 def _from_dense(names: tuple, p, num: int, den: int) -> MultiPoly:
     """num/den times the Dense p as a MultiPoly in ``names``, which is
-    (var,), or () for a constant p; one Fraction per coefficient."""
-    return MultiPoly(names, {(p.low + i,)[:len(names)]: Fraction(c * num, den)
+    (var,), or () for a constant p."""
+    return MultiPoly(names, {(p.low + i,)[:len(names)]: _div(c * num, den)
                              for i, c in enumerate(p.coeffs) if c})
 
 
@@ -486,7 +484,7 @@ def _lowest_terms(numerator: MultiPoly, denominator: MultiPoly):
         p = p / g
         for k, a in enumerate(p.coeffs, p.low):
             key = rest if at is None else rest[:at] + (k,) + rest[at + 1:]
-            terms[key] = Fraction(a * dd, dp * c)
+            terms[key] = _div(a * dd, dp * c)
     return MultiPoly(numerator.vars, terms), _from_dense(var, d, 1, c)
 
 
@@ -498,7 +496,7 @@ def coeff_inverse(c):
     if isinstance(c, (int, Fraction)):
         if c == 0:
             raise ZeroDivisionError("zero is not a unit")
-        return 1 / as_fraction(c)
+        return _div(1, c)
     if isinstance(c, MultiPoly):
         if c.is_constant():
             return MultiPoly.const(coeff_inverse(c.constant_value()))
@@ -515,17 +513,14 @@ def coeff_div_exact(value, a):
     ring: scalar division when a is a scalar or a constant polynomial,
     exact (Laurent) polynomial division when a is any other polynomial,
     and exact division over Z, with its remainder check, when a is a
-    dense.Dense.  An int quotient of two ints stays an int."""
+    dense.Dense.  A quotient of two ints is an int when it divides."""
     if isinstance(a, MultiPoly):
         if not a.is_constant():
             return MultiPoly._coerce(value).laurent_div_exact(a)
         a = a.constant_value()
     if a == 0:
         raise ExactDivisionError("division by a zero coefficient")
-    if isinstance(value, int) and isinstance(a, int):
-        q, r = divmod(value, a)
-        return q if not r else Fraction(value, a)
-    return value / a
+    return _div(value, a)
 
 
 def _power_coeffs(a, n: int, length: int) -> list:

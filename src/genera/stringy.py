@@ -243,7 +243,7 @@ def _split(cls: K0Class, r: int, var: str) -> list:
     rows = {}  # exponents of the other atoms -> {var degree: coeff}
     for expo, coeff in cls.poly.terms.items():
         rows.setdefault(expo[:il] + expo[il + 1:], {})[
-            r * expo[il] if il < len(names) else 0] = coeff.numerator
+            r * expo[il] if il < len(names) else 0] = coeff
     others = names[:il] + names[il + 1:]
     return [(tuple((n, e) for n, e in zip(others, expo) if e),
              Dense(var, 0, [row.get(e, 0) for e in range(max(row) + 1)]))
@@ -531,6 +531,9 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     if not isinstance(strata_list, list):
         raise ValidationError("strata must be a list of entries")
     strata = [None] * (1 << len(names))
+    # one K0Class per distinct class text, shared by its strata, so that
+    # _open_fold splits it once
+    parsed, variables = {}, tuple(atoms)
     for entry in strata_list:
         if not isinstance(entry, dict):
             raise ValidationError(f"stratum entry {entry!r} is not an object")
@@ -546,8 +549,12 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
             mask |= 1 << names.index(name)
         if strata[mask] is not None:
             raise ValidationError("duplicate stratum entry")
-        poly = parse_expr(entry["class"], variables=tuple(atoms))
-        strata[mask] = poly_to_class(poly, atoms)
+        text = entry["class"]
+        if not isinstance(text, str) or text not in parsed:
+            # a non-string raises in parse_expr before it is stored
+            parsed[text] = poly_to_class(
+                parse_expr(text, variables=variables), atoms)
+        strata[mask] = parsed[text]
     for mask, cls in enumerate(strata):
         if cls is None:
             missing = ", ".join(n for i, n in enumerate(names) if mask >> i & 1)

@@ -149,7 +149,7 @@ def euclid_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     def to_list(p):
         cs = [Fraction(0)] * (p.degree_in(name) + 1)
         for expo, coeff in p.terms.items():
-            cs[expo[0] if p.vars else 0] = coeff
+            cs[expo[0] if p.vars else 0] = Fraction(coeff)
         return cs
 
     def strip(c):

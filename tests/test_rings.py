@@ -359,3 +359,106 @@ def test_lowest_terms_against_sympy():
             Dense.from_poly(b, "x")).to_poly())
         want = sympy.gcd(to_sympy(sympy, a), to_sympy(sympy, b))
         assert sympy.expand(got - want) == 0 or sympy.expand(got + want) == 0
+
+
+def canonical(c) -> bool:
+    """An int, or a Fraction that is not one: never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def test_coefficients_are_canonical():
+    # every result coefficient is canonical, and int-built and
+    # Fraction-built inputs give equal values with equal hashes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.one_of(st.integers(-6, 6), st.builds(
+        Fraction, st.integers(-6, 6), st.integers(1, 4)))
+    terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            scalars, max_size=4)
+    nonzero = scalars.filter(bool)
+
+    def results(a: dict, b: dict, q, c, as_scalar) -> list:
+        pa, pb = (MultiPoly(("x", "y"),
+                            {e: as_scalar(v) for e, v in t.items()})
+                  for t in (a, b))
+        mono = MultiPoly.monomial({"x": 1, "y": 2}, as_scalar(q))
+        out = [pa + pb, pa - pb, pa * pb, pa ** 3, pa / q, pa / as_scalar(c),
+               mono.monomial_inverse(), mono ** -2,
+               pa.substitute_map({"x": pb, "y": as_scalar(q)})]
+        out += pa.content_normalized()
+        if not pb.is_zero():
+            d = pb * X + 1  # no monomial factor, which the lift misses
+            out += [(pa * pb).div_exact(pb),
+                    (pa * d * X ** -2).laurent_div_exact(d)]
+        den = pb.substitute_map({"y": 2})
+        if not den.is_zero():
+            f = RationalFunction(pa, den)
+            out += [f.numerator, f.denominator]
+        return out
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(terms, terms, nonzero, nonzero)
+    def check(a, b, q, c):
+        by_int = results(a, b, q, c, lambda v: v)
+        by_fraction = results(a, b, q, c, Fraction)
+        for got in by_int + by_fraction:
+            values = got.terms.values() if isinstance(got, MultiPoly) \
+                else [got]
+            assert all(canonical(v) for v in values), got
+        assert by_int == by_fraction
+        assert [hash(v) for v in by_int] == [hash(v) for v in by_fraction]
+
+    check()
+
+
+def test_float_coefficients_are_rejected():
+    for build in (lambda: MultiPoly.const(0.5),
+                  lambda: MultiPoly(("x",), {(1,): 1.0}),
+                  lambda: X * 1.5):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_exact_division_against_sympy():
+    # MultiPoly.div_exact over Q and Dense / over Z raise ExactDivisionError
+    # exactly when sympy.div leaves a remainder, and else agree with it
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    rng = random.Random(53)
+    outcomes = []
+    for _ in range(60):
+        a, b = random_poly(rng, nvars=2), random_poly(rng, nvars=2, nterms=2)
+        if b.is_zero():
+            continue
+        if rng.random() < 0.5:
+            a = a * b
+        q, r = sympy.div(to_sympy(sympy, a), to_sympy(sympy, b), x, y)
+        try:
+            got = a.div_exact(b)
+        except ExactDivisionError:
+            got = None
+        assert (got is None) == (r != 0)
+        if got is not None:
+            assert sympy.expand(to_sympy(sympy, got) - q) == 0
+        outcomes.append(("MultiPoly", got is None))
+    for _ in range(60):
+        a, b = (Dense("x", rng.randint(-2, 2),
+                      [rng.randint(-4, 4) for _ in range(rng.randint(0, n))])
+                for n in (5, 3))
+        if b == 0:
+            continue
+        if rng.random() < 0.5:
+            a = a * b
+        # Dense keeps x^low apart, so divide the coefficient tuples in Z[x]
+        num, den = (to_sympy(sympy, p.shift(-p.low).to_poly()) for p in (a, b))
+        q, r = sympy.div(num, den, x, domain="ZZ", auto=False)
+        try:
+            got = a / b
+        except ExactDivisionError:
+            got = None
+        assert (got is None) == (r != 0)
+        if got is not None:
+            assert sympy.expand(to_sympy(sympy, got.to_poly())
+                                - q * x ** (a.low - b.low)) == 0
+        outcomes.append(("Dense", got is None))
+    assert len(set(outcomes)) == 4, outcomes

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from genera import stringy
+from genera.cli import EXIT_VALIDATION, main
 from genera.k0 import K0Class, chi_y_of_class, lefschetz
 from genera.rings import MultiPoly, RationalFunction, TruncSeries
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
@@ -323,3 +324,48 @@ def test_component_cap_is_checked_before_the_strata():
     data["components"].pop()
     with pytest.raises(ValueError, match="unexpected token"):
         datum_from_dict(data)
+
+
+def test_loader_parses_each_class_text_once():
+    d = load_datum(str(FIXTURES / "blowup_c2_x8.json"))
+    assert len(d.strata) == 256
+    assert len({id(cls) for cls in d.strata}) == 9
+    # the fixture is the 8-fold product of blowup_c2.json
+    blow = load_datum(str(FIXTURES / "blowup_c2.json"))
+    product = blow
+    for _ in range(7):
+        product = product_datum(product, blow)
+    assert d.strata == product.strata
+    assert [a for _, a in d.components] == [a for _, a in product.components]
+
+
+def repeated(*texts):
+    """TWO_COMPONENTS with the four strata classes in mask order."""
+    subsets = ([], ["E"], ["F"], ["E", "F"])
+    return {**TWO_COMPONENTS, "strata": [
+        {"subset": s, "class": t} for s, t in zip(subsets, texts)]}
+
+
+def test_shared_class_gives_the_values_of_distinct_texts():
+    shared = datum_from_dict(repeated("L^2 + L", "L + 1", "L + 1", "L + 1"))
+    apart = datum_from_dict(repeated("L^2 + L", "L + 1", "1 + L", "(L+1)"))
+    assert shared.strata[1] is shared.strata[2] is shared.strata[3]
+    assert len({id(cls) for cls in apart.strata}) == 4
+    assert shared.strata == apart.strata
+    assert motivic_integral(shared) == motivic_integral(apart)
+    assert stringy_E(shared) == stringy_E(apart)
+    assert stringy_euler(shared) == stringy_euler(apart)
+
+
+@pytest.mark.parametrize("texts", [
+    ("L", "L +", "L +", "1"),
+    ("L", ["L"], ["L"], "1"),
+    ("L", 3, 3, "1"),
+])
+def test_repeated_bad_class_exits_3(tmp_path, capsys, texts):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(repeated(*texts)))
+    assert main(["stringy", "integral", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
