@@ -342,17 +342,22 @@ class MultiPoly:
         return MultiPoly(names, quot)
 
     def laurent_div_exact(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact division allowing negative exponents in the dividend."""
-        shift = {}
-        for expo in self.terms:
-            for name, e in zip(self.vars, expo):
-                if e < 0:
-                    shift[name] = max(shift.get(name, 0), -e)
-        if not shift:
-            return self.div_exact(divisor)
-        mono = MultiPoly.monomial(shift)
-        lifted = (self * mono).div_exact(divisor)
-        return lifted * mono.monomial_inverse()
+        """Exact division in the Laurent ring, negative exponents allowed
+        on either side.  Each side's monomial factor comes out first; no
+        variable divides what is left of the divisor, so what is left of
+        the dividend has a Laurent quotient only if it has a polynomial one."""
+        names, terms, div = self._align(self._coerce(divisor))
+
+        def split(terms):
+            low = [min((e[i] for e in terms), default=0)
+                   for i in range(len(names))]
+            return low, MultiPoly(names, {
+                tuple(x - y for x, y in zip(e, low)): c
+                for e, c in terms.items()})
+
+        (a, top), (b, bottom) = split(terms), split(div)
+        return top.div_exact(bottom) * MultiPoly.monomial(
+            {name: x - y for name, x, y in zip(names, a, b)})
 
     # -- content / gcd (univariate only) ------------------------------
     def content_normalized(self):

@@ -19,7 +19,8 @@ from .dense import Dense
 from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
     load_json_object, poly_to_class
-from .rings import MultiPoly, RationalFunction, TruncSeries, exp_coeffs
+from .rings import ExactDivisionError, MultiPoly, RationalFunction, \
+    TruncSeries, exp_coeffs
 
 MAX_COMPONENTS = 14
 # the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
@@ -353,59 +354,46 @@ def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
 
 
 def _euler_formula(d: ResolutionDatum) -> Fraction:
-    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1)."""
+    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1), with
+    one Euler number per distinct class object."""
     k = len(d.components)
-    table = [Fraction(euler_of_class(cls)) for cls in d.strata]
-    return _fold(table, [1 / (d.discrepancy(i) + 1) for i in range(k)],
-                 [1] * k)
+    # the strata tuple keeps every class alive, so ids stay distinct
+    distinct = {id(cls): cls for cls in d.strata}
+    chis = {key: Fraction(euler_of_class(cls))
+            for key, cls in distinct.items()}
+    return _fold([chis[id(cls)] for cls in d.strata],
+                 [1 / (d.discrepancy(i) + 1) for i in range(k)], [1] * k)
 
 
-def _falling_sums(poly: MultiPoly, r: int, k: int) -> tuple:
-    """With uv = 1 + s, so that u^a v^b t^c = (1+s)^(m/r) for
-    m = r(a + b) + c: the coefficients of poly times D, the lcm of their
-    denominators, summed by m to integers c_m.  Returns D and the
-    integers r^j j! D [s^j] poly = sum over m of c_m prod_{i<j} (m - i r)
-    for j = 0..k."""
-    extra = [var for var in poly.vars if var not in ("u", "v", "t")]
-    if extra:
-        raise ValidationError(
-            f"unexpected variable {extra[0]!r} in stringy value")
-    weights = [1 if var == "t" else r for var in poly.vars]
-    scale = math.lcm(*(c.denominator for c in poly.terms.values()))
-    by_m = {}
-    for expo, coeff in poly.terms.items():
-        m = sum(w * e for w, e in zip(weights, expo))
-        c = coeff.numerator * (scale // coeff.denominator)
-        by_m[m] = by_m.get(m, 0) + c
-    sums = [0] * (k + 1)
-    for m, b in by_m.items():
-        for j in range(k + 1):
-            sums[j] += b
-            b *= m - j * r
-    return scale, sums
+def _euler_limit(atoms: dict, num: dict, den: Dense, k: int) -> Fraction:
+    """The removable-singularity limit at u = v = 1 of the E-function of a
+    fold with k components: its atoms, numerator by atom monomial and
+    denominator.  Each atom goes to its Euler number, the sum of its
+    E-polynomial's coefficients, so the numerator is one dense polynomial;
+    (var - 1)^k divides exactly out of it and out of den, and the limit is
+    their ratio at var = 1.  A zero at 1 of order below k, or one of den
+    above k, raises ConsistencyError."""
+    top = sum((part * math.prod(sum(atoms[n].e_poly.terms.values()) ** e
+                                for n, e in key)
+               for key, part in num.items()), Dense(den.var, 0, ()))
+    zero = Dense(den.var, 0, (-1, 1)) ** k
+    try:
+        top, den = top / zero, den / zero
+    except ExactDivisionError as exc:
+        raise ConsistencyError(
+            f"the E-function does not vanish to order {k} at 1") from exc
+    if not sum(den.coeffs):
+        raise ConsistencyError(
+            f"the denominator vanishes to order above {k} at 1")
+    return Fraction(sum(top.coeffs), sum(den.coeffs))
 
 
-def _euler_limit(e: StringyValue, k: int) -> Fraction:
-    """The removable-singularity limit of a stringy E-function with k
-    components at u = v = 1: substitute uv = 1 + s and take the ratio of
-    the s^k coefficients of numerator and denominator.  Every numerator
-    term vanishes to order k in s, the denominator to exactly order k.
-    The coefficients are carried as integer falling-factorial sums; their
-    common factor r^k k! cancels in the ratio."""
-    num_scale, num = _falling_sums(e.num, e.r, k)
-    den_scale, den = _falling_sums(e.den, e.r, k)
-    if any(den[:k]) or den[k] == 0:
-        raise ConsistencyError("denominator does not vanish to order k")
-    if any(num[:k]):
-        raise ConsistencyError("numerator does not vanish to order k")
-    return Fraction(num[k] * den_scale, den[k] * num_scale)
-
-
-def _checked_euler(d: ResolutionDatum, e: StringyValue) -> Fraction:
+def _checked_euler(d: ResolutionDatum, fold: tuple) -> Fraction:
     """The formula path of the stringy Euler number, checked against the
-    limit of d's E-function e; a disagreement raises ConsistencyError."""
+    limit of d's fold (atoms, numerator by atom monomial, denominator);
+    a disagreement raises ConsistencyError."""
     direct = _euler_formula(d)
-    limit = _euler_limit(e, len(d.components))
+    limit = _euler_limit(*fold, len(d.components))
     if limit != direct:
         raise ConsistencyError(
             f"stringy Euler paths disagree: formula {direct}, limit {limit}")
@@ -416,11 +404,12 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
     """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1).
 
     Verified against the removable-singularity limit of stringy_E at
-    u = v = 1 (substituting uv = 1 + s and taking the ratio of the s^k
-    coefficients of numerator and denominator, k the number of
-    components); a disagreement raises ConsistencyError.
+    u = v = 1, taken on the open fold: (t - 1)^k, k the number of
+    components, divides out of numerator and denominator, which are then
+    evaluated at t = 1; a disagreement raises ConsistencyError.
     """
-    return _checked_euler(d, stringy_E(d))
+    atoms, _, num, _, den = _open_fold(d, "t")
+    return _checked_euler(d, (atoms, num, den))
 
 
 # ---------------------------------------------------------------------
@@ -477,7 +466,7 @@ class InvarianceReport:
 def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceReport:
     """Compare the four invariants of two resolution data for one pair;
     chi_y only when both have index 1.  Each datum's E-function realises
-    its checked integral, and feeds its chi_y and Euler limit check."""
+    its checked integral, whose fold also feeds its Euler limit check."""
     n1, n2 = _checked_integral(d1), _checked_integral(d2)
     i1, i2 = _integral(*n1[1:]), _integral(*n2[1:])
     e1, e2 = _realise(*n1, d1.index_r), _realise(*n2, d2.index_r)
@@ -485,7 +474,7 @@ def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceRepo
     if d1.index_r == d2.index_r == 1:
         c1, c2 = _chi_y_of(e1), _chi_y_of(e2)
         chi_y = (c1, c2, c1 == c2)
-    x1, x2 = _checked_euler(d1, e1), _checked_euler(d2, e2)
+    x1, x2 = _checked_euler(d1, n1), _checked_euler(d2, n2)
     return InvarianceReport((i1, i2, i1 == i2), (e1, e2, e1 == e2),
                             chi_y, (x1, x2, x1 == x2))
 

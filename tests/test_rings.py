@@ -141,6 +141,36 @@ def test_laurent_div_exact():
         (X + Y).laurent_div_exact(1 + Y)
 
 
+@pytest.mark.parametrize("dividend,divisor,quotient", [
+    (X ** -1, X, X ** -2),
+    (MultiPoly.const(1), X, X ** -1),
+    (X ** -2 + X, X * (X + 1), X ** -3 - X ** -2 + X ** -1),
+    # the divisor's monomial factor, positive or negative, moves out
+    (X ** 3 + X ** 2 * Y, X ** 2 * Y ** 3 * (X + Y), Y ** -3),
+    (X + 1, X ** -2 * (X + 1), X ** 2),
+    (Y ** -1 * (X - Y) * (X + Y), X * (X + Y), X ** -1 * Y ** -1 * (X - Y)),
+])
+def test_laurent_div_exact_quotients(dividend, divisor, quotient):
+    assert dividend.laurent_div_exact(divisor) == quotient
+
+
+def test_laurent_div_exact_divides_back():
+    # q * b / b == q for Laurent q and polynomial b; q * b + x^-4 leaves
+    # a remainder whenever b is not a unit, a monomial
+    rng = random.Random(23)
+    for _ in range(60):
+        b = random_poly(rng, nvars=2, nterms=3)
+        if b.is_zero():
+            continue
+        shift = MultiPoly.monomial({"x": rng.randint(-3, 0),
+                                    "y": rng.randint(-3, 0)})
+        q = random_poly(rng, nvars=2, nterms=3) * shift
+        assert (q * b).laurent_div_exact(b) == q
+        if len(b.terms) > 1:
+            with pytest.raises(ExactDivisionError):
+                (q * b + X ** -4).laurent_div_exact(b)
+
+
 def test_series_invert_examples():
     geom = TruncSeries.from_coeffs("z", [1, 1], 4).invert()
     assert list(geom.coeffs) == [1, -1, 1, -1, 1]
@@ -387,7 +417,7 @@ def test_coefficients_are_canonical():
                pa.substitute_map({"x": pb, "y": as_scalar(q)})]
         out += pa.content_normalized()
         if not pb.is_zero():
-            d = pb * X + 1  # no monomial factor, which the lift misses
+            d = pb * X + 1
             out += [(pa * pb).div_exact(pb),
                     (pa * d * X ** -2).laurent_div_exact(d)]
         den = pb.substitute_map({"y": 2})

@@ -229,6 +229,17 @@ def test_jacobian_check_is_live(monkeypatch):
         jacobian_factor_limit(2, 4)
 
 
+def test_euler_formula_reads_each_class_once(monkeypatch):
+    # the 256 strata of the eight-fold blow-up share nine class objects
+    d = load_datum(str(FIXTURES / "blowup_c2_x8.json"))
+    calls = []
+    real = stringy.euler_of_class
+    monkeypatch.setattr(stringy, "euler_of_class",
+                        lambda cls: calls.append(cls) or real(cls))
+    assert stringy_euler(d) == 1
+    assert 0 < len(calls) <= 9
+
+
 def test_euler_check_is_live(monkeypatch):
     # either path off by one must fail the check
     d = load_datum(str(FIXTURES / "index2_half.json"))

@@ -137,9 +137,8 @@ def test_product_values_multiply(k1, k2, r):
         d = product_datum(f1, f2)
         e, e1, e2 = stringy_E(d), stringy_E(f1), stringy_E(f2)
         assert e == StringyValue(e1.num * e2.num, e1.den * e2.den, r)
-        # the Euler numbers from these E-functions, each limit-checked
-        assert stringy._checked_euler(d, e) == \
-            stringy._checked_euler(f1, e1) * stringy._checked_euler(f2, e2)
+        # the Euler numbers, each limit-checked on its own fold
+        assert stringy_euler(d) == stringy_euler(f1) * stringy_euler(f2)
 
 
 def superset_sums_skipping(skip):
@@ -302,33 +301,27 @@ def reference_limit(e: StringyValue, k: int) -> Fraction:
 @pytest.mark.parametrize("k,r", [(k, r) for k in range(6) for r in (1, 2, 3)])
 def test_euler_limit_against_binomial_series(k, r):
     d = random_datum(k, r, seed=500 * k + r, with_curve=True)
-    e = stringy_E(d)
-    assert stringy._euler_limit(e, k) == reference_limit(e, k)
-
-
-def test_euler_limit_of_fractional_coefficients():
-    u, v, t = (MultiPoly.var(n) for n in "uvt")
-    p = Fraction(1, 3) * u + Fraction(2, 5) * v ** 2 * t - Fraction(1, 7)
-    e = StringyValue(p * (t ** 2 - 1) * (t ** 5 - 1),
-                     Fraction(3, 2) * (t ** 3 - 1) * (t - 1), 2)
-    # t^n - 1 = n s / r + O(s^2), and p = 1/3 + 2/5 - 1/7 at s = 0
-    expected = Fraction(1, 3) + Fraction(2, 5) - Fraction(1, 7)
-    expected *= Fraction(2 * 5, 3 * 1) / Fraction(3, 2)
-    assert stringy._euler_limit(e, 2) == expected == reference_limit(e, 2)
+    num, den = reference_E(d)
+    assert stringy_euler(d) == reference_limit(StringyValue(num, den, r), k)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_euler_limit_rejects_wrong_vanishing_orders(k):
-    t = MultiPoly.var("t")
-    u = MultiPoly.var("u")
-    vanishing = (t - 1) ** k * (u + 2)
-    short = StringyValue((t - 1) ** (k - 1) * (u + 2), (t ** 2 - 1) ** k, 2)
-    with pytest.raises(ConsistencyError, match="numerator"):
-        stringy._euler_limit(short, k)
+    def vanishing(order, *cofactor):
+        return Dense("t", 0, (-1, 1)) ** order * Dense("t", 0, cofactor)
+
+    u, v = MultiPoly.var("u"), MultiPoly.var("v")
+    atoms = {"L": LEFSCHETZ, "P": Atom("P", 1, u * v + 1)}  # chi(P) = 2
+    good = {(): vanishing(k, 2, 1), (("P", 2),): vanishing(k, 1)}
+    # (3 + 1 * 2^2) / 2 at t = 1
+    assert stringy._euler_limit(atoms, good, vanishing(k, 1, 1), k) == \
+        Fraction(7, 2)
+    short = {(): vanishing(k, 2, 1), (("P", 2),): vanishing(k - 1, 1)}
+    with pytest.raises(ConsistencyError):
+        stringy._euler_limit(atoms, short, vanishing(k, 1, 1), k)
     for den_order in (k - 1, k + 1):
-        bad = StringyValue(vanishing, (t ** 3 - 1) ** den_order, 2)
-        with pytest.raises(ConsistencyError, match="denominator"):
-            stringy._euler_limit(bad, k)
+        with pytest.raises(ConsistencyError):
+            stringy._euler_limit(atoms, good, vanishing(den_order, 1, 1), k)
 
 
 @pytest.mark.parametrize("k,r", [(k, r) for k in range(5) for r in (1, 2)])
