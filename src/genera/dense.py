@@ -11,6 +11,7 @@ and leave it by ``to_poly``, and public results stay ``MultiPoly``.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 from .rings import ExactDivisionError, MultiPoly, _power_coeffs
 
@@ -148,10 +149,9 @@ class Dense:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """The exact quotient in Z[var, 1/var], by long division of the
-        coefficient tuples; raises ExactDivisionError when there is none.
-        By Gauss's lemma there is one whenever ``other`` is primitive and
-        divides this polynomial over Q."""
+        """The exact quotient in Z[var, 1/var]; raises ExactDivisionError
+        when there is none.  By Gauss's lemma there is one whenever
+        ``other`` is primitive and divides this polynomial over Q."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -160,21 +160,11 @@ class Dense:
             raise ZeroDivisionError("division of polynomial by zero")
         if not self.coeffs:
             return self
-        a, b = list(self.coeffs), other.coeffs
-        db, lead = len(b), b[-1]
-        if len(a) < db:
-            raise ExactDivisionError("nonzero remainder in exact division")
-        quot = [0] * (len(a) - db + 1)
-        for k in reversed(range(len(quot))):
-            q, rem = divmod(a[k + db - 1], lead)
-            if rem:
-                raise ExactDivisionError("nonzero remainder in exact division")
-            quot[k] = q
-            if q:
-                for i in range(db - 1):
-                    a[k + i] -= q * b[i]
-        if any(a[:db - 1]):
-            raise ExactDivisionError("nonzero remainder in exact division")
+        b = other.coeffs
+        if len(b) == 2 and b[1] == 1:
+            quot = _linear_quotient(self.coeffs, -b[0])
+        else:
+            quot = _long_quotient(self.coeffs, b)
         return Dense(var, self.low - other.low, quot)
 
     def __rtruediv__(self, other):
@@ -256,3 +246,37 @@ class Dense:
 def _primitive(coeffs) -> list:
     g = math.gcd(*coeffs)
     return [c // g for c in coeffs]
+
+
+def _long_quotient(a, b) -> list:
+    """The quotient of the coefficient tuples a / b over Z, by long
+    division from the top; raises ExactDivisionError on a remainder."""
+    a, db, lead = list(a), len(b), b[-1]
+    if len(a) < db:
+        raise ExactDivisionError("nonzero remainder in exact division")
+    quot = [0] * (len(a) - db + 1)
+    for k in reversed(range(len(quot))):
+        q, rem = divmod(a[k + db - 1], lead)
+        if rem:
+            raise ExactDivisionError("nonzero remainder in exact division")
+        quot[k] = q
+        if q:
+            for i in range(db - 1):
+                a[k + i] -= q * b[i]
+    if any(a[:db - 1]):
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return quot
+
+
+def _linear_quotient(a, c: int) -> list:
+    """The quotient of the coefficient tuple a by var - c, in one pass
+    from the top (Horner's synthetic division): each quotient coefficient
+    is c times the one above it plus a coefficient of a, a running sum
+    when c = 1; the last sum is the remainder a(c), which must be 0."""
+    sums = list(accumulate(reversed(a), None if c == 1 else
+                           lambda s, x: s * c + x))
+    if sums[-1]:
+        raise ExactDivisionError("nonzero remainder in exact division")
+    sums.pop()
+    sums.reverse()
+    return sums

@@ -12,14 +12,15 @@ and compared with the closed-form stratum integral.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dense import Dense
 from .k0 import LEFSCHETZ, K0Class
 from .rings import MultiPoly, RationalFunction
-from .stringy import ResolutionDatum, _checked_integral
+from .stringy import ResolutionDatum, _check_closed, _check_components, \
+    _factors, _fold_tables
 
 MAX_DIM = 4
 MAX_LEVEL = 64
@@ -55,55 +56,57 @@ def jet_space_class(spec: JetSpec) -> MultiPoly:
     return L ** (spec.dimension * (spec.level + 1))
 
 
-def _coordinate_cell(order: int, n: int) -> Dense:
-    """Class in L_n(C) of the jets with contact order exactly ``order``
-    along {x = 0}: the first ``order`` coefficients vanish, the next one
-    does not, the remaining n - order are free."""
-    return L_MINUS_1.shift(n - order)
-
-
-def _walk(levels, budget: int, cell: Dense, weight: int = 0):
-    """Yield (weight, cell) for every choice of one (w, class) pair per
+def _walk(levels, budget: int, value=0, weight: int = 0):
+    """Yield (weight, value) for every choice of one (w, x) pair per
     level whose weights add up to at most ``budget``; each level lists
-    its pairs by increasing weight.  The cell is ``cell`` times the
-    chosen classes: the product over a prefix of levels is taken once and
-    shared by every cell below it, so each cell costs one product."""
+    its pairs by increasing weight.  The value is ``value`` plus the
+    chosen x, so a cell that travels as an int exponent costs one
+    addition per level."""
     if not levels:
-        yield weight, cell
+        yield weight, value
         return
     first, rest = levels[0], levels[1:]
-    for w, cls in first:
+    for w, x in first:
         if weight + w > budget:
             break
         if rest:
-            yield from _walk(rest, budget, cell * cls, weight + w)
+            yield from _walk(rest, budget, value + x, weight + w)
         else:
-            yield weight + w, cell * cls
+            yield weight + w, value + x
 
 
 def _contact_cells(spec: JetSpec, budget: int):
-    """(contact order, class in L_n(C^d)) of every cell whose contact
-    order sum a_i o_i is at most ``budget``: per positive coordinate the
-    orders o = 0..budget // a_i, times the free coordinates."""
+    """(contact order, e) of every cell whose contact order sum a_i o_i is
+    at most ``budget``; the cell's class in L_n(C^d) is (L-1)^m L^e, m the
+    number of positive exponents.  Per positive coordinate the orders
+    o = 0..budget // a_i each give (L-1) L^(n-o): the first o coefficients
+    vanish, the next one does not and the remaining n - o are free (o <= n
+    by stabilization).  Each free coordinate gives L^(n+1)."""
     n, d = spec.level, spec.dimension
     weights = [a for a in spec.exponents if a > 0]
-    levels = [[(a * o, _coordinate_cell(o, n))
-               for o in range(budget // a + 1)] for a in weights]
-    return _walk(levels, budget, ONE.shift((n + 1) * (d - len(weights))))
+    levels = [[(a * o, n - o) for o in range(budget // a + 1)]
+              for a in weights]
+    return _walk(levels, budget, (n + 1) * (d - len(weights)))
 
 
-def _total(cells) -> Dense:
-    """The sum of cell * L^shift over the (shift, cell) pairs, added
-    coefficientwise into one table."""
-    acc = defaultdict(int)
-    for shift, cell in cells:
-        low = cell.low + shift
-        for i, c in enumerate(cell.coeffs):
-            acc[low + i] += c
-    if not acc:
-        return ZERO
-    low = min(acc)
-    return Dense("L", low, [acc[e] for e in range(low, max(acc) + 1)])
+def _total(binned: dict) -> Dense:
+    """The sum over j of (L-1)^j times sum_e count * L^e, from
+    binned = {j: {e: count}}: one Dense product per j."""
+    total = ZERO
+    for j, counts in binned.items():
+        if counts:
+            low = min(counts)
+            row = [0] * (max(counts) - low + 1)
+            for e, c in counts.items():
+                row[e - low] = c
+            total += Dense("L", low, row) * L_MINUS_1 ** j
+    return total
+
+
+def _positive(spec: JetSpec) -> int:
+    """m, the number of positive exponents: each contact cell is
+    (L-1)^m L^e."""
+    return sum(a > 0 for a in spec.exponents)
 
 
 def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
@@ -116,17 +119,22 @@ def cylinder_measure(spec: JetSpec, p: int) -> MultiPoly:
         raise ValueError(
             f"truncation level {n} too small for contact order {p} "
             f"(stabilization needs level >= order)")
-    total = _total((0, cell) for w, cell in _contact_cells(spec, p) if w == p)
-    return total.shift(-n * d).to_poly()
+    counts = Counter(e for w, e in _contact_cells(spec, p) if w == p)
+    return _total({_positive(spec): counts}).shift(-n * d).to_poly()
 
 
 def _partition_measure(spec: JetSpec) -> Dense:
     """The summed measure of the exact-contact-order cells, each
     coordinate of order 0..n or in the all-zero remainder cell."""
     n, d = spec.level, spec.dimension
-    orders = [(0, _coordinate_cell(o, n)) for o in range(n + 1)] + [(0, ONE)]
-    total = _total((0, cell) for _, cell in _walk([orders] * d, 0, ONE))
-    return total.shift(-n * d)
+    # a cell (L-1)^j L^e travels as the int j * stride + e: e <= n * d
+    stride = n * d + 1
+    orders = [(0, stride + n - o) for o in range(n + 1)] + [(0, 0)]
+    binned = defaultdict(dict)
+    for v, count in Counter(v for _, v in _walk([orders] * d, 0)).items():
+        j, e = divmod(v, stride)
+        binned[j][e] = count
+    return _total(binned).shift(-n * d)
 
 
 def partition_check(spec: JetSpec) -> bool:
@@ -136,20 +144,29 @@ def partition_check(spec: JetSpec) -> bool:
     return _partition_measure(spec) == ONE.shift(spec.dimension)
 
 
-def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
-    """The resolution datum of the identity map on C^d with boundary
-    sum a_i * {x_i = 0}: components are the coordinate hyperplanes with
-    positive exponent, open strata are tori times affine factors."""
+def _coordinate_strata(spec: JetSpec):
+    """The components (H_i, a_i) of the coordinate hyperplanes with
+    positive exponent, and the open strata of C^d as a table of Dense
+    classes in L indexed by bitmask: a mask that misses j of the m
+    components holds L^(d-m) (L-1)^j, one object per j."""
     positive = [i for i in range(spec.dimension) if spec.exponents[i] > 0]
     m = len(positive)
     components = tuple(
         (f"H{i + 1}", Fraction(spec.exponents[i])) for i in positive)
-    # the stratum of a mask is L^(d-m) (L-1)^j, j the components it misses
     by_missing = [ONE.shift(spec.dimension - m)]
     for _ in range(m):
         by_missing.append(by_missing[-1] * L_MINUS_1)
-    classes = [K0Class(c.to_poly(), {"L": LEFSCHETZ}) for c in by_missing]
-    strata = tuple(classes[m - mask.bit_count()] for mask in range(1 << m))
+    return components, [by_missing[m - mask.bit_count()]
+                        for mask in range(1 << m)]
+
+
+def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
+    """The resolution datum of the identity map on C^d with boundary
+    sum a_i * {x_i = 0}: components are the coordinate hyperplanes with
+    positive exponent, open strata are tori times affine factors."""
+    components, table = _coordinate_strata(spec)
+    classes = {id(c): K0Class(c.to_poly(), {"L": LEFSCHETZ}) for c in table}
+    strata = tuple(classes[id(c)] for c in table)
     return ResolutionDatum("arc", 1, components, strata)
 
 
@@ -178,19 +195,27 @@ def _partial(spec: JetSpec, p_max: int) -> Dense:
         raise ValueError("p_max must be nonnegative")
     level = max(spec.level, p_max)
     working = JetSpec(spec.dimension, spec.exponents, level)
-    partial = _total((-w, cell) for w, cell in _contact_cells(working, p_max))
-    return partial.shift(-level * spec.dimension)
+    counts = Counter(e - w for w, e in _contact_cells(working, p_max))
+    return _total({_positive(spec): counts}).shift(-level * spec.dimension)
 
 
 def oracle_integral(spec: JetSpec, p_max: int):
     """(partial, closed, verdict): the truncated sum of cylinder measures
     against L^-p, the closed form, and agreement of the closed form with
-    the checked stratum-sum motivic integral of the matching coordinate
-    datum, decided by one cross-multiplication of the unreduced parts."""
+    the stratum-sum motivic integral of the coordinate strata.  That
+    integral is stringy's open fold of the Dense strata table, checked
+    against its closed-stratum fold, over components validated as a
+    resolution datum's; the verdict is one cross-multiplication of the
+    unreduced parts."""
     partial = _partial(spec, p_max)
     cnum, cden = _closed_parts(spec)
-    _, num, den = _checked_integral(coordinate_datum(spec))
-    verdict = list(num) == [()] and cnum * den == num[()] * cden
+    components, table = _coordinate_strata(spec)
+    _check_components("arc", 1, components)
+    dens, den = _factors(components, 1, "L")
+    tables = {(): table}
+    num = _fold_tables(tables, dens, 1, "L")
+    _check_closed(tables, num, dens, 1, "L")
+    verdict = cnum * den == num[()] * cden
     closed = RationalFunction(cnum.to_poly(), cden.to_poly())
     return partial.to_poly(), closed, verdict
 

@@ -33,6 +33,39 @@ class ConsistencyError(ArithmeticError):
     """Two evaluation paths that must agree did not."""
 
 
+def _check_components(flavor: str, index_r: int, components) -> None:
+    """Validate the flavor, the index and the (name, discrepancy)
+    components of resolution data, including the budget on the degree of
+    the integral's denominator; raises ValidationError."""
+    if flavor not in ("stringy", "arc"):
+        raise ValidationError(f"unknown flavor {flavor!r}")
+    if index_r < 1:
+        raise ValidationError("index r must be a positive integer")
+    if len(components) > MAX_COMPONENTS:
+        raise ValidationError(
+            f"at most {MAX_COMPONENTS} components are supported")
+    names = [n for n, _ in components]
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate component names")
+    degree = 0  # the sum of r * (a_i + 1)
+    for name, a in components:
+        a = Fraction(a)
+        if a <= -1:
+            raise ValidationError(f"discrepancy of {name!r} must be > -1")
+        ra = index_r * a
+        if ra.denominator != 1:
+            raise ValidationError(
+                f"r * discrepancy of {name!r} must be an integer")
+        if flavor == "arc" and (a.denominator != 1 or a < 0):
+            raise ValidationError(
+                "arc flavor needs nonnegative integer discrepancies")
+        degree += ra.numerator + index_r
+    if degree > MAX_DENOMINATOR_DEGREE:
+        raise ValidationError(
+            f"the sum of r * (a_i + 1) over the components is {degree}; "
+            f"at most {MAX_DENOMINATOR_DEGREE} is supported")
+
+
 @dataclass(frozen=True)
 class ResolutionDatum:
     """Normal-crossing resolution data for a log-terminal pair.
@@ -49,38 +82,11 @@ class ResolutionDatum:
     strata: tuple
 
     def __post_init__(self):
-        if self.flavor not in ("stringy", "arc"):
-            raise ValidationError(f"unknown flavor {self.flavor!r}")
-        if self.index_r < 1:
-            raise ValidationError("index r must be a positive integer")
-        if len(self.components) > MAX_COMPONENTS:
+        _check_components(self.flavor, self.index_r, self.components)
+        k = len(self.components)
+        if not isinstance(self.strata, tuple) or len(self.strata) != 1 << k:
             raise ValidationError(
-                f"at most {MAX_COMPONENTS} components are supported")
-        names = [n for n, _ in self.components]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate component names")
-        degree = 0  # the sum of r * (a_i + 1)
-        for name, a in self.components:
-            a = Fraction(a)
-            if a <= -1:
-                raise ValidationError(
-                    f"discrepancy of {name!r} must be > -1")
-            ra = self.index_r * a
-            if ra.denominator != 1:
-                raise ValidationError(
-                    f"r * discrepancy of {name!r} must be an integer")
-            if self.flavor == "arc" and (a.denominator != 1 or a < 0):
-                raise ValidationError(
-                    "arc flavor needs nonnegative integer discrepancies")
-            degree += ra.numerator + self.index_r
-        if degree > MAX_DENOMINATOR_DEGREE:
-            raise ValidationError(
-                f"the sum of r * (a_i + 1) over the components is {degree}; "
-                f"at most {MAX_DENOMINATOR_DEGREE} is supported")
-        if not isinstance(self.strata, tuple) or \
-                len(self.strata) != 1 << len(names):
-            raise ValidationError(
-                f"strata must be a tuple of {1 << len(names)} classes, "
+                f"strata must be a tuple of {1 << k} classes, "
                 f"one per subset of the components")
 
     def discrepancy(self, i: int) -> Fraction:
@@ -224,13 +230,12 @@ def _fold(table: list, ins: list, outs: list):
     return table[0]
 
 
-def _factors(d: ResolutionDatum, var: str):
-    """The factors var^{r(a_i+1)} - 1, one per component, and their
-    product, as dense polynomials; r(a_i + 1) is an integer by the
-    datum's validation."""
-    r = d.index_r
-    factors = [Dense(var, int(r * (d.discrepancy(i) + 1)), (1,)) - 1
-               for i in range(len(d.components))]
+def _factors(components, r: int, var: str):
+    """The factors var^{r(a_i+1)} - 1, one per (name, a_i) component, and
+    their product, as dense polynomials; r(a_i + 1) is an integer by the
+    components' validation."""
+    factors = [Dense(var, int(r * (Fraction(a) + 1)), (1,)) - 1
+               for _, a in components]
     return factors, math.prod(factors, start=Dense(var, 0, (1,)))
 
 
@@ -266,10 +271,29 @@ def _open_fold(d: ResolutionDatum, var: str):
             atoms.update(cls.atoms)
         for key, part in split:
             tables.setdefault(key, [zero] * size)[m] = part
-    dens, den = _factors(d, var)
+    dens, den = _factors(d.components, r, var)
+    return atoms, tables, _fold_tables(tables, dens, r, var), dens, den
+
+
+def _fold_tables(tables: dict, dens: list, r: int, var: str) -> dict:
+    """The open fold of each table of dense parts: stratum I weighted by
+    prod_{i in I} (var^r - 1) * prod_{i not in I} dens[i]."""
     ins = [Dense(var, r, (1,)) - 1] * len(dens)
-    num = {key: _fold(t, ins, dens) for key, t in tables.items()}
-    return atoms, tables, num, dens, den
+    return {key: _fold(t, ins, dens) for key, t in tables.items()}
+
+
+def _check_closed(tables: dict, num: dict, dens: list, r: int,
+                  var: str) -> None:
+    """The closed-stratum fold of each table, its superset sums weighted
+    by (var^r - 1) - dens[i] per component in the subset, must agree with
+    the open fold num on every atom monomial; a mismatch raises
+    ConsistencyError."""
+    lm1 = Dense(var, r, (1,)) - 1
+    ins = [lm1 - f for f in dens]
+    if num != {key: _fold(_superset_sums(t), ins, dens)
+               for key, t in tables.items()}:
+        raise ConsistencyError(
+            "open- and closed-stratum forms of the motivic integral differ")
 
 
 def _sum_parts(num: dict, image, var: str) -> MultiPoly:
@@ -290,12 +314,7 @@ def _checked_integral(d: ResolutionDatum):
     if r > 1 and any("t" in cls.atoms for cls in d.strata):
         raise ValidationError(f"an atom named 't' clashes with t = L^(1/{r})")
     atoms, tables, num, dens, den = _open_fold(d, var)
-    lm1 = Dense(var, r, (1,)) - 1
-    ins = [lm1 - f for f in dens]
-    if num != {key: _fold(_superset_sums(t), ins, dens)
-               for key, t in tables.items()}:
-        raise ConsistencyError(
-            "open- and closed-stratum forms of the motivic integral differ")
+    _check_closed(tables, num, dens, r, var)
     return atoms, num, den
 
 
@@ -370,15 +389,16 @@ def _euler_limit(atoms: dict, num: dict, den: Dense, k: int) -> Fraction:
     fold with k components: its atoms, numerator by atom monomial and
     denominator.  Each atom goes to its Euler number, the sum of its
     E-polynomial's coefficients, so the numerator is one dense polynomial;
-    (var - 1)^k divides exactly out of it and out of den, and the limit is
-    their ratio at var = 1.  A zero at 1 of order below k, or one of den
-    above k, raises ConsistencyError."""
+    var - 1 divides exactly out of it and out of den k times, each time
+    by a running sum, and the limit is their ratio at var = 1.  A zero at
+    1 of order below k, or one of den above k, raises ConsistencyError."""
     top = sum((part * math.prod(sum(atoms[n].e_poly.terms.values()) ** e
                                 for n, e in key)
                for key, part in num.items()), Dense(den.var, 0, ()))
-    zero = Dense(den.var, 0, (-1, 1)) ** k
+    root = Dense(den.var, 0, (-1, 1))
     try:
-        top, den = top / zero, den / zero
+        for _ in range(k):
+            top, den = top / root, den / root
     except ExactDivisionError as exc:
         raise ConsistencyError(
             f"the E-function does not vanish to order {k} at 1") from exc

@@ -6,6 +6,7 @@ product-and-filter enumeration that the cell walk replaced."""
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -14,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+from genera import dense  # noqa: E402
 from genera.dense import Dense  # noqa: E402
 from genera import jets  # noqa: E402
 from genera.jets import (  # noqa: E402
@@ -233,6 +235,35 @@ def test_exact_division_over_the_integers():
         x(1) / x(1, 1)
 
 
+def test_linear_divisor_against_long_division():
+    # a monic divisor x - c takes the running-sum path of Dense /; long
+    # division of the same coefficients gives the same quotient, and both
+    # raise ExactDivisionError on a remainder
+    rng = random.Random(24)
+    exact = raised = 0
+    for _ in range(300):
+        c = rng.choice((1, 1, -1, 2, -3, 7))
+        root = Dense("x", rng.randint(-2, 2), (-c, 1))
+        q = Dense("x", rng.randint(-3, 3),
+                  [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))])
+        for p in (q * root, q * root + rng.randint(1, 5)):
+            if not p.coeffs:
+                continue
+            try:
+                expected = dense._long_quotient(p.coeffs, root.coeffs)
+            except ExactDivisionError:
+                raised += 1
+                with pytest.raises(ExactDivisionError):
+                    dense._linear_quotient(p.coeffs, c)
+                with pytest.raises(ExactDivisionError):
+                    p / root
+                continue
+            exact += 1
+            assert dense._linear_quotient(p.coeffs, c) == expected
+            assert p / root == Dense("x", p.low - root.low, expected) == q
+    assert exact > 200 and raised > 200
+
+
 def test_gcd_against_fraction_euclid():
     rng = random.Random(23)
     for _ in range(300):
@@ -331,23 +362,16 @@ def test_oracle_partial_against_reference_cylinders():
         assert partial == reference_partial(spec, p_max), spec
 
 
-class Orders(tuple):
-    """A tuple of orders whose product is concatenation: walked in place
-    of the cell classes, it records which orders make up each cell."""
-
-    def __mul__(self, other):
-        return Orders(self + other)
-
-
 def test_walk_yields_the_tuples_product_and_filter_keeps():
+    # tuples of orders add by concatenation: walked in place of the int
+    # exponents, they record which orders make up each cell
     rng = random.Random(17)
     for _ in range(60):
         weights = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
         budget = rng.randint(0, 9)
-        levels = [[(a * o, Orders((o,))) for o in range(budget // a + 1)]
+        levels = [[(a * o, (o,)) for o in range(budget // a + 1)]
                   for a in weights]
-        walked = [(w, tuple(orders))
-                  for w, orders in jets._walk(levels, budget, Orders())]
+        walked = list(jets._walk(levels, budget, ()))
         kept = [(sum(a * o for a, o in zip(weights, orders)), orders)
                 for orders in product(range(budget + 1), repeat=len(weights))
                 if sum(a * o for a, o in zip(weights, orders)) <= budget]
@@ -376,24 +400,48 @@ def test_partition_against_product_loop():
             assert partition_check(spec)
 
 
+def test_measures_against_the_references():
+    # seeded specs with d <= 4, zero exponents and p_max 0 included
+    rng = random.Random(25)
+    specs = [(i % 4, random_spec(rng, i % 4)) for i in range(32)]
+    specs += [(0, JetSpec(4, (0, 0, 0, 0), 1)), (2, JetSpec(3, (0, 2, 0), 3))]
+    for p_max, spec in specs:
+        assert jets._partial(spec, p_max).to_poly() == \
+            reference_partial(spec, p_max), spec
+        for p in range(p_max + 1):
+            assert cylinder_measure(spec, p) == reference_cylinder(spec, p)
+        small = JetSpec(spec.dimension, spec.exponents, p_max % 3)
+        assert jets._partition_measure(small).to_poly() == \
+            reference_partition(small) == L ** spec.dimension
+
+
 def test_a_changed_walk_changes_the_partial():
-    # negative control: the oracle partial rebuilt from the walked cells
-    # matches the reference, and loses the match when one cell is dropped
-    # or one contact order is shifted by one
+    # negative control: the oracle partial rebuilt from the walked
+    # (contact order, exponent) cells matches the reference, and loses the
+    # match when one cell is dropped, its contact order is shifted by one,
+    # or the order of one of its coordinates is
     rng = random.Random(18)
     for _ in range(10):
         p_max = rng.randint(1, 4)
         spec = random_spec(rng, p_max)
         expected = reference_partial(spec, p_max)
         cells = list(jets._contact_cells(spec, p_max))
+        weights = [a for a in spec.exponents if a > 0]
 
         def partial(cells):
-            total = jets._total((-w, cell) for w, cell in cells)
+            total = jets._total(
+                {len(weights): Counter(e - w for w, e in cells)})
             return total.shift(-spec.level * spec.dimension).to_poly()
 
         assert partial(cells) == expected
         k = rng.randrange(len(cells))
         assert partial(cells[:k] + cells[k + 1:]) != expected
-        w, cell = cells[k]
-        shifted = cells[:k] + [(w + 1, cell)] + cells[k + 1:]
+        w, e = cells[k]
+        shifted = cells[:k] + [(w + 1, e)] + cells[k + 1:]
         assert partial(shifted) != expected
+        if weights:
+            # one coordinate one order deeper: a_i more contact, one
+            # free coefficient fewer
+            a = rng.choice(weights)
+            shifted = cells[:k] + [(w + a, e - 1)] + cells[k + 1:]
+            assert partial(shifted) != expected

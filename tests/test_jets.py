@@ -1,16 +1,17 @@
 """Jet-space counting oracle for monomial divisors."""
 
+import random
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from genera import jets
-from genera.cli import EXIT_MATH, EXIT_OK, main
+from genera.cli import EXIT_MATH, EXIT_OK, EXIT_VALIDATION, main
 from genera.jets import (JetSpec, closed_integral, coordinate_datum,
                          cylinder_measure, jet_space_class, oracle_integral,
                          partition_check, tail_bound_check)
-from genera.k0 import K0Class, lefschetz
+from genera.k0 import LEFSCHETZ, K0Class, lefschetz
 from genera.rings import MultiPoly, RationalFunction
 from genera.stringy import (ResolutionDatum, load_datum, motivic_integral,
                             stringy_E, stringy_euler)
@@ -136,21 +137,51 @@ def test_a_shifted_closed_numerator_fails_the_verdict(monkeypatch, capsys):
 
 
 def test_a_changed_stratum_fails_the_verdict(monkeypatch, capsys):
-    # negative control: one stratum plus a point still passes the fold's
-    # own open/closed check, but no longer matches the closed form
-    honest = jets.coordinate_datum
+    # negative control: one stratum of the verdict's Dense table plus a
+    # point still passes the fold's own open/closed check, but no longer
+    # matches the closed form
+    honest = jets._coordinate_strata
 
     def bumped(spec):
-        datum = honest(spec)
-        strata = (datum.strata[0] + 1,) + datum.strata[1:]
-        return ResolutionDatum(datum.flavor, datum.index_r,
-                               datum.components, strata)
+        components, table = honest(spec)
+        return components, [table[0] + 1] + table[1:]
 
-    monkeypatch.setattr(jets, "coordinate_datum", bumped)
+    monkeypatch.setattr(jets, "_coordinate_strata", bumped)
     for dim, exponents in ORACLE_SPECS:
         assert not oracle_integral(JetSpec(dim, exponents, 3), 3)[2]
         assert oracle_exit(dim, exponents) == EXIT_MATH
     capsys.readouterr()
+
+
+def test_coordinate_datum_is_the_image_of_the_verdict_table():
+    rng = random.Random(23)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        spec = JetSpec(dim, tuple(rng.randint(0, 3) for _ in range(dim)),
+                       rng.randint(0, 6))
+        components, table = jets._coordinate_strata(spec)
+        datum = coordinate_datum(spec)
+        assert datum.components == components
+        assert datum.strata == tuple(
+            K0Class(part.to_poly(), {"L": LEFSCHETZ}) for part in table)
+        assert len(set(map(id, table))) == len(components) + 1
+
+
+def budget_exit(exponents) -> int:
+    return main(["jets", "oracle", "--dim", str(len(exponents)),
+                 "--exponents", ",".join(map(str, exponents))])
+
+
+def test_denominator_budget_on_the_oracle(capsys):
+    # the sum of a_i + 1 is the degree of the integral's denominator
+    for exponents, total in (((4096,), 4097), ((2047, 2048), 4097)):
+        assert budget_exit(exponents) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: the sum of r * (a_i + 1) over the components "
+                       f"is {total}; at most 4096 is supported\n")
+    assert budget_exit((2046, 2048)) == EXIT_OK
+    assert "verdict  True" in capsys.readouterr().out
 
 
 def copied(datum: ResolutionDatum) -> ResolutionDatum:
