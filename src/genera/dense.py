@@ -11,6 +11,7 @@ and leave it by ``to_poly``, and public results stay ``MultiPoly``.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import accumulate
 
 from .rings import ExactDivisionError, MultiPoly, _power_coeffs
@@ -190,30 +191,33 @@ class Dense:
 
     def gcd(self, other: "Dense") -> "Dense":
         """The gcd in Z[var], with content 1 and a positive leading
-        coefficient: var^min(low) times the gcd of the two coefficient
-        tuples, by primitive pseudo-remainder sequences (Knuth, TAOCP
-        vol. 2, section 4.6.1).  The gcd with zero is the other operand
-        made primitive."""
+        coefficient: var^min(low) times the gcd of the primitive
+        coefficient tuples a and b; with zero, the other one.  Otherwise
+        it is the heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989):
+        at xi >= 2 min(|a|, |b|) + 2 in max-norms, the balanced xi-adic
+        digits of gcd(a(xi), b(xi)), made primitive, are the gcd g once
+        they divide a and b exactly.  Until they do, xi grows by a factor
+        near 1 + sqrt(3); past 2 |res(a/g, b/g)| |g| they always do."""
         var = self._shared_var(other)
-        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        while len(b) > 1:
-            # a becomes the remainder of lead(b)^(deg a - deg b + 1) * a
-            lead, db = b[-1], len(b)
-            while len(a) >= db:
-                c, off = a[-1], len(a) - db
-                a = [x * lead for x in a[:-1]]
-                for i in range(db - 1):
-                    a[off + i] -= c * b[i]
-                while a and not a[-1]:
-                    a.pop()
-            if not a:
-                break
-            a, b = b, _primitive(a)
-        g = b if len(b) > 1 else [1] if b else a
         low = min((p.low for p in (self, other) if p.coeffs), default=0)
-        return Dense(var, low, [-c for c in g] if g and g[-1] < 0 else g)
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        if not (a and b):
+            g = a or b
+            return Dense(var, low, [-c for c in g] if g and g[-1] < 0 else g)
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        while True:
+            h, g = math.gcd(_value(a, xi), _value(b, xi)), []
+            half = (xi - 1) // 2  # digits in (-xi/2, xi/2]
+            while h:
+                h, d = divmod(h + half, xi)
+                g.append(d - half)
+            g = _primitive(g)
+            try:
+                _long_quotient(a, g)
+                _long_quotient(b, g)
+                return Dense(var, low, g)
+            except ExactDivisionError:
+                xi = xi * 73794 // 27011
 
     def shift(self, k: int) -> "Dense":
         """This polynomial times var^k."""
@@ -246,6 +250,14 @@ class Dense:
 def _primitive(coeffs) -> list:
     g = math.gcd(*coeffs)
     return [c // g for c in coeffs]
+
+
+def _value(coeffs, x: int) -> int:
+    """The tuple's polynomial at x: Horner's rule, or two halves by x^m."""
+    if len(coeffs) <= 64:
+        return reduce(lambda s, c: s * x + c, reversed(coeffs), 0)
+    m = len(coeffs) // 2
+    return _value(coeffs[:m], x) + _value(coeffs[m:], x) * x ** m
 
 
 def _long_quotient(a, b) -> list:

@@ -285,6 +285,100 @@ def test_gcd_against_fraction_euclid():
             assert da / got * got == da
 
 
+def check_gcd(a: Dense, b: Dense) -> Dense:
+    """a.gcd(b), which must be symmetric, primitive with a positive
+    leading coefficient, and Euclid's monic gcd over Fraction and
+    sympy.gcd made primitive, each up to a constant."""
+    sympy = pytest.importorskip("sympy")
+    got = a.gcd(b)
+    assert got == b.gcd(a)
+    assert got.coeffs[-1] > 0 and math.gcd(*got.coeffs) == 1
+    assert got.to_poly() / got.coeffs[-1] == \
+        euclid_gcd(a.to_poly(), b.to_poly())
+    x = sympy.Symbol(got.var)
+
+    def to_sympy(p: Dense):
+        return sympy.Poly.from_list(p.coeffs[::-1], x) * \
+            sympy.Poly(x ** p.low, x)
+
+    ref = sympy.gcd(to_sympy(a), to_sympy(b)).primitive()[1]
+    assert to_sympy(got) == (ref if ref.LC() > 0 else -ref)
+    return got
+
+
+# found by a seeded search: the gcd of the values at the first evaluation
+# point gives a candidate that does not divide both polynomials
+RETRIED_PAIRS = [
+    ((1, 2, 2, 1), (-1, 0, 1), 2),          # gcd x + 1, candidate x^2 - 1
+    ((1, -1), (2, 0, 1), 2),                # coprime, candidate x - 1
+    ((1, 0, -2, -2), (1, -1), 2),
+    ((20, -45, -6, 70, -47, 8), (-28, 59, -17, -53, 111, -72), 2),
+    ((-1, 2, -7, 4, -7, -6, 3), (-3, 2, -10, 2, -5, 2), 3),
+    ((-1, -4, -4, -1, 2, -2), (1, 0, -7, 3, 0, -1), 3),
+]
+
+
+@pytest.mark.parametrize("a,b,points", RETRIED_PAIRS)
+def test_gcd_after_a_failed_candidate(monkeypatch, a, b, points):
+    original, values = dense._value, []
+
+    def value(coeffs, x):
+        values.append(x)
+        return original(coeffs, x)
+
+    monkeypatch.setattr(dense, "_value", value)
+    a, b = Dense("x", 0, a), Dense("x", 0, b)
+    a.gcd(b)
+    monkeypatch.undo()
+    assert len(set(values)) == points
+    check_gcd(a, b)
+
+
+def test_gcd_of_large_coefficients():
+    # f has coefficients up to 10^6 and h * g small ones, so the first
+    # evaluation point, set by the smaller norm, is sometimes too small
+    rng = random.Random(25)
+    shared = 0
+    for _ in range(200):
+        f = Dense("x", 0, [rng.randint(-10 ** 6, 10 ** 6)
+                           for _ in range(rng.randint(1, 5))])
+        g, h = (Dense("x", 0, [rng.randint(-3, 3)
+                               for _ in range(rng.randint(1, 4))])
+                for _ in range(2))
+        if (f * g).coeffs and (h * g).coeffs:
+            shared += len(check_gcd(f * g, h * g).coeffs) > 1
+    assert shared > 100
+
+
+def test_gcd_at_the_denominator_budget():
+    # L^4096 + L - 2 vanishes at 1 and at no other root of unity
+    a = Dense("L", 1, (-2, 1) + (0,) * 4094 + (1,))
+    b = Dense("L", 4096, (1,)) - 1
+    assert check_gcd(a, b) == Dense("L", 0, (-1, 1))
+
+
+def test_gcd_of_cyclotomic_products():
+    # motivic denominators, products of t^m - 1, against numerators
+    # that are mostly coprime to them, and the same numerators times a
+    # factor t^j - 1 that divides the denominator
+    rng = random.Random(26)
+    coprime = 0
+    for _ in range(100):
+        ms = [rng.randint(1, 12) for _ in range(rng.randint(1, 3))]
+        den = math.prod((Dense("t", m, (1,)) - 1 for m in ms),
+                        start=Dense("t", 0, (1,)))
+        num = Dense("t", rng.randint(0, 2),
+                    [rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+        if not num.coeffs:
+            continue
+        coprime += check_gcd(num, den) == 1
+        j = rng.choice([j for j in range(1, max(ms) + 1)
+                        if any(m % j == 0 for m in ms)])
+        shared = check_gcd(num * (Dense("t", j, (1,)) - 1), den)
+        assert den / shared * shared == den
+    assert coprime > 50
+
+
 def test_laurent_fraction_reduces():
     # a negative exponent on either side: the monomial factor moves to
     # the numerator and the gcd still cancels L - 1

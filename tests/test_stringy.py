@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,6 +80,48 @@ def test_stringy_value_is_canonical_when_built():
         StringyValue(MultiPoly.const(1), u - 1, 1)
     with pytest.raises(ValidationError):
         StringyValue(t, t * v + 1, 1)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_stringy_values_are_in_lowest_terms(r):
+    # a common factor f in Z[t] cancels: equal values with equal hashes;
+    # the denominator has content 1 and a positive leading coefficient,
+    # and no factor in common with all the (u, v)-parts of the numerator
+    sympy = pytest.importorskip("sympy")
+    ts = sympy.Symbol("t")
+    rng = random.Random(25 + r)
+
+    def poly_in(names, terms):
+        return sum((MultiPoly.monomial(
+            {n: rng.randint(0, 3) for n in names}, rng.randint(-4, 4))
+            for _ in range(terms)), MultiPoly.const(0))
+
+    def in_t(poly):
+        return sympy.Add(*(Fraction(c) * ts ** (e[0] if e else 0)
+                           for e, c in poly.terms.items()))
+
+    for _ in range(60):
+        n = poly_in("uvt", rng.randint(0, 4))
+        d, f = (poly_in("t", rng.randint(1, 4)) for _ in range(2))
+        if d.is_zero() or f.is_zero():
+            continue
+        value = StringyValue(n, d, r)
+        scaled = StringyValue(n * f, d * f, r)
+        assert scaled == value and hash(scaled) == hash(value)
+        assert StringyValue(n, d, r % 3 + 1) != value
+        den = [Fraction(value.den.terms[e]) for e in sorted(value.den.terms)]
+        assert all(c.denominator == 1 for c in den) and den[-1] > 0
+        assert math.gcd(*(c.numerator for c in den)) == 1
+        # the numerator times a power of t, which den does not share
+        num = value.num * MultiPoly.var("t") ** 8
+        parts = {}  # (u, v)-exponents -> that part of the numerator, in t
+        for expo, c in num.terms.items():
+            split = dict(zip(num.vars, expo))
+            te, key = split.pop("t"), tuple(split.values())
+            parts[key] = parts.get(key, 0) + Fraction(c) * ts ** te
+        common = sympy.gcd_list([*parts.values(), in_t(value.den)])
+        assert in_t(value.den).subs(ts, 0) != 0
+        assert sympy.Poly(common, ts).degree() <= 0
 
 
 def test_fixture_E_functions_hash_by_value():
