@@ -196,15 +196,18 @@ class Dense:
         it is the heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989):
         at xi >= 2 min(|a|, |b|) + 2 in max-norms, the balanced xi-adic
         digits of gcd(a(xi), b(xi)), made primitive, are the gcd g once
-        they divide a and b exactly.  Until they do, xi grows by a factor
-        near 1 + sqrt(3); past 2 |res(a/g, b/g)| |g| they always do."""
+        they divide a and b exactly.  The first xi is 2 min(|a|, |b|) +
+        29, as in sympy, so that a gcd with coefficients a little above
+        the norms, such as (L - 1)^3 against norms of 1, needs one point.
+        Until they divide, xi grows by a factor near 1 + sqrt(3); past
+        2 |res(a/g, b/g)| |g| they always do."""
         var = self._shared_var(other)
         low = min((p.low for p in (self, other) if p.coeffs), default=0)
         a, b = _primitive(self.coeffs), _primitive(other.coeffs)
         if not (a and b):
             g = a or b
             return Dense(var, low, [-c for c in g] if g and g[-1] < 0 else g)
-        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
         while True:
             h, g = math.gcd(_value(a, xi), _value(b, xi)), []
             half = (xi - 1) // 2  # digits in (-xi/2, xi/2]

@@ -216,7 +216,8 @@ def oracle_integral(spec: JetSpec, p_max: int):
     num = _fold_tables(tables, dens, 1, "L")
     _check_closed(tables, num, dens, 1, "L")
     verdict = cnum * den == num[()] * cden
-    return partial.to_poly(), closed_integral(spec), verdict
+    closed = RationalFunction(cnum.to_poly(), cden.to_poly())
+    return partial.to_poly(), closed, verdict
 
 
 def tail_bound_check(spec: JetSpec, p_max: int) -> bool:

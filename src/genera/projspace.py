@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 from .catalog import CharSeries, builtin_series, ghrr_integrand
 from .graded import GradedRing
-from .rings import MultiPoly, TruncSeries
+from .rings import MultiPoly, TruncSeries, exp_coeffs
 
 Y = MultiPoly.var("y")
 
@@ -33,23 +33,36 @@ class ProjSpaceRing(GradedRing):
         return MultiPoly.var(self.hyperplanes[j])
 
     def integrate(self, elt) -> MultiPoly:
-        """Coefficient of the top monomial h_1^{n_1} ... h_m^{n_m}."""
-        elt = self.reduce(MultiPoly._coerce(elt))
-        return elt.coefficient(dict(zip(self.hyperplanes, self.factors)))
+        """Coefficient of the top monomial h_1^{n_1} ... h_m^{n_m}, read
+        from the terms of elt in one pass."""
+        elt = MultiPoly._coerce(elt)
+        top = dict(zip(self.hyperplanes, self.factors))
+        if any(n and h not in elt.vars for h, n in top.items()):
+            return MultiPoly.const(0)
+        want = [top.get(v) for v in elt.vars]
+        keep = [i for i, w in enumerate(want) if w is None]
+        return MultiPoly([elt.vars[i] for i in keep], {
+            tuple(e[i] for i in keep): c for e, c in elt.terms.items()
+            if all(w is None or w == x for w, x in zip(want, e))})
+
+    def polynomial(self, coeffs, j: int = 0) -> MultiPoly:
+        """The sum of c_k h_j^k over k <= n_j (h_j^(n_j + 1) = 0), built as
+        one term dict; each c_k is a scalar or a polynomial free of h_j."""
+        coeffs = [MultiPoly._coerce(c) for c in coeffs[:self.factors[j] + 1]]
+        names = sorted(set().union(*(c.vars for c in coeffs)))
+        return MultiPoly(names + [self.hyperplanes[j]], {
+            tuple(dict(zip(c.vars, e)).get(v, 0) for v in names) + (k,): x
+            for k, c in enumerate(coeffs) for e, x in c.terms.items()})
 
     def tangent_class(self, f: CharSeries) -> MultiPoly:
         """prod_j f(h_j)^{n_j + 1}: the multiplicative class of the tangent
         bundle (Euler sequence: TP^n + 1 = O(1)^{n+1}), each power by
-        truncated binary powering.  f(h_j) is the sum of c_k h_j^k over
-        k <= n_j, as h_j^(n_j + 1) = 0."""
-        out = MultiPoly.const(1)
+        truncated binary powering."""
+        out = None
         for j, n in enumerate(self.factors):
-            h = self.h(j)
-            val = sum((c * h ** k
-                       for k, c in enumerate(f.series.coeffs[:n + 1])),
-                      MultiPoly.const(0))
-            out = self.mul(out, self.power(val, n + 1))
-        return out
+            power = self.power(self.polynomial(f.series.coeffs, j), n + 1)
+            out = power if out is None else self.mul(out, power)
+        return MultiPoly.const(1) if out is None else out
 
 
 def count_monomials(n_vars: int, degree: int) -> int:
@@ -66,10 +79,10 @@ def hrr_check(n: int, d: int):
     lhs = Fraction(count_monomials(n + 1, d))
     ring = ProjSpaceRing([n])
     todd = builtin_series("todd", order=max(n, 1))
-    h = ring.h()
-    ch_line = ring.exp_nilpotent(h * d) if n else MultiPoly.const(1)
-    rhs_poly = ring.integrate(ch_line * ring.tangent_class(todd))
-    rhs = rhs_poly.constant_value()
+    # ch(O(d)) = e^(d h), the sum of d^k/k! h^k over k <= n
+    ch_line = ring.polynomial(exp_coeffs(d, n))
+    rhs = ring.integrate(ring.mul(ch_line, ring.tangent_class(todd)))
+    rhs = rhs.constant_value()
     return lhs, rhs, lhs == rhs
 
 

@@ -306,15 +306,23 @@ def check_gcd(a: Dense, b: Dense) -> Dense:
     return got
 
 
-# found by a seeded search: the gcd of the values at the first evaluation
-# point gives a candidate that does not divide both polynomials
+def x_power_products(ks) -> Dense:
+    """The product of x^k - 1 over the k in ks."""
+    return math.prod((Dense("x", k, (1,)) - 1 for k in ks),
+                     start=Dense("x", 0, (1,)))
+
+
+# products of x^k - 1 over the two lists of k, found by a seeded search:
+# the gcd of the values at the first evaluation points gives candidates
+# that do not divide both polynomials, so the gcd takes that many points
 RETRIED_PAIRS = [
-    ((1, 2, 2, 1), (-1, 0, 1), 2),          # gcd x + 1, candidate x^2 - 1
-    ((1, -1), (2, 0, 1), 2),                # coprime, candidate x - 1
-    ((1, 0, -2, -2), (1, -1), 2),
-    ((20, -45, -6, 70, -47, 8), (-28, 59, -17, -53, 111, -72), 2),
-    ((-1, 2, -7, 4, -7, -6, 3), (-3, 2, -10, 2, -5, 2), 3),
-    ((-1, -4, -4, -1, 2, -2), (1, 0, -7, 3, 0, -1), 3),
+    ((1, 5, 7, 7, 8), (3, 4, 6, 8), 2),
+    ((8,), (1, 3, 3, 5, 5), 2),
+    ((3, 5), (2, 4, 7, 8), 2),
+    ((1, 1, 2, 3, 3), (1, 4, 4, 5), 2),
+    ((5, 5, 6, 6), (1, 1, 4, 4, 7), 3),
+    ((5, 5, 6, 8, 8), (2, 2, 2, 7, 8), 3),
+    ((1, 3, 4, 4, 6, 7, 9), (1, 2, 2, 2, 10, 10, 10), 4),
 ]
 
 
@@ -326,8 +334,8 @@ def test_gcd_after_a_failed_candidate(monkeypatch, a, b, points):
         values.append(x)
         return original(coeffs, x)
 
+    a, b = x_power_products(a), x_power_products(b)
     monkeypatch.setattr(dense, "_value", value)
-    a, b = Dense("x", 0, a), Dense("x", 0, b)
     a.gcd(b)
     monkeypatch.undo()
     assert len(set(values)) == points

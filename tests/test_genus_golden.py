@@ -1,8 +1,9 @@
 """Golden CLI outputs of the genus on projective spaces.
 
 Every case runs ``genera genus --series S --n N`` for the five series at
-n in {0, 1, 7, 17, 20}, or ``genera ty --n N`` for n <= 10, in text and
-in json, and its exit code, stdout and stderr must match
+n in {0, 1, 7, 17, 20}, ``genera ty --n N`` for n <= 10, or
+``genera hrr --n N --d D`` for n in {0, 1, 5, 11, 16} and d in {0, 3, 8},
+in text and in json, and its exit code, stdout and stderr must match
 ``golden/genus_cli.json`` byte for byte.  The file was written by the
 series power on Fraction and MultiPoly coefficients and the ring class
 by sequential products, so it pins the integer paths to their results.
@@ -34,6 +35,10 @@ def cases() -> list:
                             "--output", output])
         for n in range(11):
             out.append(["ty", "--n", str(n), "--output", output])
+        for n in (0, 1, 5, 11, 16):
+            for d in (0, 3, 8):
+                out.append(["hrr", "--n", str(n), "--d", str(d),
+                            "--output", output])
     return [(" ".join(argv), argv) for argv in out]
 
 

@@ -119,3 +119,23 @@ def test_ring_path_runs_without_the_power_recurrence(monkeypatch):
     hirzebruch = builtin_series("hirzebruch", 12)
     for n in range(13):
         assert ty_class_degree(n) == genus_on_projective(hirzebruch, n), n
+
+
+def test_ring_path_runs_without_multipoly_arithmetic(monkeypatch):
+    # f(h), ch(O(d)) and the top coefficient are built on term dicts
+    # around GradedRing's integer powering, with no MultiPoly +, * or **
+    hirzebruch = builtin_series("hirzebruch", 9)
+    lgenus = builtin_series("lgenus", 3)
+    y = MultiPoly.var("y")
+    chi_y = sum(((-y) ** i for i in range(10)), MultiPoly.const(0))
+
+    def refuse(*args):
+        raise AssertionError("the ring path ran MultiPoly arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    ring = ProjSpaceRing([9])
+    assert ring.integrate(ring.tangent_class(hirzebruch)) == chi_y
+    ring = ProjSpaceRing([2, 3])
+    assert ring.integrate(ring.tangent_class(lgenus)) == 0
+    assert hrr_check(11, 8) == (75582, 75582, True)
