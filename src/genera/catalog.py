@@ -11,7 +11,6 @@ value invariant under the rescaling f(z) -> f(az)/a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dense import Dense
@@ -22,14 +21,6 @@ from .rings import (ExactDivisionError, MultiPoly, TruncSeries,
 Y = MultiPoly.var("y")
 
 SERIES_NAMES = ("chern", "todd", "lgenus", "ahat", "hirzebruch")
-
-
-@dataclass(frozen=True)
-class CharSeries:
-    """A characteristic power series f(z) with unit constant term."""
-
-    name: str
-    series: TruncSeries
 
 
 def _tangent_numbers(m: int) -> list:
@@ -95,19 +86,19 @@ def _hirzebruch_series(order: int) -> TruncSeries:
     return TruncSeries("z", order, cs)
 
 
-def builtin_series(name: str, order: int = 16) -> CharSeries:
-    """Named characteristic series, exact through z^order."""
+def builtin_series(name: str, order: int = 16) -> TruncSeries:
+    """Named characteristic series f(z) with unit constant term, exact
+    through z^order."""
     if name == "chern":
-        return CharSeries("chern", TruncSeries.from_coeffs(
-            "z", [Fraction(1), Fraction(1)], order))
+        return TruncSeries.from_coeffs("z", [Fraction(1), Fraction(1)], order)
     if name == "todd":
-        return CharSeries("todd", _todd_series(order))
+        return _todd_series(order)
     if name == "lgenus":
-        return CharSeries("lgenus", _lgenus_series(order))
+        return _lgenus_series(order)
     if name == "ahat":
-        return CharSeries("ahat", _ahat_series(order))
+        return _ahat_series(order)
     if name == "hirzebruch":
-        return CharSeries("hirzebruch", _hirzebruch_series(order))
+        return _hirzebruch_series(order)
     raise ValueError(f"unknown series {name!r}; choose from {SERIES_NAMES}")
 
 
@@ -144,25 +135,25 @@ def _power_coefficient_over_z(series: TruncSeries, m: int):
     return value if scalar else MultiPoly.const(value)
 
 
-def genus_on_projective(f: CharSeries, n: int):
+def genus_on_projective(f: TruncSeries, n: int):
     """Value of the genus of f on n-dimensional projective space."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > f.series.order:
+    if n > f.order:
         raise ValueError(
-            f"series order {f.series.order} too small; need at least {n}")
+            f"series order {f.order} too small; need at least {n}")
     # [z^n] f^(n+1) reads f only through z^n
-    head = f.series.truncate(n)
+    head = f.truncate(n)
     coeff = _power_coefficient_over_z(head, n + 1)
     if coeff is None:
         coeff = (head ** (n + 1))[n]
-    a = f.series.constant_term()
+    a = f.constant_term()
     if a == 1:
         return coeff
     return coeff_div_exact(coeff, a)
 
 
-def genus_logarithm(f: CharSeries, order: int) -> TruncSeries:
+def genus_logarithm(f: TruncSeries, order: int) -> TruncSeries:
     """g(t) = sum_i Phi_f(P^i) t^(i+1)/(i+1), through t^order."""
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -172,7 +163,7 @@ def genus_logarithm(f: CharSeries, order: int) -> TruncSeries:
     return TruncSeries("t", order, coeffs)
 
 
-def hirzebruch_specialize(y0, order: int = 16) -> CharSeries:
+def hirzebruch_specialize(y0, order: int = 16) -> TruncSeries:
     """The Hirzebruch series with y specialized to the rational y0."""
     y0 = Fraction(y0)
     h = _hirzebruch_series(order)
@@ -181,43 +172,41 @@ def hirzebruch_specialize(y0, order: int = 16) -> CharSeries:
         c = MultiPoly._coerce(c)
         return c.substitute_map({"y": y0}).constant_value()
 
-    return CharSeries(f"hirzebruch[y={y0}]", h.map_coeffs(subst))
+    return h.map_coeffs(subst)
 
 
-def rescaled_series(f: CharSeries, a) -> CharSeries:
+def rescaled_series(f: TruncSeries, a) -> TruncSeries:
     """f(az)/a for a unit a: coefficient c_k goes to c_k * a^(k-1).
     Raises ValueError unless a divides the constant term c_0."""
-    c0, *rest = f.series.coeffs
+    c0, *rest = f.coeffs
     try:
         coeffs = [coeff_div_exact(c0, a)]
     except ExactDivisionError:
         raise ValueError(f"a = {a} does not divide the constant term "
-                         f"{c0} of {f.name}") from None
+                         f"{c0}") from None
     power = MultiPoly.const(1)  # a^(k-1), one product per step
     for k, c in enumerate(rest, 1):
         if k > 1:
             power = power * a
         coeffs.append(c * power)
-    return CharSeries(f"{f.name}.rescaled", TruncSeries(
-        f.series.var, f.series.order, coeffs))
+    return TruncSeries(f.var, f.order, coeffs)
 
 
-def unnormalize_invariance_check(f: CharSeries, a, n_max: int | None = None) -> bool:
+def unnormalize_invariance_check(f: TruncSeries, a, n_max: int | None = None) -> bool:
     """True iff f and f(az)/a induce the same genus for all n up to the
     truncation bound (the rescaling rule for non-normalized series);
     raises ValueError unless a divides the constant term of f."""
     g = rescaled_series(f, a)
-    bound = f.series.order if n_max is None else n_max
+    bound = f.order if n_max is None else n_max
     return all(genus_on_projective(f, n) == genus_on_projective(g, n)
                for n in range(bound + 1))
 
 
-def ghrr_integrand(order: int) -> CharSeries:
+def ghrr_integrand(order: int) -> TruncSeries:
     """(1 + y e^{-z}) * z/(1 - e^{-z}): the non-normalized series whose
     genus is chi_y; its constant term is 1 + y."""
     emz = TruncSeries("z", order, exp_coeffs(-1, order))
-    series = (emz * Y + 1) * _todd_series(order)
-    return CharSeries("ghrr-integrand", series)
+    return (emz * Y + 1) * _todd_series(order)
 
 
 def twisted_chi_y(n: int, k_order: int) -> MultiPoly:
@@ -227,7 +216,7 @@ def twisted_chi_y(n: int, k_order: int) -> MultiPoly:
     if n < 0:
         raise ValueError("n must be nonnegative")
     order = n
-    f = ghrr_integrand(order).series  # (1+y e^{-z}) z/(1-e^{-z})
+    f = ghrr_integrand(order)  # (1+y e^{-z}) z/(1-e^{-z})
     kvar = MultiPoly.var("k")
     # e^{-k(n+1)z} truncated in z (k degree grows with z degree)
     expk = TruncSeries("z", order, exp_coeffs(kvar * (-(n + 1)), order))

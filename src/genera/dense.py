@@ -226,13 +226,6 @@ class Dense:
         """This polynomial times var^k."""
         return Dense(self.var, self.low + k, self.coeffs)
 
-    def scale(self, r: int, var: str | None = None) -> "Dense":
-        """Substitute var^r for the variable (r >= 1), renaming the
-        variable to ``var`` when one is given."""
-        out = [0] * ((len(self.coeffs) - 1) * r + 1) if self.coeffs else []
-        out[::r] = self.coeffs
-        return Dense(var or self.var, self.low * r, out)
-
     # -- comparison ---------------------------------------------------
     def __eq__(self, other):
         other = self._coerce(other)

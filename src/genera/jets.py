@@ -17,15 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dense import Dense
-from .k0 import LEFSCHETZ, K0Class
 from .rings import MultiPoly, RationalFunction
-from .stringy import ResolutionDatum, _check_closed, _check_components, \
-    _factors, _fold_tables
+from .stringy import checked_fold
 
 MAX_DIM = 4
 MAX_LEVEL = 64
 
-L = MultiPoly.var("L")
 ZERO = Dense("L", 0, ())
 ONE = Dense("L", 0, (1,))
 L_MINUS_1 = Dense("L", 0, (-1, 1))
@@ -49,11 +46,6 @@ class JetSpec:
             raise ValueError("need one exponent per coordinate")
         if any(not isinstance(a, int) or a < 0 for a in self.exponents):
             raise ValueError("exponents must be nonnegative integers")
-
-
-def jet_space_class(spec: JetSpec) -> MultiPoly:
-    """[L_n(C^d)] = L^(d(n+1))."""
-    return L ** (spec.dimension * (spec.level + 1))
 
 
 def _walk(levels, budget: int, value=0, weight: int = 0):
@@ -160,16 +152,6 @@ def _coordinate_strata(spec: JetSpec):
                         for mask in range(1 << m)]
 
 
-def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
-    """The resolution datum of the identity map on C^d with boundary
-    sum a_i * {x_i = 0}: components are the coordinate hyperplanes with
-    positive exponent, open strata are tori times affine factors."""
-    components, table = _coordinate_strata(spec)
-    classes = {id(c): K0Class(c.to_poly(), {"L": LEFSCHETZ}) for c in table}
-    strata = tuple(classes[id(c)] for c in table)
-    return ResolutionDatum("arc", 1, components, strata)
-
-
 def _closed_parts(spec: JetSpec):
     """Numerator and denominator of the closed form, unreduced: the
     product over the coordinates of (L-1) L^(a+1) / (L^(a+1) - 1) when
@@ -202,35 +184,13 @@ def _partial(spec: JetSpec, p_max: int) -> Dense:
 def oracle_integral(spec: JetSpec, p_max: int):
     """(partial, closed, verdict): the truncated sum of cylinder measures
     against L^-p, the closed form, and agreement of the closed form with
-    the stratum-sum motivic integral of the coordinate strata.  That
-    integral is stringy's open fold of the Dense strata table, checked
-    against its closed-stratum fold, over components validated as a
-    resolution datum's; the verdict is one cross-multiplication of the
-    unreduced parts."""
+    the stratum-sum motivic integral of the coordinate strata, stringy's
+    checked fold of their Dense table; the verdict is one
+    cross-multiplication of the unreduced parts."""
     partial = _partial(spec, p_max)
     cnum, cden = _closed_parts(spec)
     components, table = _coordinate_strata(spec)
-    _check_components("arc", 1, components)
-    dens, den = _factors(components, 1, "L")
-    tables = {(): table}
-    num = _fold_tables(tables, dens, 1, "L")
-    _check_closed(tables, num, dens, 1, "L")
+    num, den = checked_fold("arc", 1, components, {(): table}, "L")
     verdict = cnum * den == num[()] * cden
     closed = RationalFunction(cnum.to_poly(), cden.to_poly())
     return partial.to_poly(), closed, verdict
-
-
-def tail_bound_check(spec: JetSpec, p_max: int) -> bool:
-    """partial + geometric tail equals the closed form exactly:
-    the per-coordinate tails factor, so compare via the remainder of the
-    one-variable series.  With all exponents zero the partial is already
-    exact."""
-    partial = _partial(spec, p_max).to_poly()
-    closed = closed_integral(spec)
-    # the difference must vanish at least like L^-(p_max+1); compare as a
-    # single Laurent polynomial to avoid fraction normalization
-    diff = partial * closed.denominator - closed.numerator
-    if diff.is_zero():
-        return True
-    top = max(e[diff.vars.index("L")] for e in diff.terms)
-    return top - closed.denominator.total_degree() <= -(p_max + 1)

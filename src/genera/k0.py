@@ -198,14 +198,6 @@ def lefschetz(power: int = 1) -> K0Class:
     return K0Class.atom(LEFSCHETZ, power)
 
 
-def projective_space_class(n: int) -> K0Class:
-    """[P^n] = 1 + L + ... + L^n (cell decomposition)."""
-    out = K0Class.point()
-    for i in range(1, n + 1):
-        out = out + lefschetz(i)
-    return out
-
-
 def poly_to_class(poly: MultiPoly, atoms: dict) -> K0Class:
     """Interpret a polynomial in atom names as a K0 class."""
     return K0Class(poly, atoms)
@@ -481,15 +473,3 @@ def pro_grothendieck(t: TowerDatum, n: int, gamma_alpha_n: K0Class):
     if n < 1:
         raise ValueError("level index starts at 1")
     return gamma_alpha_n.divide_monomial(t.gamma, n - 1)
-
-
-def arc_tower_class(x_class: K0Class, dim: int, level: int) -> K0Class:
-    """[L_n(X)] = [X] * L^(n*dim) for smooth X of the given dimension."""
-    return x_class * lefschetz(level * dim) if level * dim else x_class
-
-
-def naive_motivic_measure(x_class: K0Class, dim: int, level: int):
-    """Gamma^ind of the full jet space at the given truncation level;
-    must return [X] for every level (the naive motivic measure)."""
-    tower = TowerDatum(gamma=lefschetz(dim) if dim else K0Class.point())
-    return pro_grothendieck(tower, level + 1, arc_tower_class(x_class, dim, level))

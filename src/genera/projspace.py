@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .catalog import CharSeries, builtin_series, ghrr_integrand
+from .catalog import builtin_series, ghrr_integrand
 from .graded import GradedRing
 from .rings import MultiPoly, TruncSeries, exp_coeffs
 
@@ -28,9 +28,6 @@ class ProjSpaceRing(GradedRing):
         self.hyperplanes = names
         super().__init__({n: 1 for n in names}, sum(factors),
                          dict(zip(names, factors)))
-
-    def h(self, j: int = 0) -> MultiPoly:
-        return MultiPoly.var(self.hyperplanes[j])
 
     def integrate(self, elt) -> MultiPoly:
         """Coefficient of the top monomial h_1^{n_1} ... h_m^{n_m}, read
@@ -54,13 +51,13 @@ class ProjSpaceRing(GradedRing):
             tuple(dict(zip(c.vars, e)).get(v, 0) for v in names) + (k,): x
             for k, c in enumerate(coeffs) for e, x in c.terms.items()})
 
-    def tangent_class(self, f: CharSeries) -> MultiPoly:
+    def tangent_class(self, f: TruncSeries) -> MultiPoly:
         """prod_j f(h_j)^{n_j + 1}: the multiplicative class of the tangent
         bundle (Euler sequence: TP^n + 1 = O(1)^{n+1}), each power by
         truncated binary powering."""
         out = None
         for j, n in enumerate(self.factors):
-            power = self.power(self.polynomial(f.series.coeffs, j), n + 1)
+            power = self.power(self.polynomial(f.coeffs, j), n + 1)
             out = power if out is None else self.mul(out, power)
         return MultiPoly.const(1) if out is None else out
 
@@ -94,13 +91,13 @@ def ghrr_normalization_check(order: int, drop_linear_term: bool = False) -> bool
     deliberate negative control)."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    unnorm = ghrr_integrand(order).series.scale_variable(1 + Y)
+    unnorm = ghrr_integrand(order).scale_variable(1 + Y)
     lhs_cs = []
     for c in unnorm.coeffs:
         lhs_cs.append(MultiPoly._coerce(c).laurent_div_exact(1 + Y))
     lhs = TruncSeries("z", order, lhs_cs)
 
-    rhs = builtin_series("hirzebruch", order).series
+    rhs = builtin_series("hirzebruch", order)
     if drop_linear_term:
         cs = list(rhs.coeffs)
         cs[1] = cs[1] + Y

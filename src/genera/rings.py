@@ -45,14 +45,6 @@ def exp_coeffs(a, order: int) -> list:
     return out
 
 
-def binom_frac(a: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient C(a, k) for rational a."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= (a - i)
-    return out / math.factorial(k)
-
-
 class MultiPoly:
     """Multivariate polynomial with rational coefficients, each an int when
     it is integral and a Fraction otherwise (``_scalar``).
@@ -138,12 +130,6 @@ class MultiPoly:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars:
-            return 0
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -299,13 +285,6 @@ class MultiPoly:
         for expo, coeff in self.terms.items():
             buckets.setdefault(expo[i], {})[expo[:i] + expo[i + 1:]] = coeff
         return {p: MultiPoly(rest, t) for p, t in buckets.items()}
-
-    def coefficient(self, powers: dict) -> "MultiPoly":
-        """Coefficient of a monomial in the named variables."""
-        out = self
-        for name, p in powers.items():
-            out = out.coefficients_in(name).get(p, MultiPoly.const(0))
-        return out
 
     # -- division -----------------------------------------------------
     def _lead(self):

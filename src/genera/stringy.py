@@ -24,8 +24,8 @@ from .rings import ExactDivisionError, MultiPoly, RationalFunction, \
 
 MAX_COMPONENTS = 14
 # the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
-# integral variable; at 4096, compare X X takes 0.6-1 s on a 2-vCPU host,
-# most of it outside the gcds that reduce the values
+# integral variable; at 4096, compare X X takes 0.3-1.1 s through the CLI
+# (2-vCPU host), a fifth to a third of it in the gcds that reduce values
 MAX_DENOMINATOR_DEGREE = 4096
 
 
@@ -96,9 +96,6 @@ class ResolutionDatum:
         """[E_I] = sum over J containing I of [E_J^o], I and J as bitmasks."""
         return sum((cls for j, cls in enumerate(self.strata)
                     if j & mask == mask), K0Class.zero())
-
-    def total_class(self) -> K0Class:
-        return sum(self.strata, K0Class.zero())
 
 
 def product_datum(d1: ResolutionDatum, d2: ResolutionDatum) -> ResolutionDatum:
@@ -186,11 +183,6 @@ class StringyValue:
     __repr__ = __str__
 
 
-def stringy_value_from_expr(text: str, r: int = 1) -> StringyValue:
-    """Parse a polynomial in u, v (and t) as a StringyValue."""
-    return StringyValue(parse_expr(text, variables=("u", "v", "t")), 1, r)
-
-
 # ---------------------------------------------------------------------
 # motivic integral (variable L, other atoms kept as variables)
 
@@ -245,11 +237,10 @@ def _split(cls: K0Class, r: int, var: str) -> list:
             for expo, row in rows.items()]
 
 
-def _open_fold(d: ResolutionDatum, var: str):
-    """The open-stratum fold of each atom monomial's table: every stratum
-    class split by ``_split``, once per distinct class object.  Returns
-    the atoms by name, the tables, the folds (the integral's numerator by
-    monomial), and the denominator's factors and product."""
+def _strata_tables(d: ResolutionDatum, var: str):
+    """Every stratum class split by ``_split``, once per distinct class
+    object: the atoms by name, and per atom monomial the table of dense
+    parts indexed by bitmask."""
     r, size, zero = d.index_r, len(d.strata), Dense(var, 0, ())
     atoms, tables, parts = {}, {}, {}
     for m, cls in enumerate(d.strata):
@@ -260,8 +251,16 @@ def _open_fold(d: ResolutionDatum, var: str):
             atoms.update(cls.atoms)
         for key, part in split:
             tables.setdefault(key, [zero] * size)[m] = part
-    dens, den = _factors(d.components, r, var)
-    return atoms, tables, _fold_tables(tables, dens, r, var), dens, den
+    return atoms, tables
+
+
+def _open_fold(d: ResolutionDatum, var: str):
+    """The unchecked fold of d: its atoms by name, the open fold of each
+    atom monomial's table (the integral's numerator by monomial) and the
+    denominator."""
+    atoms, tables = _strata_tables(d, var)
+    dens, den = _factors(d.components, d.index_r, var)
+    return atoms, _fold_tables(tables, dens, d.index_r, var), den
 
 
 def _fold_tables(tables: dict, dens: list, r: int, var: str) -> dict:
@@ -285,12 +284,32 @@ def _check_closed(tables: dict, num: dict, dens: list, r: int,
             "open- and closed-stratum forms of the motivic integral differ")
 
 
+def checked_fold(flavor: str, r: int, components, tables: dict,
+                 var: str):
+    """The integral's numerator by atom monomial and its denominator, dense
+    in var, from the tables of open-stratum parts over the validated
+    (name, discrepancy) components: the open fold of each table, checked
+    against its closed-stratum fold; a mismatch raises ConsistencyError."""
+    _check_components(flavor, r, components)
+    dens, den = _factors(components, r, var)
+    num = _fold_tables(tables, dens, r, var)
+    _check_closed(tables, num, dens, r, var)
+    return num, den
+
+
 def _sum_parts(num: dict, image, var: str) -> MultiPoly:
     """The sum of num[key], renamed to var, times image(n)^e per (n, e)."""
     terms = [math.prod((image(n) ** e for n, e in key),
                        start=Dense(var, part.low, part.coeffs).to_poly())
              for key, part in num.items()]
     return sum(terms[1:], terms[0]) if terms else MultiPoly.const(0)
+
+
+def _sum_dense_parts(num: dict, image, var: str) -> Dense:
+    """The sum of num[key] times image(n)^e per (n, e) in key: one dense
+    polynomial in var, each atom's image an int or dense in var."""
+    return sum((math.prod((image(n) ** e for n, e in key), start=part)
+                for key, part in num.items()), Dense(var, 0, ()))
 
 
 def _checked_integral(d: ResolutionDatum):
@@ -302,9 +321,8 @@ def _checked_integral(d: ResolutionDatum):
     var = "L" if r == 1 else "t"
     if r > 1 and any("t" in cls.atoms for cls in d.strata):
         raise ValidationError(f"an atom named 't' clashes with t = L^(1/{r})")
-    atoms, tables, num, dens, den = _open_fold(d, var)
-    _check_closed(tables, num, dens, r, var)
-    return atoms, num, den
+    atoms, tables = _strata_tables(d, var)
+    return (atoms, *checked_fold(d.flavor, r, d.components, tables, var))
 
 
 def _integral(num: dict, den: Dense) -> RationalFunction:
@@ -341,24 +359,36 @@ def stringy_E(d: ResolutionDatum) -> StringyValue:
     """Sum over strata of E(E_I^o; u, v) * prod_{i in I}
     (uv-1)/((uv)^{a_i+1}-1), with (uv)^{1/r} carried by t; the
     E-realisation of the integral's open fold."""
-    atoms, _, num, _, den = _open_fold(d, "t")
-    return _realise(atoms, num, den, d.index_r)
+    return _realise(*_open_fold(d, "t"), d.index_r)
 
 
-def _chi_y_of(e: StringyValue) -> RationalFunction:
-    """An index-1 stringy E-function at (u, v) = (-y, 1), so t = uv = -y."""
-    my = -MultiPoly.var("y")
-    sub = {"u": my, "v": Fraction(1), "t": my}
-    return RationalFunction(e.num.substitute_map(sub),
-                            e.den.substitute_map(sub))
+def _at_minus_y(p: Dense) -> MultiPoly:
+    """p with its variable at -y, a polynomial in y."""
+    return Dense("y", p.low, [-c if (p.low + i) % 2 else c
+                              for i, c in enumerate(p.coeffs)]).to_poly()
+
+
+def _chi_y(atoms: dict, num: dict, den: Dense) -> RationalFunction:
+    """The E-function of an index-1 fold (its atoms, numerator by atom
+    monomial and denominator) at (u, v) = (-y, 1), so that its variable
+    t = uv goes to -y.  Each atom goes to its E-polynomial at (t, 1), so
+    the numerator is one dense polynomial; the fraction is reduced once,
+    at t = -y."""
+    t = MultiPoly.var(den.var)
+    images = {n: Dense.from_poly(a.e_poly.substitute_map({"u": t, "v": 1}),
+                                 den.var) for n, a in atoms.items()}
+    top = _sum_dense_parts(num, images.__getitem__, den.var)
+    return RationalFunction(_at_minus_y(top), _at_minus_y(den))
 
 
 def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
-    """stringy_E at (u, v) = (-y, 1); needs index r = 1 so t = uv = -y."""
+    """stringy_E at (u, v) = (-y, 1); needs index r = 1 so t = uv = -y.
+    Read off the open fold, as the Euler limit is, without the
+    E-function."""
     if d.index_r != 1:
         raise ValidationError(
             "chi_y specialization needs Gorenstein index 1")
-    return _chi_y_of(stringy_E(d))
+    return _chi_y(*_open_fold(d, "t"))
 
 
 def _euler_formula(d: ResolutionDatum) -> Fraction:
@@ -381,9 +411,8 @@ def _euler_limit(atoms: dict, num: dict, den: Dense, k: int) -> Fraction:
     var - 1 divides exactly out of it and out of den k times, each time
     by a running sum, and the limit is their ratio at var = 1.  A zero at
     1 of order below k, or one of den above k, raises ConsistencyError."""
-    top = sum((part * math.prod(sum(atoms[n].e_poly.terms.values()) ** e
-                                for n, e in key)
-               for key, part in num.items()), Dense(den.var, 0, ()))
+    top = _sum_dense_parts(
+        num, lambda n: sum(atoms[n].e_poly.terms.values()), den.var)
     root = Dense(den.var, 0, (-1, 1))
     try:
         for _ in range(k):
@@ -417,8 +446,7 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
     components, divides out of numerator and denominator, which are then
     evaluated at t = 1; a disagreement raises ConsistencyError.
     """
-    atoms, _, num, _, den = _open_fold(d, "t")
-    return _checked_euler(d, (atoms, num, den))
+    return _checked_euler(d, _open_fold(d, "t"))
 
 
 # ---------------------------------------------------------------------
@@ -481,7 +509,7 @@ def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceRepo
     e1, e2 = _realise(*n1, d1.index_r), _realise(*n2, d2.index_r)
     chi_y = None
     if d1.index_r == d2.index_r == 1:
-        c1, c2 = _chi_y_of(e1), _chi_y_of(e2)
+        c1, c2 = _chi_y(*n1), _chi_y(*n2)
         chi_y = (c1, c2, c1 == c2)
     x1, x2 = _checked_euler(d1, n1), _checked_euler(d2, n2)
     return InvarianceReport((i1, i2, i1 == i2), (e1, e2, e1 == e2),

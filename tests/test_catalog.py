@@ -23,14 +23,14 @@ def chi_y_poly(n):
 
 
 def test_builtin_expansions():
-    td = builtin_series("todd", 4).series
+    td = builtin_series("todd", 4)
     assert list(td.coeffs) == [1, Fraction(1, 2), Fraction(1, 12), 0,
                                Fraction(-1, 720)]
-    lg = builtin_series("lgenus", 4).series
+    lg = builtin_series("lgenus", 4)
     assert list(lg.coeffs) == [1, 0, Fraction(1, 3), 0, Fraction(-1, 45)]
-    ch = builtin_series("chern", 4).series
+    ch = builtin_series("chern", 4)
     assert list(ch.coeffs) == [1, 1, 0, 0, 0]
-    h1 = builtin_series("hirzebruch", 1).series
+    h1 = builtin_series("hirzebruch", 1)
     assert h1[0] == MultiPoly.const(1)
     assert h1[1] == (1 - Y) * Fraction(1, 2)
 
@@ -78,14 +78,14 @@ def test_genus_logarithm():
 def test_specializations():
     for y0, name in ((-1, "chern"), (0, "todd"), (1, "lgenus")):
         spec = hirzebruch_specialize(y0, 16)
-        assert spec.series == builtin_series(name, 16).series
+        assert spec == builtin_series(name, 16)
 
 
 def test_unnormalized_rescaling_invariance():
     assert unnormalize_invariance_check(builtin_series("chern", 6), 2)
     assert unnormalize_invariance_check(builtin_series("todd", 6), 1)
     g = ghrr_integrand(6)
-    assert g.series.constant_term() == 1 + Y
+    assert g.constant_term() == 1 + Y
     assert unnormalize_invariance_check(g, 1 + Y, n_max=6)
     with pytest.raises(ValueError):
         unnormalize_invariance_check(builtin_series("todd", 4), 0)
@@ -113,8 +113,8 @@ def test_rescaled_series_shape():
     f = builtin_series("chern", 4)
     r = rescaled_series(f, 2)
     # (1 + 2z)/2 has constant term 1/2 and z-coefficient 1
-    assert r.series[0] == Fraction(1, 2)
-    assert r.series[1] == Fraction(1)
+    assert r[0] == Fraction(1, 2)
+    assert r[1] == Fraction(1)
 
 
 def test_twisted_chi_y():
@@ -127,7 +127,7 @@ def test_twisted_chi_y():
     t2 = twisted_chi_y(2, 4)
     assert t2.substitute_map({"k": 0}) == chi_y_poly(2)
     # truncating at k_order keeps exactly the terms of k-degree <= k_order
-    assert t2.degree_in("k") == 2
+    assert max(t2.coefficients_in("k")) == 2
     assert twisted_chi_y(2, 1) == sum(
         (c * k ** p for p, c in t2.coefficients_in("k").items() if p <= 1),
         MultiPoly.const(0))
@@ -165,11 +165,10 @@ def test_rescaled_series_coefficients(a):
         [builtin_series("todd", 7), builtin_series("hirzebruch", 7)]
     for f in series:
         g = rescaled_series(f, a)
-        assert g.series.order == 7
-        assert MultiPoly._coerce(g.series[0]) * a == f.series[0]
+        assert g.order == 7
+        assert MultiPoly._coerce(g[0]) * a == f[0]
         for k in range(1, 8):
-            assert g.series[k] == \
-                f.series[k] * MultiPoly._coerce(a) ** (k - 1)
+            assert g[k] == f[k] * MultiPoly._coerce(a) ** (k - 1)
         assert all(genus_on_projective(f, n) == genus_on_projective(g, n)
                    for n in range(5))
 
@@ -238,7 +237,7 @@ def test_series_equal_inversion_builds(name, reference):
     for order in range(41):
         f = ghrr_integrand(order) if name == "ghrr" else \
             builtin_series(name, order)
-        assert f.series == reference(order), (name, order)
+        assert f == reference(order), (name, order)
 
 
 def test_series_against_sympy():
@@ -261,7 +260,7 @@ def test_series_against_sympy():
     }
     for name, form in forms.items():
         form = sympy.expand(form)
-        series = builtin_series(name, order).series
+        series = builtin_series(name, order)
         for k in range(order + 1):
             c = MultiPoly._coerce(series[k])
             ours = sympy.Add(*(

@@ -86,14 +86,10 @@ def test_exact_division(a, b):
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
-@hypothesis.given(denses, st.integers(-5, 5), st.integers(1, 4))
-def test_shift_and_scale_against_multipoly(a, k, r):
-    pa, var = a.to_poly(), a.var
-    assert a.shift(k).to_poly() == pa * MultiPoly.monomial({var: k})
-    assert a.scale(r).to_poly() == \
-        pa.substitute_map({var: MultiPoly.var(var) ** r})
-    assert a.scale(r, "t").to_poly() == \
-        pa.substitute_map({var: MultiPoly.var("t") ** r})
+@hypothesis.given(denses, st.integers(-5, 5))
+def test_shift_against_multipoly(a, k):
+    assert a.shift(k).to_poly() == \
+        a.to_poly() * MultiPoly.monomial({a.var: k})
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -149,7 +145,7 @@ def euclid_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     name = names.pop()
 
     def to_list(p):
-        cs = [Fraction(0)] * (p.degree_in(name) + 1)
+        cs = [Fraction(0)] * (max(p.coefficients_in(name), default=0) + 1)
         for expo, coeff in p.terms.items():
             cs[expo[0] if p.vars else 0] = Fraction(coeff)
         return cs

@@ -64,7 +64,7 @@ def test_power_is_reduced_power(ring, a, n):
 
 def test_projective_product_ring():
     ring = ProjSpaceRing([2, 3])
-    h1, h2, y = ring.h(0), ring.h(1), MultiPoly.var("y")
+    h1, h2, y = (MultiPoly.var(n) for n in ("h1", "h2", "y"))
     a = (1 + h1 + y * h2) ** 3
     b = 1 - h1 * h2 + y ** 2 * h2 ** 2
     assert ring.mul(a, b) == ring.reduce(a * b)

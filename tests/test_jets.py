@@ -8,23 +8,17 @@ import pytest
 
 from genera import jets
 from genera.cli import EXIT_MATH, EXIT_OK, EXIT_VALIDATION, main
-from genera.jets import (JetSpec, closed_integral, coordinate_datum,
-                         cylinder_measure, jet_space_class, oracle_integral,
-                         partition_check, tail_bound_check)
+from genera.jets import (JetSpec, closed_integral, cylinder_measure,
+                         oracle_integral, partition_check)
 from genera.k0 import LEFSCHETZ, K0Class, lefschetz
 from genera.rings import MultiPoly, RationalFunction
 from genera.stringy import (ResolutionDatum, load_datum, motivic_integral,
                             stringy_E, stringy_euler)
+from references import coordinate_datum, tail_bound_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 L = MultiPoly.var("L")
-
-
-def test_jet_space_class():
-    assert jet_space_class(JetSpec(1, (1,), 0)) == L
-    assert jet_space_class(JetSpec(2, (1, 1), 1)) == L ** 4
-    assert jet_space_class(JetSpec(1, (1,), 3)) == L ** 4
 
 
 def test_spec_validation():
@@ -85,7 +79,7 @@ def test_coordinate_datum_shape():
     datum = coordinate_datum(JetSpec(2, (1, 0), 4))
     assert len(datum.components) == 1
     from genera.k0 import euler_of_class
-    total = datum.total_class()
+    total = sum(datum.strata, K0Class.zero())
     # [C^2] has chi = 1
     assert euler_of_class(total) == 1
 

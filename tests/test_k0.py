@@ -7,13 +7,14 @@ import pytest
 
 from genera.k0 import (Atom, ConstructibleFunction, K0Class, LEFSCHETZ,
                        RelativeClass, StratifiedMap, StratifiedSpace,
-                       TowerDatum, ValidationError, arc_tower_class,
-                       blowup_relation_check, chi_y_of_class, e_polynomial,
-                       epsilon, euler_of_class, exterior_product, lefschetz,
-                       naive_motivic_measure, poly_to_class, pro_euler,
-                       pro_grothendieck, projective_space_class,
-                       pullback_rel, pushforward_cf, pushforward_rel)
+                       TowerDatum, ValidationError, blowup_relation_check,
+                       chi_y_of_class, e_polynomial, epsilon, euler_of_class,
+                       exterior_product, lefschetz, poly_to_class, pro_euler,
+                       pro_grothendieck, pullback_rel, pushforward_cf,
+                       pushforward_rel)
 from genera.rings import MultiPoly
+from references import (arc_tower_class, naive_motivic_measure,
+                        projective_space_class)
 
 U = MultiPoly.var("u")
 V = MultiPoly.var("v")

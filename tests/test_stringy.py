@@ -17,7 +17,8 @@ from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             invariance_check, jacobian_factor_limit,
                             load_datum, motivic_integral, product_datum,
                             rewrite_uv, stringy_E, stringy_chi_y,
-                            stringy_euler, stringy_value_from_expr)
+                            stringy_euler)
+from references import stringy_value_from_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -1,6 +1,7 @@
 """The subset-lattice sums of stringy.py against per-subset reference
 sums, on seeded random resolution data with k = 0..7 components and
-index r in {1, 2}; the Euler limit against a generalized-binomial series
+index r in {1, 2}; chi_y read off the fold against substitution into
+the E-function; the Euler limit against a generalized-binomial series
 expansion and, when sympy is installed, against sympy's cancellation."""
 
 import random
@@ -12,11 +13,12 @@ from genera import stringy
 from genera.dense import Dense
 from genera.k0 import (Atom, K0Class, LEFSCHETZ, e_polynomial,
                        euler_of_class, poly_to_class)
-from genera.rings import MultiPoly, RationalFunction, TruncSeries, binom_frac
+from genera.rings import MultiPoly, RationalFunction, TruncSeries
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             invariance_check, motivic_integral, product_datum,
                             rewrite_uv, stringy_E, stringy_chi_y,
                             stringy_euler)
+from references import binom_frac
 
 C = Atom("C", 1, MultiPoly.var("u") * MultiPoly.var("v")
          - MultiPoly.var("u") - MultiPoly.var("v") + 1)
@@ -119,8 +121,8 @@ def test_superset_sums_are_closed_strata(k, r):
         assert closed == d.closed_stratum(m)
     # the superset sums of the split open strata split the closed strata
     var = "t" if r > 1 else "L"
-    parts = stringy._open_fold(d, var)[1]
-    closed_parts = stringy._open_fold(
+    parts = stringy._strata_tables(d, var)[1]
+    closed_parts = stringy._strata_tables(
         ResolutionDatum(d.flavor, r, d.components, tuple(table)), var)[1]
     assert {key: stringy._superset_sums(t) for key, t in parts.items()} == \
         closed_parts
@@ -240,18 +242,18 @@ def test_one_E_function_per_datum_in_compare(monkeypatch, r):
     # data in L alone hold one atom monomial: one open and one closed fold
     # of dense parts per datum
     calls, folds = [], []
-    real_open, real_fold = stringy._open_fold, stringy._fold
+    real_tables, real_fold = stringy._strata_tables, stringy._fold
 
-    def open_fold(d, var):
+    def strata_tables(d, var):
         calls.append(d)
-        return real_open(d, var)
+        return real_tables(d, var)
 
     def fold(table, ins, outs):
         folds.append(table)
         return real_fold(table, ins, outs)
 
     sums = recording_sums(monkeypatch)
-    monkeypatch.setattr(stringy, "_open_fold", open_fold)
+    monkeypatch.setattr(stringy, "_strata_tables", strata_tables)
     monkeypatch.setattr(stringy, "_fold", fold)
     d1, d2 = random_datum(3, r, seed=11), random_datum(2, r, seed=12)
     report = invariance_check(d1, d2)
@@ -271,6 +273,28 @@ def test_standalone_E_runs_the_open_fold_alone(monkeypatch, with_curve):
     d = random_datum(3, 1, seed=31, with_curve=with_curve)
     monkeypatch.setattr(stringy, "_superset_sums", no_closed_fold)
     stringy_E(d), stringy_chi_y(d), stringy_euler(d)
+
+
+def reference_chi_y(d: ResolutionDatum) -> RationalFunction:
+    """stringy_E's parts at (u, v) = (-y, 1), so t = uv = -y, by
+    substitution into the E-function, reduced again."""
+    e, my = stringy_E(d), -MultiPoly.var("y")
+    sub = {"u": my, "v": 1, "t": my}
+    return RationalFunction(e.num.substitute_map(sub),
+                            e.den.substitute_map(sub))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_chi_y_off_the_fold_against_E_substitution(k):
+    d = random_datum(k, 1, seed=500 + k, with_curve=True)
+    chi_y = stringy_chi_y(d)
+    assert chi_y == reference_chi_y(d)
+    # compare reads it off the integral's fold in L, the verb off one in t
+    assert invariance_check(d, d).chi_y == (chi_y, chi_y, True)
+    # negative control: one fold part plus a point changes the value
+    atoms, num, den = stringy._open_fold(d, "t")
+    bumped = {**num, (): num.get((), Dense("t", 0, ())) + 1}
+    assert stringy._chi_y(atoms, bumped, den) != chi_y
 
 
 def test_index_two_report_skips_chi_y():
