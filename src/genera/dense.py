@@ -201,12 +201,19 @@ class Dense:
         the norms, such as (L - 1)^3 against norms of 1, needs one point.
         Until they divide, xi grows by a factor near 1 + sqrt(3); past
         2 |res(a/g, b/g)| |g| they always do."""
+        return self._gcd(other)[0]
+
+    def _gcd(self, other: "Dense"):
+        """(g, self / g, other / g) with g the gcd; the quotients are None
+        when either is zero.  GCDHEU accepts g once both primitive tuples
+        divide by it exactly, and keeps those quotients."""
         var = self._shared_var(other)
         low = min((p.low for p in (self, other) if p.coeffs), default=0)
         a, b = _primitive(self.coeffs), _primitive(other.coeffs)
         if not (a and b):
             g = a or b
-            return Dense(var, low, [-c for c in g] if g and g[-1] < 0 else g)
+            return (Dense(var, low, [-c for c in g] if g and g[-1] < 0 else g),
+                    None, None)
         xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
         while True:
             h, g = math.gcd(_value(a, xi), _value(b, xi)), []
@@ -216,11 +223,14 @@ class Dense:
                 g.append(d - half)
             g = _primitive(g)
             try:
-                _long_quotient(a, g)
-                _long_quotient(b, g)
-                return Dense(var, low, g)
+                qa, qb = _long_quotient(a, g), _long_quotient(b, g)
             except ExactDivisionError:
                 xi = xi * 73794 // 27011
+                continue
+            ca, cb = math.gcd(*self.coeffs), math.gcd(*other.coeffs)
+            return (Dense(var, low, g),
+                    Dense(var, self.low - low, [ca * q for q in qa]),
+                    Dense(var, other.low - low, [cb * q for q in qb]))
 
     def shift(self, k: int) -> "Dense":
         """This polynomial times var^k."""

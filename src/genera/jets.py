@@ -163,13 +163,6 @@ def _closed_parts(spec: JetSpec):
     return num, den
 
 
-def closed_integral(spec: JetSpec) -> RationalFunction:
-    """Exact geometric-series summation of sum_p measure(p) * L^(-p):
-    per coordinate, (L-1) L^(a+1) / (L^(a+1) - 1) when a > 0, else L."""
-    num, den = _closed_parts(spec)
-    return RationalFunction(num.to_poly(), den.to_poly())
-
-
 def _partial(spec: JetSpec, p_max: int) -> Dense:
     """The sum of the cylinder measures of contact order p <= p_max
     against L^-p, at a level of at least p_max."""

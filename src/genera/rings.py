@@ -455,17 +455,24 @@ def _lowest_terms(numerator: MultiPoly, denominator: MultiPoly):
         parts.setdefault(rest, {})[(e,)[:len(var)]] = coeff
     parts = {m: _cleared(MultiPoly(var, t), var) for m, t in parts.items()}
     d, dd = _cleared(denominator, var)
-    g = d
-    for p, _ in parts.values():
-        g = g.gcd(p.shift(-p.low))
-        if g.is_constant():
-            break
-    d = d / g
+    if len(parts) == 1:
+        # the gcd divides both to check itself: keep its quotients
+        (rest, (p, dp)), = parts.items()
+        _, d, q = d._gcd(p.shift(-p.low))
+        parts = {rest: (q.shift(p.low), dp)}
+    else:
+        g = d
+        for p, _ in parts.values():
+            g = g.gcd(p.shift(-p.low))
+            if g.is_constant():
+                break
+        if not g.is_constant():  # a constant gcd is 1
+            d = d / g
+            parts = {rest: (p / g, dp) for rest, (p, dp) in parts.items()}
     c = math.gcd(*d.coeffs) if d.coeffs[-1] > 0 else -math.gcd(*d.coeffs)
     # p/dp over (c * (d/c))/dd is (p*dd / (dp*c)) over d/c
     terms = {}
     for rest, (p, dp) in parts.items():
-        p = p / g
         for k, a in enumerate(p.coeffs, p.low):
             key = rest if at is None else rest[:at] + (k,) + rest[at + 1:]
             terms[key] = _div(a * dd, dp * c)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dense import Dense
+from .dense import Dense, _value
 from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
     load_json_object, poly_to_class
@@ -24,8 +24,8 @@ from .rings import ExactDivisionError, MultiPoly, RationalFunction, \
 
 MAX_COMPONENTS = 14
 # the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
-# integral variable; at 4096, compare X X takes 0.3-1.1 s through the CLI
-# (2-vCPU host), a fifth to a third of it in the gcds that reduce values
+# integral variable; at 4096, compare X X takes 0.3-0.8 s through the CLI
+# (2-vCPU host); of its in-process part, 60-90% reduces the values
 MAX_DENOMINATOR_DEGREE = 4096
 
 
@@ -96,22 +96,6 @@ class ResolutionDatum:
         """[E_I] = sum over J containing I of [E_J^o], I and J as bitmasks."""
         return sum((cls for j, cls in enumerate(self.strata)
                     if j & mask == mask), K0Class.zero())
-
-
-def product_datum(d1: ResolutionDatum, d2: ResolutionDatum) -> ResolutionDatum:
-    """Datum of a product pair: components concatenate, strata multiply;
-    the stratum of masks m1 and m2 sits at m1 | m2 << k1."""
-    if d1.index_r != d2.index_r or d1.flavor != d2.flavor:
-        raise ValidationError("factors must share flavor and index")
-    used = {name for name, _ in d1.components}
-    components = list(d1.components)
-    for name, a in d2.components:
-        while name in used:
-            name += "'"
-        used.add(name)
-        components.append((name, a))
-    strata = tuple(s1 * s2 for s2 in d2.strata for s1 in d1.strata)
-    return ResolutionDatum(d1.flavor, d1.index_r, tuple(components), strata)
 
 
 # ---------------------------------------------------------------------
@@ -212,12 +196,12 @@ def _fold(table: list, ins: list, outs: list):
 
 
 def _factors(components, r: int, var: str):
-    """The factors var^{r(a_i+1)} - 1, one per (name, a_i) component, and
-    their product, as dense polynomials; r(a_i + 1) is an integer by the
-    components' validation."""
-    factors = [Dense(var, int(r * (Fraction(a) + 1)), (1,)) - 1
-               for _, a in components]
-    return factors, math.prod(factors, start=Dense(var, 0, (1,)))
+    """The degrees r(a_i + 1), one per (name, a_i) component, integers by
+    the components' validation, and the denominator, the product of the
+    factors var^{r(a_i+1)} - 1, as a dense polynomial."""
+    ns = [int(r * (Fraction(a) + 1)) for _, a in components]
+    return ns, math.prod((Dense(var, n, (1,)) - 1 for n in ns),
+                         start=Dense(var, 0, (1,)))
 
 
 def _split(cls: K0Class, r: int, var: str) -> list:
@@ -259,27 +243,68 @@ def _open_fold(d: ResolutionDatum, var: str):
     atom monomial's table (the integral's numerator by monomial) and the
     denominator."""
     atoms, tables = _strata_tables(d, var)
-    dens, den = _factors(d.components, d.index_r, var)
-    return atoms, _fold_tables(tables, dens, d.index_r, var), den
+    ns, den = _factors(d.components, d.index_r, var)
+    return atoms, _fold_tables(tables, ns, d.index_r, var), den
 
 
-def _fold_tables(tables: dict, dens: list, r: int, var: str) -> dict:
-    """The open fold of each table of dense parts: stratum I weighted by
-    prod_{i in I} (var^r - 1) * prod_{i not in I} dens[i]."""
-    ins = [Dense(var, r, (1,)) - 1] * len(dens)
-    return {key: _fold(t, ins, dens) for key, t in tables.items()}
+def _packed(tables: dict, k: int):
+    """(B, packed): each dense part p of the tables, a polynomial (K0 has
+    no negative powers), as the int p(X) at X = 2^B, so that the folds run
+    on ints.  Every fold factor has 1-norm at most 2 and a closed part
+    sums at most 2^k open ones, so every coefficient of either fold of a
+    table is below 4^k N, N the total 1-norm of the parts.  B, a multiple
+    of 8, has 2^(B-1) > 4^k N: a fold's balanced base-X digits are its
+    coefficients, and two folds are equal iff their values are."""
+    parts = [p for t in tables.values() for p in t]
+    norm = sum(sum(map(abs, p.coeffs)) for p in parts)
+    bits = (norm.bit_length() + 2 * k + 9) // 8 * 8
+    x, ints = 1 << bits, {}
+    for p in parts:
+        if id(p) not in ints:
+            ints[id(p)] = _value(p.coeffs, x) << p.low * bits
+    return bits, {key: [ints[id(p)] for p in t] for key, t in tables.items()}
 
 
-def _check_closed(tables: dict, num: dict, dens: list, r: int,
-                  var: str) -> None:
-    """The closed-stratum fold of each table, its superset sums weighted
-    by (var^r - 1) - dens[i] per component in the subset, must agree with
-    the open fold num on every atom monomial; a mismatch raises
+def _digits(value: int, bits: int) -> list:
+    """The balanced base-2^bits digits of value, lowest first, each in
+    [-2^(bits-1), 2^(bits-1)), bits a positive multiple of 8: the
+    coefficients of the one polynomial with coefficients in that range
+    whose value at 2^bits is value.  One to_bytes pass of value plus
+    2^(bits-1) at every digit, which makes each digit nonnegative."""
+    size, n = bits // 8, abs(value).bit_length() // bits + 2
+    half = 1 << bits - 1
+    raw = (value + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+           ).to_bytes(n * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, n * size, size)]
+
+
+def _fold_tables(tables: dict, ns: list, r: int, var: str,
+                 check: bool = False) -> dict:
+    """The open fold of each table of dense parts, stratum I weighted by
+    prod_{i in I} (var^r - 1) * prod_{i not in I} (var^{ns[i]} - 1), on
+    the tables packed by ``_packed``; with ``check``, checked against the
+    closed-stratum fold by ``_check_closed``."""
+    bits, packed = _packed(tables, len(ns))
+    outs = [(1 << n * bits) - 1 for n in ns]
+    ins = [(1 << r * bits) - 1] * len(ns)
+    num = {key: _fold(t, ins, outs) for key, t in packed.items()}
+    if check:
+        _check_closed(packed, num, ns, r, bits)
+    return {key: Dense(var, 0, _digits(v, bits)) for key, v in num.items()}
+
+
+def _check_closed(packed: dict, num: dict, ns: list, r: int,
+                  bits: int) -> None:
+    """The closed-stratum fold of each packed table, its superset sums
+    weighted by (X^r - 1) - (X^{ns[i]} - 1) per component in the subset
+    and X^{ns[i]} - 1 per component out of it, X = 2^bits, must equal the
+    packed open fold num on every atom monomial; a mismatch raises
     ConsistencyError."""
-    lm1 = Dense(var, r, (1,)) - 1
-    ins = [lm1 - f for f in dens]
-    if num != {key: _fold(_superset_sums(t), ins, dens)
-               for key, t in tables.items()}:
+    ins = [(1 << r * bits) - (1 << n * bits) for n in ns]
+    outs = [(1 << n * bits) - 1 for n in ns]
+    if num != {key: _fold(_superset_sums(t), ins, outs)
+               for key, t in packed.items()}:
         raise ConsistencyError(
             "open- and closed-stratum forms of the motivic integral differ")
 
@@ -291,10 +316,8 @@ def checked_fold(flavor: str, r: int, components, tables: dict,
     (name, discrepancy) components: the open fold of each table, checked
     against its closed-stratum fold; a mismatch raises ConsistencyError."""
     _check_components(flavor, r, components)
-    dens, den = _factors(components, r, var)
-    num = _fold_tables(tables, dens, r, var)
-    _check_closed(tables, num, dens, r, var)
-    return num, den
+    ns, den = _factors(components, r, var)
+    return _fold_tables(tables, ns, r, var, check=True), den
 
 
 def _sum_parts(num: dict, image, var: str) -> MultiPoly:

@@ -1,15 +1,17 @@
 """Independent references that only the tests use: a generalized binomial
 coefficient, cell-decomposition and arc-tower classes, the naive motivic
-measure, the coordinate resolution datum of the jets oracle, its geometric
-tail bound, and StringyValue from text."""
+measure, the coordinate resolution datum of the jets oracle, its closed
+form and geometric tail bound, StringyValue from text and the resolution
+datum of a product."""
 
 import math
 from fractions import Fraction
 
 from genera.expr import parse_expr
-from genera.jets import JetSpec, _coordinate_strata, _partial, closed_integral
-from genera.k0 import (K0Class, LEFSCHETZ, TowerDatum, lefschetz,
-                       pro_grothendieck)
+from genera.jets import JetSpec, _closed_parts, _coordinate_strata, _partial
+from genera.k0 import (K0Class, LEFSCHETZ, TowerDatum, ValidationError,
+                       lefschetz, pro_grothendieck)
+from genera.rings import RationalFunction
 from genera.stringy import ResolutionDatum, StringyValue
 
 
@@ -53,6 +55,13 @@ def coordinate_datum(spec: JetSpec) -> ResolutionDatum:
     return ResolutionDatum("arc", 1, components, strata)
 
 
+def closed_integral(spec: JetSpec) -> RationalFunction:
+    """Exact geometric-series summation of sum_p measure(p) * L^(-p):
+    per coordinate, (L-1) L^(a+1) / (L^(a+1) - 1) when a > 0, else L."""
+    num, den = _closed_parts(spec)
+    return RationalFunction(num.to_poly(), den.to_poly())
+
+
 def tail_bound_check(spec: JetSpec, p_max: int) -> bool:
     """partial + geometric tail equals the closed form exactly: the
     difference partial * den - num, a single Laurent polynomial, must
@@ -70,3 +79,19 @@ def tail_bound_check(spec: JetSpec, p_max: int) -> bool:
 def stringy_value_from_expr(text: str, r: int = 1) -> StringyValue:
     """A polynomial in u, v (and t) as a StringyValue."""
     return StringyValue(parse_expr(text, variables=("u", "v", "t")), 1, r)
+
+
+def product_datum(d1: ResolutionDatum, d2: ResolutionDatum) -> ResolutionDatum:
+    """Datum of a product pair: components concatenate, strata multiply;
+    the stratum of masks m1 and m2 sits at m1 | m2 << k1."""
+    if d1.index_r != d2.index_r or d1.flavor != d2.flavor:
+        raise ValidationError("factors must share flavor and index")
+    used = {name for name, _ in d1.components}
+    components = list(d1.components)
+    for name, a in d2.components:
+        while name in used:
+            name += "'"
+        used.add(name)
+        components.append((name, a))
+    strata = tuple(s1 * s2 for s2 in d2.strata for s1 in d1.strata)
+    return ResolutionDatum(d1.flavor, d1.index_r, tuple(components), strata)

@@ -19,9 +19,9 @@ from genera import dense  # noqa: E402
 from genera.dense import Dense  # noqa: E402
 from genera import jets  # noqa: E402
 from genera.jets import (  # noqa: E402
-    JetSpec, closed_integral, cylinder_measure, oracle_integral,
-    partition_check)
+    JetSpec, cylinder_measure, oracle_integral, partition_check)
 from genera.rings import ExactDivisionError, MultiPoly, RationalFunction  # noqa: E402
+from references import closed_integral  # noqa: E402
 
 X = MultiPoly.var("x")
 L = MultiPoly.var("L")
@@ -274,6 +274,11 @@ def test_gcd_against_fraction_euclid():
             assert got == 0
             continue
         assert got.coeffs[-1] > 0 and math.gcd(*got.coeffs) == 1
+        # the quotients the gcd keeps from its own check
+        g, qa, qb = da._gcd(db)
+        assert g == got
+        if not (a.is_zero() or b.is_zero()):
+            assert (qa * g, qb * g) == (da, db)
         # the reference is monic, or primitive when one side is zero
         lead = 1 if a.is_zero() or b.is_zero() else got.coeffs[-1]
         assert got.to_poly() / lead == euclid_gcd(a, b)

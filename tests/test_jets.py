@@ -8,13 +8,13 @@ import pytest
 
 from genera import jets
 from genera.cli import EXIT_MATH, EXIT_OK, EXIT_VALIDATION, main
-from genera.jets import (JetSpec, closed_integral, cylinder_measure,
-                         oracle_integral, partition_check)
+from genera.jets import (JetSpec, cylinder_measure, oracle_integral,
+                         partition_check)
 from genera.k0 import LEFSCHETZ, K0Class, lefschetz
 from genera.rings import MultiPoly, RationalFunction
 from genera.stringy import (ResolutionDatum, load_datum, motivic_integral,
                             stringy_E, stringy_euler)
-from references import coordinate_datum, tail_bound_check
+from references import closed_integral, coordinate_datum, tail_bound_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -15,10 +15,9 @@ from genera.rings import MultiPoly, RationalFunction, TruncSeries
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             ValidationError, datum_from_dict,
                             invariance_check, jacobian_factor_limit,
-                            load_datum, motivic_integral, product_datum,
-                            rewrite_uv, stringy_E, stringy_chi_y,
-                            stringy_euler)
-from references import stringy_value_from_expr
+                            load_datum, motivic_integral, rewrite_uv,
+                            stringy_E, stringy_chi_y, stringy_euler)
+from references import product_datum, stringy_value_from_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -5,7 +5,7 @@ Every case runs ``genera stringy integral|efun|chiy|euler|compare
 exit code, stdout and stderr must match ``golden/stringy_cli.json`` byte
 for byte.  The product data are built by multiplying the class
 expressions of their factors, so they do not depend on
-``stringy.product_datum``.
+``product_datum`` of ``tests/references.py``.
 
 Regenerate the golden file (only when an output is meant to change) with
 ``PYTHONPATH=src python tests/test_stringy_golden.py``.
@@ -81,6 +81,9 @@ def data() -> dict:
     for k in range(1, 4):
         out[f"half_x{k}.json"] = product([HALF] * k)
     out["several_atoms.json"] = SEVERAL_ATOMS
+    # class coefficients past 10^30 of both signs, and a curve atom
+    out["big_coefficients.json"] = json.loads(
+        (FIXTURES / "big_coefficients.json").read_text())
     return out
 
 
@@ -95,7 +98,8 @@ def cases() -> list:
         [f"blowup_x{k}.json" for k in range(2, 6)] + \
         [f"blowup_x{k}_identity.json" for k in range(0, 5)] + \
         [f"blowup_x{k}_a1.json" for k in range(0, 5)] + \
-        [f"half_x{k}.json" for k in range(1, 4)] + ["several_atoms.json"]
+        [f"half_x{k}.json" for k in range(1, 4)] + \
+        ["several_atoms.json", "big_coefficients.json"]
     for name in single:
         for action in ACTIONS:
             add(action, name)
@@ -107,6 +111,7 @@ def cases() -> list:
         add("compare", blowup, f"blowup_x{k - 1}_identity.json")
         add("compare", f"blowup_x{k - 1}_a1.json", blowup)
     add("compare", "several_atoms.json", "several_atoms.json")
+    add("compare", "big_coefficients.json", "big_coefficients.json")
     return out
 
 

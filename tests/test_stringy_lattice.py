@@ -1,24 +1,25 @@
 """The subset-lattice sums of stringy.py against per-subset reference
 sums, on seeded random resolution data with k = 0..7 components and
-index r in {1, 2}; chi_y read off the fold against substitution into
-the E-function; the Euler limit against a generalized-binomial series
-expansion and, when sympy is installed, against sympy's cancellation."""
+index r in {1, 2}; the folds on Kronecker-packed ints against the
+generic fold on dense parts; chi_y read off the fold against
+substitution into the E-function; the Euler limit against a
+generalized-binomial series expansion and, when sympy is installed,
+against sympy's cancellation."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from genera import stringy
+from genera import dense, stringy
 from genera.dense import Dense
 from genera.k0 import (Atom, K0Class, LEFSCHETZ, e_polynomial,
                        euler_of_class, poly_to_class)
 from genera.rings import MultiPoly, RationalFunction, TruncSeries
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
-                            invariance_check, motivic_integral, product_datum,
-                            rewrite_uv, stringy_E, stringy_chi_y,
-                            stringy_euler)
-from references import binom_frac
+                            invariance_check, motivic_integral, rewrite_uv,
+                            stringy_E, stringy_chi_y, stringy_euler)
+from references import binom_frac, product_datum
 
 C = Atom("C", 1, MultiPoly.var("u") * MultiPoly.var("v")
          - MultiPoly.var("u") - MultiPoly.var("v") + 1)
@@ -147,6 +148,91 @@ def test_product_values_multiply(k1, k2, r):
         assert stringy_euler(d) == stringy_euler(f1) * stringy_euler(f2)
 
 
+@pytest.mark.parametrize("bits", (8, 16, 24, 40, 64, 136))
+def test_kronecker_round_trip_at_the_bound(bits):
+    # every digit in [-2^(bits-1), 2^(bits-1)) unpacks to itself
+    edge = (1 << bits - 1) - 1
+    rng = random.Random(bits)
+    for coeffs in ([edge], [-edge], [-edge - 1], [edge, -edge, 0, edge],
+                   [0, 0, -edge, 1], [3, -edge, edge, -edge - 1],
+                   [rng.randint(-edge, edge) for _ in range(50)] + [edge]):
+        value = dense._value(coeffs, 1 << bits)
+        digits = stringy._digits(value, bits)
+        assert Dense("x", 0, digits) == Dense("x", 0, coeffs)
+    assert not any(stringy._digits(0, bits))
+    # one past the edge carries into the next digit
+    assert Dense("x", 0, stringy._digits(edge + 1, bits)) != edge + 1
+
+
+def random_dense_tables(k: int, r: int, seed: int, var: str):
+    """(tables, degrees): two tables of 2^k dense parts with coefficients
+    up to 10^40 in size, some of them zero and some shared, and the
+    degrees r(a_i + 1), some with a_i = 0, whose closed factor is 0."""
+    rng = random.Random(seed)
+    size = rng.choice((3, 10 ** 12, 10 ** 40))
+
+    def part():
+        if rng.random() < 0.2:
+            return Dense(var, 0, ())
+        return Dense(var, rng.randint(0, 3),
+                     [rng.randint(-size, size)
+                      for _ in range(rng.randint(1, 4))])
+
+    shared = part()
+    tables = {key: [shared if rng.random() < 0.2 else part()
+                    for _ in range(1 << k)] for key in ((), (("C", 1),))}
+    ns = [r * rng.choice((1, 1, 2, 3, 5)) for _ in range(k)]
+    return tables, ns
+
+
+@pytest.mark.parametrize("k,r", [(k, r) for k in range(7) for r in (1, 2, 3)])
+def test_packed_folds_against_dense_folds(k, r):
+    var = "t"
+    tables, ns = random_dense_tables(k, r, 700 + 10 * k + r, var)
+    lm1 = Dense(var, r, (1,)) - 1
+    outs = [Dense(var, n, (1,)) - 1 for n in ns]
+    # the generic fold on dense parts and dense factors is the reference
+    opened = {key: stringy._fold(t, [lm1] * k, outs)
+              for key, t in tables.items()}
+    closed = {key: stringy._fold(stringy._superset_sums(t),
+                                 [lm1 - f for f in outs], outs)
+              for key, t in tables.items()}
+    assert opened == closed
+    assert stringy._fold_tables(tables, ns, r, var) == opened
+    assert stringy._fold_tables(tables, ns, r, var, check=True) == opened
+    # the packed closed fold against the reference closed fold, packed
+    bits, packed = stringy._packed(tables, k)
+
+    def pack(p):
+        return dense._value(p.coeffs, 1 << bits) << p.low * bits
+
+    stringy._check_closed(packed, {key: pack(p) for key, p in closed.items()},
+                          ns, r, bits)
+    for one in closed:
+        # one more point in one atom monomial's closed fold
+        bumped = {**closed, one: closed[one] + 1}
+        with pytest.raises(ConsistencyError):
+            stringy._check_closed(
+                packed, {key: pack(p) for key, p in bumped.items()},
+                ns, r, bits)
+
+
+def test_packing_below_the_bound_unpacks_a_wrong_numerator(monkeypatch):
+    # c (t^2 - 1) + c (t - 1) = c t^2 + c t - 2c with c = 2^42: N = 2^43,
+    # so B = 48, and 2c = 2^43 does not fit a balanced digit of 40 bits
+    c = Dense("t", 0, (1 << 42,))
+    tables, expected = {(): [c, c]}, c * Dense("t", 0, (-2, 1, 1))
+    assert stringy._packed(tables, 1)[0] == 48
+    assert stringy._fold_tables(tables, [2], 1, "t", check=True) == \
+        {(): expected}
+    real = stringy._packed
+    # k - 4 lowers 2k + 2, so B, by exactly 8 bits
+    monkeypatch.setattr(stringy, "_packed",
+                        lambda tables, k: real(tables, k - 4))
+    assert stringy._packed(tables, 1)[0] == 40
+    assert stringy._fold_tables(tables, [2], 1, "t") != {(): expected}
+
+
 def superset_sums_skipping(skip):
     """The superset-sum pass with component ``skip`` left out."""
     def sums(table):
@@ -196,7 +282,7 @@ def recording_sums(monkeypatch):
 
 
 def is_open_fold(sums, table):
-    return isinstance(table[0], Dense) and not any(table is t for t in sums)
+    return type(table[0]) is int and not any(table is t for t in sums)
 
 
 @pytest.mark.parametrize("r", (1, 2))
