@@ -6,6 +6,13 @@ holds such a polynomial as its lowest exponent and a tuple of ints, so
 its arithmetic runs on plain ints and lists.  ``MultiPoly`` stays the
 general multivariate type: values cross into ``Dense`` by ``from_poly``
 and leave it by ``to_poly``, and public results stay ``MultiPoly``.
+
+This module also owns the Kronecker-packed format on which the folds of
+``stringy`` and the power of ``graded.GradedRing`` run: a polynomial with
+int coefficients packs by ``_pack`` to one int, its value at X = 2^B with
+B a multiple of 8, and unpacks by ``_digits`` to its balanced base-X
+digits, which are its coefficients while each is below 2^(B-1) in size;
+``_widen`` moves a packed value to a wider B.
 """
 
 from __future__ import annotations
@@ -264,6 +271,44 @@ def _value(coeffs, x: int) -> int:
         return reduce(lambda s, c: s * x + c, reversed(coeffs), 0)
     m = len(coeffs) // 2
     return _value(coeffs[:m], x) + _value(coeffs[m:], x) * x ** m
+
+
+def _pack(coeffs, bits: int) -> int:
+    """The tuple's polynomial at 2^bits, as ``_value`` computes it at any
+    x, with shifts for the products by 2^bits."""
+    if len(coeffs) <= 64:
+        return reduce(lambda s, c: (s << bits) + c, reversed(coeffs), 0)
+    m = len(coeffs) // 2
+    return _pack(coeffs[:m], bits) + (_pack(coeffs[m:], bits) << m * bits)
+
+
+def _digits(value: int, bits: int) -> list:
+    """The balanced base-2^bits digits of value, lowest first, each in
+    [-2^(bits-1), 2^(bits-1)), bits a positive multiple of 8: the
+    coefficients of the one polynomial with coefficients in that range
+    whose value at 2^bits is value.  One to_bytes pass of value plus
+    2^(bits-1) at every digit, which makes each digit nonnegative."""
+    size, n = bits // 8, abs(value).bit_length() // bits + 2
+    half = 1 << bits - 1
+    raw = (value + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+           ).to_bytes(n * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(0, n * size, size)]
+
+
+def _widen(value: int, bits: int, wide: int) -> int:
+    """value, a polynomial packed at 2^bits, packed at 2^wide instead,
+    wide >= bits both multiples of 8: its balanced digits (``_digits``)
+    are read in the same to_bytes pass, each spread from bits / 8 to
+    wide / 8 bytes, and the offset that made them nonnegative is taken
+    off at 2^wide."""
+    size, n = bits // 8, abs(value).bit_length() // bits + 2
+    half, pad = bytes(size - 1) + b"\x80", bytes((wide - bits) // 8)
+    raw = (value + int.from_bytes(half * n, "little")
+           ).to_bytes(n * size, "little")
+    return int.from_bytes(pad.join([raw[i:i + size] for i in
+                                    range(0, n * size, size)]), "little") \
+        - int.from_bytes((half + pad) * n, "little")
 
 
 def _long_quotient(a, b) -> list:

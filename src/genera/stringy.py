@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dense import Dense, _value
+from .dense import Dense, _digits, _pack
 from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
     load_json_object, poly_to_class
@@ -234,7 +234,10 @@ def _strata_tables(d: ResolutionDatum, var: str):
             split = parts[id(cls)] = _split(cls, r, var)
             atoms.update(cls.atoms)
         for key, part in split:
-            tables.setdefault(key, [zero] * size)[m] = part
+            table = tables.get(key)
+            if table is None:
+                table = tables[key] = [zero] * size
+            table[m] = part
     return atoms, tables
 
 
@@ -258,25 +261,11 @@ def _packed(tables: dict, k: int):
     parts = [p for t in tables.values() for p in t]
     norm = sum(sum(map(abs, p.coeffs)) for p in parts)
     bits = (norm.bit_length() + 2 * k + 9) // 8 * 8
-    x, ints = 1 << bits, {}
+    ints = {}
     for p in parts:
         if id(p) not in ints:
-            ints[id(p)] = _value(p.coeffs, x) << p.low * bits
+            ints[id(p)] = _pack(p.coeffs, bits) << p.low * bits
     return bits, {key: [ints[id(p)] for p in t] for key, t in tables.items()}
-
-
-def _digits(value: int, bits: int) -> list:
-    """The balanced base-2^bits digits of value, lowest first, each in
-    [-2^(bits-1), 2^(bits-1)), bits a positive multiple of 8: the
-    coefficients of the one polynomial with coefficients in that range
-    whose value at 2^bits is value.  One to_bytes pass of value plus
-    2^(bits-1) at every digit, which makes each digit nonnegative."""
-    size, n = bits // 8, abs(value).bit_length() // bits + 2
-    half = 1 << bits - 1
-    raw = (value + int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
-           ).to_bytes(n * size, "little")
-    return [int.from_bytes(raw[i:i + size], "little") - half
-            for i in range(0, n * size, size)]
 
 
 def _fold_tables(tables: dict, ns: list, r: int, var: str,

@@ -157,11 +157,11 @@ def test_kronecker_round_trip_at_the_bound(bits):
                    [0, 0, -edge, 1], [3, -edge, edge, -edge - 1],
                    [rng.randint(-edge, edge) for _ in range(50)] + [edge]):
         value = dense._value(coeffs, 1 << bits)
-        digits = stringy._digits(value, bits)
+        digits = dense._digits(value, bits)
         assert Dense("x", 0, digits) == Dense("x", 0, coeffs)
-    assert not any(stringy._digits(0, bits))
+    assert not any(dense._digits(0, bits))
     # one past the edge carries into the next digit
-    assert Dense("x", 0, stringy._digits(edge + 1, bits)) != edge + 1
+    assert Dense("x", 0, dense._digits(edge + 1, bits)) != edge + 1
 
 
 def random_dense_tables(k: int, r: int, seed: int, var: str):
