@@ -27,4 +27,19 @@ from .jets import JetSpec, cylinder_measure, oracle_integral
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ExactDivisionError", "MultiPoly", "RationalFunction", "TruncSeries",
+    "ExprError", "parse_expr", "ChernRing", "GradedRing", "FormalBundle",
+    "chern_character", "elliptic_class_qseries", "lambda_op", "line_ch",
+    "multiplicative_class", "s_op", "SERIES_NAMES", "builtin_series",
+    "genus_logarithm", "genus_on_projective", "hirzebruch_specialize",
+    "twisted_chi_y", "unnormalize_invariance_check", "ProjSpaceRing",
+    "ghrr_normalization_check", "hrr_check", "ty_class_degree", "Atom",
+    "ConstructibleFunction", "K0Class", "LEFSCHETZ", "RelativeClass",
+    "StratifiedMap", "StratifiedSpace", "TowerDatum", "blowup_relation_check",
+    "chi_y_of_class", "e_polynomial", "epsilon", "euler_of_class", "lefschetz",
+    "pro_euler", "pro_grothendieck", "pushforward_cf", "pushforward_rel",
+    "pullback_rel", "ConsistencyError", "ResolutionDatum", "StringyValue",
+    "invariance_check", "jacobian_factor_limit", "load_datum",
+    "motivic_integral", "stringy_E", "stringy_chi_y", "stringy_euler",
+    "JetSpec", "cylinder_measure", "oracle_integral"]

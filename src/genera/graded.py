@@ -68,27 +68,30 @@ class GradedRing:
         names, ta, tb = a._align(b)
         (da, ia), (db, ib) = _cleared(ta), _cleared(tb)
         dd = da * db
-        return MultiPoly(names, {e: _div(c, dd) for e, c in
-                                 self._product(names, ia, ib).items()})
+        product = self._product(names, ia, ib, self._bounds(names, ia, ib))
+        return MultiPoly(names, {e: _div(c, dd) for e, c in product.items()})
 
-    def _product(self, names, ta: dict, tb: dict) -> dict:
+    def _bounds(self, names, *factors: dict) -> list:
+        """The (index, bound) pairs that ``_product`` tests on products of
+        the factors' terms over ``names``.  With no negative weighted
+        exponent w*e in the factors, there is none in such a product, whose
+        exponents within the cutoff are at most cutoff // w: only bounds
+        below that, or on a variable of weight w <= 0, are listed."""
+        weights = [self.weights.get(v, 0) for v in names]
+        signed = any(w * e < 0 for t in factors for expo in t
+                     for w, e in zip(weights, expo))
+        return [(i, b) for i, v in enumerate(names)
+                if (b := self.bounds.get(v)) is not None and
+                (signed or weights[i] <= 0 or b < self.cutoff // weights[i])]
+
+    def _product(self, names, ta: dict, tb: dict, bounds: list) -> dict:
         """The terms of reduce(a * b) from the term dicts of a and b over
         the variables ``names``, forming only the term pairs that survive
         the truncation: the terms of b are sorted by weighted degree, so
         the scan of b stops at the first term past the cutoff, and a pair
-        whose exponent in a bounded variable exceeds its bound is skipped.
-        When no term of a or b has a negative weighted exponent w*e, a
-        pair within the cutoff has each exponent at most cutoff // w, so
-        only the bounds below that, or on a variable of weight w <= 0,
-        are tested.  The coefficients may be of any ring (Fractions, or
-        plain ints)."""
+        with an exponent past one of the ``bounds``, from ``_bounds``, is
+        skipped.  The coefficients may be of any ring."""
         weights = [self.weights.get(v, 0) for v in names]
-        signed = any(w * e < 0 for t in (ta, tb) for expo in t
-                     for w, e in zip(weights, expo))
-        bounds = [(i, self.bounds[v]) for i, v in enumerate(names)
-                  if v in self.bounds and (signed or weights[i] <= 0 or
-                                           self.bounds[v] <
-                                           self.cutoff // weights[i])]
         right = sorted(((sum(map(mul, weights, e)), e, c)
                         for e, c in tb.items()), key=itemgetter(0))
         out = {}
@@ -170,17 +173,19 @@ class GradedRing:
         base, step = {key: _pack([row.get(j, 0) for j in range(max(row) + 1)],
                                  widths[min(1, n)])
                       for key, row in rows.items()}, 1
+        bounds = self._bounds(gnames, base)  # hold for every power of p
         out, have = {(0,) * len(graded): 1}, 0
         m = n
         while m:
             if m & 1:
                 out = self._product(gnames, repack(out, have, have + step),
-                                    repack(base, step, have + step))
+                                    repack(base, step, have + step), bounds)
                 have += step
             m >>= 1
             if m:
                 square = repack(base, step, 2 * step)
-                base, step = self._product(gnames, square, square), 2 * step
+                base, step = self._product(gnames, square, square,
+                                           bounds), 2 * step
         # a digit's free exponents, read from the highest place value down
         decode = [(i, r, n * low) for i, r, low in
                   reversed(list(zip(free, places, lows)))]

@@ -83,12 +83,9 @@ def hrr_check(n: int, d: int):
     return lhs, rhs, lhs == rhs
 
 
-def ghrr_normalization_check(order: int, drop_linear_term: bool = False) -> bool:
+def ghrr_normalization_check(order: int) -> bool:
     """Verify (1 + y e^{-z(1+y)})/(1+y) * z/(1 - e^{-z(1+y)})
-    = z(1+y)/(1 - e^{-z(1+y)}) - z*y as series over Q[y] through z^order.
-
-    ``drop_linear_term`` removes the -z*y term from the right side (a
-    deliberate negative control)."""
+    = z(1+y)/(1 - e^{-z(1+y)}) - z*y as series over Q[y] through z^order."""
     if order < 2:
         raise ValueError("order must be >= 2")
     unnorm = ghrr_integrand(order).scale_variable(1 + Y)
@@ -97,12 +94,7 @@ def ghrr_normalization_check(order: int, drop_linear_term: bool = False) -> bool
         lhs_cs.append(MultiPoly._coerce(c).laurent_div_exact(1 + Y))
     lhs = TruncSeries("z", order, lhs_cs)
 
-    rhs = builtin_series("hirzebruch", order)
-    if drop_linear_term:
-        cs = list(rhs.coeffs)
-        cs[1] = cs[1] + Y
-        rhs = TruncSeries("z", order, cs)
-    return lhs == rhs
+    return lhs == builtin_series("hirzebruch", order)
 
 
 def ty_class_degree(n: int) -> MultiPoly:

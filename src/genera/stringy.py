@@ -241,15 +241,6 @@ def _strata_tables(d: ResolutionDatum, var: str):
     return atoms, tables
 
 
-def _open_fold(d: ResolutionDatum, var: str):
-    """The unchecked fold of d: its atoms by name, the open fold of each
-    atom monomial's table (the integral's numerator by monomial) and the
-    denominator."""
-    atoms, tables = _strata_tables(d, var)
-    ns, den = _factors(d.components, d.index_r, var)
-    return atoms, _fold_tables(tables, ns, d.index_r, var), den
-
-
 def _packed(tables: dict, k: int):
     """(B, packed): each dense part p of the tables, a polynomial (K0 has
     no negative powers), as the int p(X) at X = 2^B, so that the folds run
@@ -268,18 +259,16 @@ def _packed(tables: dict, k: int):
     return bits, {key: [ints[id(p)] for p in t] for key, t in tables.items()}
 
 
-def _fold_tables(tables: dict, ns: list, r: int, var: str,
-                 check: bool = False) -> dict:
+def _fold_tables(tables: dict, ns: list, r: int, var: str) -> dict:
     """The open fold of each table of dense parts, stratum I weighted by
     prod_{i in I} (var^r - 1) * prod_{i not in I} (var^{ns[i]} - 1), on
-    the tables packed by ``_packed``; with ``check``, checked against the
-    closed-stratum fold by ``_check_closed``."""
+    the tables packed by ``_packed``, checked against the closed-stratum
+    fold by ``_check_closed``."""
     bits, packed = _packed(tables, len(ns))
     outs = [(1 << n * bits) - 1 for n in ns]
     ins = [(1 << r * bits) - 1] * len(ns)
     num = {key: _fold(t, ins, outs) for key, t in packed.items()}
-    if check:
-        _check_closed(packed, num, ns, r, bits)
+    _check_closed(packed, num, ns, r, bits)
     return {key: Dense(var, 0, _digits(v, bits)) for key, v in num.items()}
 
 
@@ -300,13 +289,12 @@ def _check_closed(packed: dict, num: dict, ns: list, r: int,
 
 def checked_fold(flavor: str, r: int, components, tables: dict,
                  var: str):
-    """The integral's numerator by atom monomial and its denominator, dense
-    in var, from the tables of open-stratum parts over the validated
-    (name, discrepancy) components: the open fold of each table, checked
-    against its closed-stratum fold; a mismatch raises ConsistencyError."""
+    """``_fold_tables`` of the tables of open-stratum parts over the (name,
+    discrepancy) components, validated as a ``ResolutionDatum``'s, and the
+    denominator, dense in var; a mismatch raises ConsistencyError."""
     _check_components(flavor, r, components)
     ns, den = _factors(components, r, var)
-    return _fold_tables(tables, ns, r, var, check=True), den
+    return _fold_tables(tables, ns, r, var), den
 
 
 def _sum_parts(num: dict, image, var: str) -> MultiPoly:
@@ -325,21 +313,20 @@ def _sum_dense_parts(num: dict, image, var: str) -> Dense:
 
 
 def _checked_integral(d: ResolutionDatum):
-    """The motivic integral as its atoms, numerator by atom monomial and
-    denominator, all dense in L (in t when r > 1).  The closed-stratum
-    fold must agree with the open one on every atom monomial; a mismatch
-    raises ConsistencyError."""
-    r = d.index_r
-    var = "L" if r == 1 else "t"
-    if r > 1 and any("t" in cls.atoms for cls in d.strata):
-        raise ValidationError(f"an atom named 't' clashes with t = L^(1/{r})")
+    """The one fold of d that every invariant reads: its atoms, numerator
+    by atom monomial and denominator, dense in L (in t when r > 1), the
+    open fold checked against the closed one by ``_fold_tables``."""
+    var = "L" if d.index_r == 1 else "t"
     atoms, tables = _strata_tables(d, var)
-    return (atoms, *checked_fold(d.flavor, r, d.components, tables, var))
+    ns, den = _factors(d.components, d.index_r, var)
+    return atoms, _fold_tables(tables, ns, d.index_r, var), den
 
 
-def _integral(num: dict, den: Dense) -> RationalFunction:
-    """The integral of a ``_checked_integral`` numerator and denominator,
-    with the other atoms as variables."""
+def _integral(atoms: dict, num: dict, den: Dense, r: int) -> RationalFunction:
+    """The integral of a ``_checked_integral`` fold at index r, the other
+    atoms as variables; at r > 1 none may be named t, as t = L^(1/r)."""
+    if r > 1 and "t" in atoms:
+        raise ValidationError(f"an atom named 't' clashes with t = L^(1/{r})")
     return RationalFunction(_sum_parts(num, MultiPoly.var, den.var),
                             den.to_poly())
 
@@ -359,8 +346,7 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
     computed alongside and must agree; a mismatch raises ConsistencyError.
     The closed strata [E_I] are the superset sums of the open ones.
     """
-    _, num, den = _checked_integral(d)
-    return _integral(num, den)
+    return _integral(*_checked_integral(d), d.index_r)
 
 
 # ---------------------------------------------------------------------
@@ -370,8 +356,8 @@ def motivic_integral(d: ResolutionDatum) -> RationalFunction:
 def stringy_E(d: ResolutionDatum) -> StringyValue:
     """Sum over strata of E(E_I^o; u, v) * prod_{i in I}
     (uv-1)/((uv)^{a_i+1}-1), with (uv)^{1/r} carried by t; the
-    E-realisation of the integral's open fold."""
-    return _realise(*_open_fold(d, "t"), d.index_r)
+    E-realisation of the checked integral's fold."""
+    return _realise(*_checked_integral(d), d.index_r)
 
 
 def _at_minus_y(p: Dense) -> MultiPoly:
@@ -383,24 +369,24 @@ def _at_minus_y(p: Dense) -> MultiPoly:
 def _chi_y(atoms: dict, num: dict, den: Dense) -> RationalFunction:
     """The E-function of an index-1 fold (its atoms, numerator by atom
     monomial and denominator) at (u, v) = (-y, 1), so that its variable
-    t = uv goes to -y.  Each atom goes to its E-polynomial at (t, 1), so
+    L = uv goes to -y.  Each atom goes to its E-polynomial at (L, 1), so
     the numerator is one dense polynomial; the fraction is reduced once,
-    at t = -y."""
-    t = MultiPoly.var(den.var)
-    images = {n: Dense.from_poly(a.e_poly.substitute_map({"u": t, "v": 1}),
+    at L = -y."""
+    x = MultiPoly.var(den.var)
+    images = {n: Dense.from_poly(a.e_poly.substitute_map({"u": x, "v": 1}),
                                  den.var) for n, a in atoms.items()}
     top = _sum_dense_parts(num, images.__getitem__, den.var)
     return RationalFunction(_at_minus_y(top), _at_minus_y(den))
 
 
 def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
-    """stringy_E at (u, v) = (-y, 1); needs index r = 1 so t = uv = -y.
-    Read off the open fold, as the Euler limit is, without the
-    E-function."""
+    """stringy_E at (u, v) = (-y, 1); needs index r = 1 so L = uv = -y.
+    Read off the checked integral's fold, as the Euler limit is, without
+    the E-function."""
     if d.index_r != 1:
         raise ValidationError(
             "chi_y specialization needs Gorenstein index 1")
-    return _chi_y(*_open_fold(d, "t"))
+    return _chi_y(*_checked_integral(d))
 
 
 def _euler_formula(d: ResolutionDatum) -> Fraction:
@@ -454,11 +440,12 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
     """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1).
 
     Verified against the removable-singularity limit of stringy_E at
-    u = v = 1, taken on the open fold: (t - 1)^k, k the number of
-    components, divides out of numerator and denominator, which are then
-    evaluated at t = 1; a disagreement raises ConsistencyError.
+    u = v = 1, taken on the checked integral's fold in x (L, or t at
+    r > 1): (x - 1)^k, k the number of components, divides out of
+    numerator and denominator, which are then evaluated at x = 1; a
+    disagreement raises ConsistencyError.
     """
-    return _checked_euler(d, _open_fold(d, "t"))
+    return _checked_euler(d, _checked_integral(d))
 
 
 # ---------------------------------------------------------------------
@@ -517,7 +504,7 @@ def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceRepo
     chi_y only when both have index 1.  Each datum's E-function realises
     its checked integral, whose fold also feeds its Euler limit check."""
     n1, n2 = _checked_integral(d1), _checked_integral(d2)
-    i1, i2 = _integral(*n1[1:]), _integral(*n2[1:])
+    i1, i2 = _integral(*n1, d1.index_r), _integral(*n2, d2.index_r)
     e1, e2 = _realise(*n1, d1.index_r), _realise(*n2, d2.index_r)
     chi_y = None
     if d1.index_r == d2.index_r == 1:
@@ -570,7 +557,7 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
         raise ValidationError("strata must be a list of entries")
     strata = [None] * (1 << len(names))
     # one K0Class per distinct class text, shared by its strata, so that
-    # _open_fold splits it once
+    # the fold splits it once
     parsed, variables = {}, tuple(atoms)
     for entry in strata_list:
         if not isinstance(entry, dict):

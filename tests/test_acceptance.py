@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+from genera import projspace
 from genera.bundles import (FormalBundle, elliptic_class_qseries, lambda_op,
                             lambda_y_dual_lines, line_ch, s_op)
 from genera.catalog import (SERIES_NAMES, builtin_series,
@@ -78,9 +79,19 @@ def test_criterion_03_specializations():
     print("[PASS] 3: Hirzebruch specializations at y in {-1,0,1}, order 16")
 
 
-def test_criterion_04_ghrr_normalization():
+def test_criterion_04_ghrr_normalization(monkeypatch):
     assert ghrr_normalization_check(12)
-    assert not ghrr_normalization_check(12, drop_linear_term=True)
+    # negative control: the hirzebruch series without its -z*y term
+    real = projspace.builtin_series
+
+    def without_linear_term(name, order):
+        f = real(name, order)
+        return TruncSeries(f.var, order, (f.coeffs[0],
+                                          f.coeffs[1] + MultiPoly.var("y"))
+                           + f.coeffs[2:])
+
+    monkeypatch.setattr(projspace, "builtin_series", without_linear_term)
+    assert not ghrr_normalization_check(12)
     print("[PASS] 4: normalization identity at order 12, negative control")
 
 

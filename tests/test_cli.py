@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,12 +59,56 @@ def test_k0_actions(capsys):
     assert code == EXIT_OK and out.strip() == "1 - y + y^2"
     code, out, _ = run(capsys, "k0", "euler", "L - 1")
     assert code == EXIT_OK and out.strip() == "0"
+    code, out, _ = run(capsys, "k0", "eval", "(L+1)^3")
+    assert code == EXIT_OK and out.strip() == "1 + 3*L + 3*L^2 + L^3"
+    code, out, _ = run(capsys, "k0", "euler", "(L^3 - 2*L + 1)^2")
+    assert code == EXIT_OK and out.strip() == "0"
     code, _, _ = run(capsys, "k0", "blowup-check",
                      str(FIXTURES / "blowup_relation.json"))
     assert code == EXIT_OK
     code, _, _ = run(capsys, "k0", "blowup-check",
                      str(FIXTURES / "blowup_relation_bad.json"))
     assert code == EXIT_MATH
+
+
+def poly_text(coeffs, var):
+    """The CLI's text of the sum of coeffs[k] * var^k."""
+    out = ""
+    for k, c in enumerate(coeffs):
+        if c:
+            mono = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else \
+                mono or str(abs(c))
+            out = f"{out} {'-' if c < 0 else '+'} {body}" if out else \
+                f"{'-' if c < 0 else ''}{body}"
+    return out or "0"
+
+
+def cubic_power(n):
+    """The coefficients of (L^3 - 2*L + 1)^n: L^(3i + j) from i factors
+    L^3, j factors -2*L and n - i - j factors 1."""
+    coeffs = [0] * (3 * n + 1)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            coeffs[3 * i + j] += math.comb(n, i) * math.comb(n - i, j) \
+                * (-2) ** j
+    return coeffs
+
+
+@pytest.mark.parametrize("n", (0, 1, 3, 17, 40))
+def test_k0_powers_of_one_variable(capsys, n):
+    # each class is parsed as a one-variable MultiPoly power; under chi_y
+    # L goes to -y, under the Euler number to 1
+    binomial = [math.comb(n, k) for k in range(n + 1)]
+    cubic = cubic_power(n)
+    for text, coeffs in ((f"(L+1)^{n}", binomial),
+                         (f"(L^3 - 2*L + 1)^{n}", cubic)):
+        chi_y = [(-1) ** k * c for k, c in enumerate(coeffs)]
+        for verb, expected in (("eval", poly_text(coeffs, "L")),
+                               ("chiy", poly_text(chi_y, "y")),
+                               ("euler", str(sum(coeffs)))):
+            assert run(capsys, "k0", verb, text) == (EXIT_OK,
+                                                     expected + "\n", "")
 
 
 def test_stringy_compare(capsys):

@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
-from genera import rings
+from genera import projspace, rings
 from genera.catalog import SERIES_NAMES, builtin_series, genus_on_projective
 from genera.projspace import (ProjSpaceRing, count_monomials,
                               ghrr_normalization_check, hrr_check,
                               ty_class_degree)
-from genera.rings import MultiPoly
+from genera.rings import MultiPoly, TruncSeries
+
+Y = MultiPoly.var("y")
 
 
 def test_integrate_basics():
@@ -42,10 +44,19 @@ def test_hrr_grid():
             assert equal, (n, d, lhs, rhs)
 
 
-def test_ghrr_normalization():
+def test_ghrr_normalization(monkeypatch):
     assert ghrr_normalization_check(12)
     assert ghrr_normalization_check(2)
-    assert not ghrr_normalization_check(12, drop_linear_term=True)
+    # negative control: the hirzebruch series without its -z*y term
+    real = projspace.builtin_series
+
+    def without_linear_term(name, order):
+        f = real(name, order)
+        return TruncSeries(f.var, order, (f.coeffs[0], f.coeffs[1] + Y)
+                           + f.coeffs[2:])
+
+    monkeypatch.setattr(projspace, "builtin_series", without_linear_term)
+    assert not ghrr_normalization_check(12)
 
 
 def test_ty_degree_is_chi_y():

@@ -199,7 +199,6 @@ def test_packed_folds_against_dense_folds(k, r):
               for key, t in tables.items()}
     assert opened == closed
     assert stringy._fold_tables(tables, ns, r, var) == opened
-    assert stringy._fold_tables(tables, ns, r, var, check=True) == opened
     # the packed closed fold against the reference closed fold, packed
     bits, packed = stringy._packed(tables, k)
 
@@ -223,8 +222,7 @@ def test_packing_below_the_bound_unpacks_a_wrong_numerator(monkeypatch):
     c = Dense("t", 0, (1 << 42,))
     tables, expected = {(): [c, c]}, c * Dense("t", 0, (-2, 1, 1))
     assert stringy._packed(tables, 1)[0] == 48
-    assert stringy._fold_tables(tables, [2], 1, "t", check=True) == \
-        {(): expected}
+    assert stringy._fold_tables(tables, [2], 1, "t") == {(): expected}
     real = stringy._packed
     # k - 4 lowers 2k + 2, so B, by exactly 8 bits
     monkeypatch.setattr(stringy, "_packed",
@@ -281,12 +279,19 @@ def recording_sums(monkeypatch):
     return sums
 
 
-def is_open_fold(sums, table):
+def is_open_table(sums, table):
     return type(table[0]) is int and not any(table is t for t in sums)
 
 
+def checked_verbs(r: int) -> list:
+    """Every verb that folds a datum, chi_y only at index 1."""
+    verbs = [motivic_integral, stringy_E, stringy_euler,
+             lambda d: invariance_check(d, d)]
+    return verbs + [stringy_chi_y] if r == 1 else verbs
+
+
 @pytest.mark.parametrize("r", (1, 2))
-def test_open_fold_perturbation_is_caught(monkeypatch, r):
+def test_fold_perturbation_is_caught(monkeypatch, r):
     real_fold = stringy._fold
     for d in (random_datum(3, r, seed=21 + r),
               random_datum(3, r, seed=23 + r, with_curve=True)):
@@ -294,16 +299,15 @@ def test_open_fold_perturbation_is_caught(monkeypatch, r):
         for mask in range(8):
             # one more point in one open stratum, in the open fold alone
             def fold(table, ins, outs, mask=mask):
-                if is_open_fold(sums, table):
+                if is_open_table(sums, table):
                     table = [x + 1 if m == mask else x
                              for m, x in enumerate(table)]
                 return real_fold(table, ins, outs)
 
             monkeypatch.setattr(stringy, "_fold", fold)
-            with pytest.raises(ConsistencyError):
-                motivic_integral(d)
-            with pytest.raises(ConsistencyError):
-                invariance_check(d, d)
+            for verb in checked_verbs(r):
+                with pytest.raises(ConsistencyError):
+                    verb(d)
         for i in range(3):
             # component i folded out with its in and out factors swapped;
             # they are equal when a_i = 0
@@ -311,14 +315,15 @@ def test_open_fold_perturbation_is_caught(monkeypatch, r):
                 continue
 
             def fold(table, ins, outs, i=i):
-                if is_open_fold(sums, table):
+                if is_open_table(sums, table):
                     ins, outs = list(ins), list(outs)
                     ins[i], outs[i] = outs[i], ins[i]
                 return real_fold(table, ins, outs)
 
             monkeypatch.setattr(stringy, "_fold", fold)
-            with pytest.raises(ConsistencyError):
-                motivic_integral(d)
+            for verb in checked_verbs(r):
+                with pytest.raises(ConsistencyError):
+                    verb(d)
         monkeypatch.undo()
 
 
@@ -344,7 +349,7 @@ def test_one_E_function_per_datum_in_compare(monkeypatch, r):
     d1, d2 = random_datum(3, r, seed=11), random_datum(2, r, seed=12)
     report = invariance_check(d1, d2)
     assert calls == [d1, d2]
-    assert sum(is_open_fold(sums, t) for t in folds) == 2
+    assert sum(is_open_table(sums, t) for t in folds) == 2
     assert sum(any(t is u for u in sums) for t in folds) == 2
     assert (report.chi_y is None) == (r > 1)
     assert report.euler == (stringy_euler(d1), stringy_euler(d2),
@@ -352,13 +357,18 @@ def test_one_E_function_per_datum_in_compare(monkeypatch, r):
 
 
 @pytest.mark.parametrize("with_curve", (False, True))
-def test_standalone_E_runs_the_open_fold_alone(monkeypatch, with_curve):
-    def no_closed_fold(table):
-        raise AssertionError("closed fold outside the integral")
-
-    d = random_datum(3, 1, seed=31, with_curve=with_curve)
-    monkeypatch.setattr(stringy, "_superset_sums", no_closed_fold)
-    stringy_E(d), stringy_chi_y(d), stringy_euler(d)
+def test_standalone_verbs_run_the_closed_check(monkeypatch, with_curve):
+    # one closed fold per atom monomial's table, chi_y only at index 1
+    for r in (1, 2):
+        d = random_datum(3, r, seed=31 + r, with_curve=with_curve)
+        tables = stringy._strata_tables(d, "t")[1]
+        verbs = (stringy_E, stringy_euler) + ((stringy_chi_y,) if r == 1
+                                              else ())
+        for verb in verbs:
+            sums = recording_sums(monkeypatch)
+            verb(d)
+            assert len(sums) == len(tables)
+            monkeypatch.undo()
 
 
 def reference_chi_y(d: ResolutionDatum) -> RationalFunction:
@@ -375,11 +385,11 @@ def test_chi_y_off_the_fold_against_E_substitution(k):
     d = random_datum(k, 1, seed=500 + k, with_curve=True)
     chi_y = stringy_chi_y(d)
     assert chi_y == reference_chi_y(d)
-    # compare reads it off the integral's fold in L, the verb off one in t
+    # compare and the verb read it off the same checked fold in L
     assert invariance_check(d, d).chi_y == (chi_y, chi_y, True)
     # negative control: one fold part plus a point changes the value
-    atoms, num, den = stringy._open_fold(d, "t")
-    bumped = {**num, (): num.get((), Dense("t", 0, ())) + 1}
+    atoms, num, den = stringy._checked_integral(d)
+    bumped = {**num, (): num.get((), Dense(den.var, 0, ())) + 1}
     assert stringy._chi_y(atoms, bumped, den) != chi_y
 
 
