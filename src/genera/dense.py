@@ -4,8 +4,8 @@ The motivic sums of ``jets`` and ``stringy`` are polynomials in one
 variable, L, or t with t^r = L, with integer coefficients.  ``Dense``
 holds such a polynomial as its lowest exponent and a tuple of ints, so
 its arithmetic runs on plain ints and lists.  ``MultiPoly`` stays the
-general multivariate type: values cross into ``Dense`` by ``from_poly``
-and leave it by ``to_poly``, and public results stay ``MultiPoly``.
+general type, crossed by ``from_poly`` and ``to_poly``; a fraction keeps
+its parts as ``Dense``, with ``MultiPoly`` views built on first read.
 
 This module also owns the Kronecker-packed format on which the folds of
 ``stringy`` and the power of ``graded.GradedRing`` run: a polynomial with

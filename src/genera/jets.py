@@ -185,5 +185,5 @@ def oracle_integral(spec: JetSpec, p_max: int):
     components, table = _coordinate_strata(spec)
     num, den = checked_fold("arc", 1, components, {(): table}, "L")
     verdict = cnum * den == num[()] * cden
-    closed = RationalFunction(cnum.to_poly(), cden.to_poly())
+    closed = RationalFunction._of_parts({(): cnum}, cden)
     return partial.to_poly(), closed, verdict

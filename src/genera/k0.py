@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rings import MultiPoly
+from .rings import MultiPoly, _monomial_text, _poly_text
 
 U = MultiPoly.var("u")
 V = MultiPoly.var("v")
@@ -188,8 +188,9 @@ class K0Class:
                         self._merged_atoms(other)), power - k)
 
     def __str__(self):
-        poly = self.poly
-        return poly.text(lambda expo: (sum(expo), poly.monomial_text(expo)))
+        names, terms = self.poly.vars, self.poly.terms
+        return _poly_text(names, terms, lambda expo: (
+            sum(expo), _monomial_text(names, expo)))
 
     __repr__ = __str__
 

@@ -372,34 +372,38 @@ class MultiPoly:
         return _from_dense(names, g, 1, g.coeffs[-1])
 
     # -- serialization ------------------------------------------------
-    def monomial_text(self, expo) -> str:
-        """The monomial with these exponents, as ``x^2*y``."""
-        return "*".join(v if e == 1 else f"{v}^{e}"
-                        for v, e in zip(self.vars, expo) if e != 0)
-
-    def text(self, key) -> str:
-        """The polynomial as text, its terms sorted by ``key(exponents)``."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms, key=key):
-            coeff = self.terms[expo]
-            mono = self.monomial_text(expo)
-            if not mono:
-                body = _frac_str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = mono
-            else:
-                body = f"{_frac_str(abs(coeff))}*{mono}"
-            parts.append(("- " if coeff < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return "-" + text[2:] if text.startswith("- ") else text[2:]
-
     def __str__(self):
-        return self.text(lambda expo: (sum(expo), expo))
+        return _poly_text(self.vars, self.terms)
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+def _monomial_text(names, expo) -> str:
+    """The monomial with these exponents, as ``x^2*y``."""
+    return "*".join(v if e == 1 else f"{v}^{e}"
+                    for v, e in zip(names, expo) if e != 0)
+
+
+def _poly_text(names, terms: dict, key=None) -> str:
+    """The polynomial with these {exponents: coefficient} terms over the
+    variables ``names`` as text, its terms sorted by ``key(exponents)``,
+    by default by total degree and then by exponents."""
+    if not terms:
+        return "0"
+    parts = []
+    for expo in sorted(terms, key=key or (lambda e: (sum(e), e))):
+        coeff = terms[expo]
+        mono = _monomial_text(names, expo)
+        if not mono:
+            body = _frac_str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = mono
+        else:
+            body = f"{_frac_str(abs(coeff))}*{mono}"
+        parts.append(("- " if coeff < 0 else "+ ") + body)
+    text = " ".join(parts)
+    return "-" + text[2:] if text.startswith("- ") else text[2:]
 
 
 def _frac_str(q: Fraction) -> str:
@@ -407,8 +411,7 @@ def _frac_str(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------
-# one-variable polynomials over Z, for the gcd, the reduction of
-# fractions over a one-variable denominator and the power of a
+# one-variable polynomials over Z, for the gcd and the power of a
 # one-variable base
 
 def _cleared(poly: MultiPoly, names: tuple):
@@ -425,58 +428,20 @@ def _from_dense(names: tuple, p, num: int, den: int) -> MultiPoly:
                              for i, c in enumerate(p.coeffs) if c})
 
 
-def _lowest_terms(numerator: MultiPoly, denominator: MultiPoly):
-    """(numerator, denominator) in lowest terms, which are unique: the
-    denominator is an integer polynomial in at most one variable v, with a
-    nonzero constant term, content 1 and a positive leading coefficient.
-    A monomial factor of the denominator is a unit, so it moves to the
-    numerator first; a denominator left in several variables raises
-    ValueError.  A common factor lies in v alone, so it is the gcd of the
-    denominator with the numerator's coefficient (a Laurent polynomial in
-    v) of each monomial in the other variables, each stripped of its own
-    power of v; a numerator in v alone is the one such coefficient."""
-    if numerator.is_zero():
-        return numerator, MultiPoly.const(1)
-    shift = {name: -min(e[i] for e in denominator.terms)
-             for i, name in enumerate(denominator.vars)}
-    if any(shift.values()):
-        unit = MultiPoly.monomial(shift)
-        numerator, denominator = numerator * unit, denominator * unit
-    if len(denominator.vars) > 1:
-        raise ValueError(f"denominator in several variables: {denominator}")
-    names = tuple(set(numerator.vars) | set(denominator.vars))
-    var = denominator.vars if len(names) > 1 else names
-    at = numerator.vars.index(var[0]) if var and var[0] in numerator.vars \
-        else None
-    parts = {}  # monomial in the other variables -> its coefficient in v
-    for expo, coeff in numerator.terms.items():
-        rest, e = (expo, 0) if at is None else \
-            (expo[:at] + (0,) + expo[at + 1:], expo[at])
-        parts.setdefault(rest, {})[(e,)[:len(var)]] = coeff
-    parts = {m: _cleared(MultiPoly(var, t), var) for m, t in parts.items()}
-    d, dd = _cleared(denominator, var)
-    if len(parts) == 1:
-        # the gcd divides both to check itself: keep its quotients
-        (rest, (p, dp)), = parts.items()
-        _, d, q = d._gcd(p.shift(-p.low))
-        parts = {rest: (q.shift(p.low), dp)}
-    else:
-        g = d
-        for p, _ in parts.values():
-            g = g.gcd(p.shift(-p.low))
-            if g.is_constant():
-                break
-        if not g.is_constant():  # a constant gcd is 1
-            d = d / g
-            parts = {rest: (p / g, dp) for rest, (p, dp) in parts.items()}
-    c = math.gcd(*d.coeffs) if d.coeffs[-1] > 0 else -math.gcd(*d.coeffs)
-    # p/dp over (c * (d/c))/dd is (p*dd / (dp*c)) over d/c
-    terms = {}
-    for rest, (p, dp) in parts.items():
-        for k, a in enumerate(p.coeffs, p.low):
-            key = rest if at is None else rest[:at] + (k,) + rest[at + 1:]
-            terms[key] = _div(a * dd, dp * c)
-    return MultiPoly(numerator.vars, terms), _from_dense(var, d, 1, c)
+def _parts_in(poly: MultiPoly, v: str, var: str = "", r: int = 1,
+              multiplier: int = 1) -> dict:
+    """multiplier * poly, whose coefficients it makes ints, as {monomial in
+    the variables other than v, as (name, exponent) pairs: its coefficient
+    in v, a Dense in var (v by default) with v -> var^r}."""
+    i = poly.vars.index(v) if v in poly.vars else None
+    rows = {}
+    for expo, c in poly.terms.items():
+        key = tuple((n, e) for j, (n, e) in enumerate(zip(poly.vars, expo))
+                    if e and j != i)
+        rows.setdefault(key, {})[0 if i is None else r * expo[i]] = \
+            c.numerator * (multiplier // c.denominator)
+    return {key: Dense(var or v, min(row), [row.get(k, 0) for k in range(
+        min(row), max(row) + 1)]) for key, row in rows.items()}
 
 
 # ---------------------------------------------------------------------
@@ -721,28 +686,101 @@ class TruncSeries:
 
 
 class RationalFunction:
-    """Quotient of MultiPolys, always in its unique lowest terms
-    (``_lowest_terms``): the denominator is an integer polynomial in at
-    most one variable with a nonzero constant term, content 1 and a
-    positive leading coefficient.  So two fractions are equal iff their
-    parts are, and a fraction is a Laurent polynomial iff its denominator
-    is 1.  A denominator in several variables, once its monomial factor
-    is moved to the numerator, raises ValueError.
-    """
+    """Quotient of polynomials in its unique lowest terms, held as parts:
+    a primitive int ``Dense`` denominator in one variable v, with a
+    nonzero constant term and a positive leading coefficient (1, with v
+    "", when constant), per monomial in the other variables an int
+    Laurent ``Dense`` in v, and a positive int scale prime to them.  So
+    two fractions are equal iff their parts are.  A denominator in several
+    variables, its monomial factor moved up, raises ValueError.
+    ``numerator`` and ``denominator`` are MultiPoly views, built on first
+    read."""
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("_parts", "_den", "_scale", "_views")
 
     def __init__(self, numerator, denominator=1):
-        numerator = _to_poly(numerator)
-        denominator = _to_poly(denominator)
+        numerator, denominator = _to_poly(numerator), _to_poly(denominator)
         if denominator.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        numerator, denominator = _lowest_terms(numerator, denominator)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+        shift = {name: -min(e[i] for e in denominator.terms)
+                 for i, name in enumerate(denominator.vars)}
+        if any(shift.values()):
+            unit = MultiPoly.monomial(shift)
+            numerator, denominator = numerator * unit, denominator * unit
+        if len(denominator.vars) > 1:
+            raise ValueError(f"denominator in several variables: {denominator}")
+        v = denominator.vars[0] if denominator.vars else ""
+        scale = math.lcm(*(c.denominator for c in numerator.terms.values()))
+        dd = math.lcm(*(c.denominator for c in denominator.terms.values()))
+        self._reduce(_parts_in(numerator, v, multiplier=scale * dd),
+                     Dense.from_poly(denominator, v, dd), scale)
+
+    @classmethod
+    def _of_parts(cls, parts: dict, den, scale: int = 1):
+        """sum(monomial * part) / (scale * den), each monomial a sorted
+        tuple of (name, exponent) pairs, each part an int Laurent ``Dense``
+        in den's variable, den an int Dense with a nonzero constant term."""
+        self = object.__new__(cls)
+        self._reduce(parts, den, scale)
+        return self
+
+    def _reduce(self, parts: dict, den, scale: int):
+        # a common factor lies in v alone: the gcd of den with every part,
+        # each stripped of its power of v; one part keeps its quotient
+        parts = {m: p for m, p in parts.items() if p.coeffs}
+        if not parts:
+            den = Dense("", 0, (1,))
+        elif len(parts) == 1 and not den.is_constant():
+            (m, p), = parts.items()
+            _, den, q = den._gcd(p.shift(-p.low))
+            parts = {m: q.shift(p.low)}
+        elif not den.is_constant():
+            g = den
+            for p in parts.values():
+                g = g.gcd(p.shift(-p.low))
+            den, parts = den / g, {m: p / g for m, p in parts.items()}
+        c = math.gcd(*den.coeffs) * (1 if den.coeffs[-1] > 0 else -1)
+        den = Dense(den.var if len(den.coeffs) > 1 else "", 0,
+                    [x // c for x in den.coeffs])
+        scale *= c
+        g = math.gcd(scale, *(x for p in parts.values() for x in p.coeffs)) \
+            * (1 if scale > 0 else -1)
+        parts = {m: Dense(p.var, p.low, [x // g for x in p.coeffs])
+                 for m, p in parts.items()}
+        if not den.var:  # every variable moves into the monomials
+            parts = {tuple(sorted(m + ((p.var, k),))) if k else m:
+                     Dense("", 0, (x,)) for m, p in parts.items()
+                     for k, x in enumerate(p.coeffs, p.low) if x}
+        for name, value in (("_parts", parts), ("_den", den),
+                            ("_scale", scale // g), ("_views", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
+
+    def _terms(self):
+        """The numerator's variables and {exponents: coefficient} terms."""
+        v = self._den.var
+        names = tuple(sorted({n for m in self._parts for n, _ in m} |
+                             ({v} if v else set())))
+        terms = {}
+        for m, p in self._parts.items():
+            e = dict(m)
+            for k, c in enumerate(p.coeffs, p.low):
+                if c:
+                    e[v] = k
+                    terms[tuple(e.get(n, 0) for n in names)] = \
+                        _div(c, self._scale)
+        return names, terms
+
+    def _view(self, i: int) -> MultiPoly:
+        if self._views is None:
+            object.__setattr__(self, "_views", (MultiPoly(*self._terms()),
+                                                self._den.to_poly()))
+        return self._views[i]
+
+    numerator = property(lambda self: self._view(0))
+    denominator = property(lambda self: self._view(1))
 
     @staticmethod
     def _coerce(x):
@@ -807,19 +845,19 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.numerator == other.numerator and \
-            self.denominator == other.denominator
+        return self._scale == other._scale and self._den == other._den \
+            and self._parts == other._parts
 
     def __hash__(self):
         # a fraction equal to a polynomial hashes like it
-        if self.denominator.is_constant():
+        if not self._den.var:
             return hash(self.numerator)
-        return hash((self.numerator, self.denominator))
+        return hash((self._den, self._scale, frozenset(self._parts.items())))
 
     def as_polynomial(self) -> MultiPoly:
         """The Laurent polynomial equal to this fraction; raises
         ExactDivisionError when there is none."""
-        if not self.denominator.is_constant():
+        if not self._den.is_constant():
             raise ExactDivisionError(f"not a Laurent polynomial: {self}")
         return self.numerator
 
@@ -827,10 +865,16 @@ class RationalFunction:
         return RationalFunction(self.numerator.substitute_map({name: value}),
                                 self.denominator.substitute_map({name: value}))
 
-    def __str__(self):
-        if self.denominator.is_constant():
-            return str(self.numerator)
-        return f"({self.numerator}) / ({self.denominator})"
+    def _text(self, rename=None) -> str:
+        """The fraction as text, each side's (names, terms) renamed first."""
+        d = self._den
+        sides = [self._terms()] + ([] if d.is_constant() else [((d.var,), {
+            (k,): c for k, c in enumerate(d.coeffs) if c})])
+        num, *den = [_poly_text(*(rename(*s) if rename else s))
+                     for s in sides]
+        return f"({num}) / ({den[0]})" if den else num
+
+    __str__ = _text
 
     def __repr__(self):
         return f"RationalFunction({self})"

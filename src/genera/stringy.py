@@ -20,7 +20,7 @@ from .expr import parse_expr
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
     load_json_object, poly_to_class
 from .rings import ExactDivisionError, MultiPoly, RationalFunction, \
-    TruncSeries, exp_coeffs
+    TruncSeries, _parts_in, exp_coeffs
 
 MAX_COMPONENTS = 14
 # the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
@@ -108,61 +108,57 @@ def rewrite_uv(poly: MultiPoly, r: int) -> MultiPoly:
     poly = MultiPoly._coerce(poly)
     if "u" not in poly.vars or "v" not in poly.vars:
         return poly
-    names = tuple(sorted(set(poly.vars) | {"t"}))
-    place = [names.index(var) for var in poly.vars]
+    names, terms, _ = poly._align(MultiPoly.var("t"))
     iu, iv, it = (names.index(var) for var in "uvt")
     out = {}
-    for expo, coeff in poly.terms.items():
-        new = [0] * len(names)
-        for i, e in zip(place, expo):
-            new[i] = e
+    for expo, coeff in terms.items():
+        new = list(expo)
         m = min(new[iu], new[iv])
-        new[iu] -= m
-        new[iv] -= m
-        new[it] += r * m
-        key = tuple(new)
-        out[key] = out.get(key, 0) + coeff
+        new[iu], new[iv], new[it] = new[iu] - m, new[iv] - m, new[it] + r * m
+        out[tuple(new)] = out.get(tuple(new), 0) + coeff
     return MultiPoly(names, out)
 
 
-_UVT = MultiPoly.monomial({"u": 1, "v": 1, "t": 1})
+_UV, _ONE = MultiPoly.monomial({"u": 1, "v": 1}), MultiPoly.const(1)
 
 
-def _t_as_uv(poly: MultiPoly) -> MultiPoly:
-    """poly in u, v, t with each t^c renamed u^c v^c (u*v = t at r = 1).
-    Injective on a canonical polynomial, where min(deg_u, deg_v) = 0."""
-    _, terms, _ = poly._align(_UVT)
-    return MultiPoly(("u", "v"), {(a + c, b + c): coeff
-                                  for (c, a, b), coeff in terms.items()})
+def _as_uv(names, terms: dict):
+    """Terms over names in t, u, v with each t^c as u^c v^c (u*v = t at
+    r = 1), one to one where no monomial has both u and v."""
+    out = {}
+    for expo, coeff in terms.items():
+        u, v, t = (dict(zip(names, expo)).get(x, 0) for x in "uvt")
+        out[u + t, v + t] = coeff
+    return ("u", "v"), out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StringyValue:
-    """Exact fraction num/den with u*v = t^r and den a polynomial in t,
-    held as the parts of ``RationalFunction(num, den)`` once num is in its
-    canonical form modulo u*v = t^r, which division by a polynomial in t
-    keeps.  So == and the hash compare the unique lowest terms."""
+    """Exact fraction num/den with u*v = t^r and den in t: r and ``value``,
+    a ``RationalFunction`` with no monomial in both u and v, a form that
+    division by a polynomial in t keeps.  So == and the hash compare the
+    unique lowest terms; ``num`` and ``den`` are its views."""
 
-    num: MultiPoly
-    den: MultiPoly
+    value: RationalFunction
     r: int
 
-    def __post_init__(self):
-        den = MultiPoly._coerce(self.den)
+    def __init__(self, num, den, r: int):
+        den = MultiPoly._coerce(den)
         if set(den.vars) - {"t"}:
             raise ValidationError(
                 f"stringy denominator must be a polynomial in t, got {den}")
-        value = RationalFunction(rewrite_uv(self.num, self.r), den)
-        object.__setattr__(self, "num", value.numerator)
-        object.__setattr__(self, "den", value.denominator)
+        self._set(RationalFunction(rewrite_uv(num, r), den), r)
+
+    def _set(self, value: RationalFunction, r: int) -> "StringyValue":
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "r", r)
+        return self
+
+    num = property(lambda self: self.value.numerator)
+    den = property(lambda self: self.value.denominator)
 
     def __str__(self):
-        num, den = self.num, self.den
-        if self.r == 1:
-            num, den = _t_as_uv(num), _t_as_uv(den)
-        if den == MultiPoly.const(1):
-            return str(num)
-        return f"({num}) / ({den})"
+        return self.value._text(_as_uv if self.r == 1 else None)
 
     __repr__ = __str__
 
@@ -204,36 +200,19 @@ def _factors(components, r: int, var: str):
                          start=Dense(var, 0, (1,)))
 
 
-def _split(cls: K0Class, r: int, var: str) -> list:
-    """The class as (atom monomial, dense part) pairs: its terms grouped
-    by their monomial in the atoms other than L, a tuple of (name,
-    exponent) pairs, each group a dense polynomial in var with
-    L -> var^r."""
-    names = cls.poly.vars
-    il = names.index("L") if "L" in names else len(names)
-    rows = {}  # exponents of the other atoms -> {var degree: coeff}
-    for expo, coeff in cls.poly.terms.items():
-        rows.setdefault(expo[:il] + expo[il + 1:], {})[
-            r * expo[il] if il < len(names) else 0] = coeff
-    others = names[:il] + names[il + 1:]
-    return [(tuple((n, e) for n, e in zip(others, expo) if e),
-             Dense(var, 0, [row.get(e, 0) for e in range(max(row) + 1)]))
-            for expo, row in rows.items()]
-
-
 def _strata_tables(d: ResolutionDatum, var: str):
-    """Every stratum class split by ``_split``, once per distinct class
-    object: the atoms by name, and per atom monomial the table of dense
-    parts indexed by bitmask."""
+    """Every stratum class split by ``rings._parts_in``, L -> var^r, once
+    per distinct class object: the atoms by name, and per atom monomial
+    the table of dense parts indexed by bitmask."""
     r, size, zero = d.index_r, len(d.strata), Dense(var, 0, ())
     atoms, tables, parts = {}, {}, {}
     for m, cls in enumerate(d.strata):
         # the strata tuple keeps every class alive, so ids stay distinct
         split = parts.get(id(cls))
         if split is None:
-            split = parts[id(cls)] = _split(cls, r, var)
+            split = parts[id(cls)] = _parts_in(cls.poly, "L", var, r)
             atoms.update(cls.atoms)
-        for key, part in split:
+        for key, part in split.items():
             table = tables.get(key)
             if table is None:
                 table = tables[key] = [zero] * size
@@ -297,14 +276,6 @@ def checked_fold(flavor: str, r: int, components, tables: dict,
     return _fold_tables(tables, ns, r, var), den
 
 
-def _sum_parts(num: dict, image, var: str) -> MultiPoly:
-    """The sum of num[key], renamed to var, times image(n)^e per (n, e)."""
-    terms = [math.prod((image(n) ** e for n, e in key),
-                       start=Dense(var, part.low, part.coeffs).to_poly())
-             for key, part in num.items()]
-    return sum(terms[1:], terms[0]) if terms else MultiPoly.const(0)
-
-
 def _sum_dense_parts(num: dict, image, var: str) -> Dense:
     """The sum of num[key] times image(n)^e per (n, e) in key: one dense
     polynomial in var, each atom's image an int or dense in var."""
@@ -323,19 +294,27 @@ def _checked_integral(d: ResolutionDatum):
 
 
 def _integral(atoms: dict, num: dict, den: Dense, r: int) -> RationalFunction:
-    """The integral of a ``_checked_integral`` fold at index r, the other
-    atoms as variables; at r > 1 none may be named t, as t = L^(1/r)."""
+    """The integral of a ``_checked_integral`` fold, the other atoms as
+    variables; at r > 1 none may be named t, as t = L^(1/r)."""
     if r > 1 and "t" in atoms:
         raise ValidationError(f"an atom named 't' clashes with t = L^(1/{r})")
-    return RationalFunction(_sum_parts(num, MultiPoly.var, den.var),
-                            den.to_poly())
+    return RationalFunction._of_parts(num, den)
 
 
 def _realise(atoms: dict, num: dict, den: Dense, r: int) -> StringyValue:
     """The E-realisation of an integral's numerator over den: each atom
-    goes to its E-polynomial and the variable to t, so L -> t^r = uv."""
-    return StringyValue(_sum_parts(num, lambda n: atoms[n].e_poly, "t"),
-                        Dense("t", den.low, den.coeffs).to_poly(), r)
+    goes to its E-polynomial and the variable to t, so L -> t^r = uv, and
+    each u^a v^b goes to t^(r min(a, b)) times what is left of it."""
+    parts = {}
+    for key, part in num.items():
+        image = math.prod((atoms[n].e_poly ** e for n, e in key), start=_ONE)
+        for (a, b), c in image._align(_UV)[1].items():
+            m = min(a, b)
+            mono = (("u", a - m),) if a > m else (("v", b - m),) if b > m else ()
+            parts[mono] = parts.get(mono, 0) + Dense(
+                "t", part.low + r * m, [c * x for x in part.coeffs])
+    return object.__new__(StringyValue)._set(RationalFunction._of_parts(
+        parts, Dense("t", den.low, den.coeffs)), r)
 
 
 def motivic_integral(d: ResolutionDatum) -> RationalFunction:
@@ -360,23 +339,19 @@ def stringy_E(d: ResolutionDatum) -> StringyValue:
     return _realise(*_checked_integral(d), d.index_r)
 
 
-def _at_minus_y(p: Dense) -> MultiPoly:
-    """p with its variable at -y, a polynomial in y."""
-    return Dense("y", p.low, [-c if (p.low + i) % 2 else c
-                              for i, c in enumerate(p.coeffs)]).to_poly()
-
-
 def _chi_y(atoms: dict, num: dict, den: Dense) -> RationalFunction:
     """The E-function of an index-1 fold (its atoms, numerator by atom
     monomial and denominator) at (u, v) = (-y, 1), so that its variable
     L = uv goes to -y.  Each atom goes to its E-polynomial at (L, 1), so
     the numerator is one dense polynomial; the fraction is reduced once,
     at L = -y."""
-    x = MultiPoly.var(den.var)
-    images = {n: Dense.from_poly(a.e_poly.substitute_map({"u": x, "v": 1}),
-                                 den.var) for n, a in atoms.items()}
-    top = _sum_dense_parts(num, images.__getitem__, den.var)
-    return RationalFunction(_at_minus_y(top), _at_minus_y(den))
+    images = {n: sum(_parts_in(a.e_poly, "u", den.var).values(),
+                     Dense(den.var, 0, ())) for n, a in atoms.items()}
+    top, den = (Dense("y", p.low, [-c if (p.low + i) % 2 else c
+                                   for i, c in enumerate(p.coeffs)])
+                for p in (_sum_dense_parts(num, images.__getitem__, den.var),
+                          den))
+    return RationalFunction._of_parts({(): top}, den)
 
 
 def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
@@ -502,17 +477,29 @@ class InvarianceReport:
 def invariance_check(d1: ResolutionDatum, d2: ResolutionDatum) -> InvarianceReport:
     """Compare the four invariants of two resolution data for one pair;
     chi_y only when both have index 1.  Each datum's E-function realises
-    its checked integral, whose fold also feeds its Euler limit check."""
+    its checked integral, whose fold also feeds its Euler limit check.
+    Each datum's values compare at the lcm R of the two indices, where
+    its t = L^(1/r) (L at r = 1) is t^(R/r)."""
     n1, n2 = _checked_integral(d1), _checked_integral(d2)
-    i1, i2 = _integral(*n1, d1.index_r), _integral(*n2, d2.index_r)
-    e1, e2 = _realise(*n1, d1.index_r), _realise(*n2, d2.index_r)
+    r1, r2 = d1.index_r, d2.index_r
+    big = math.lcm(r1, r2)
+
+    def lift(f, r: int, var: str):
+        # f at index big: its variable, t = L^(1/r) or L, goes to t^(big/r)
+        return f if r == big else \
+            f.substitute(var, MultiPoly.var("t") ** (big // r))
+
+    i1, i2 = _integral(*n1, big), _integral(*n2, big)
+    e1, e2 = _realise(*n1, r1), _realise(*n2, r2)
     chi_y = None
-    if d1.index_r == d2.index_r == 1:
+    if r1 == r2 == 1:
         c1, c2 = _chi_y(*n1), _chi_y(*n2)
         chi_y = (c1, c2, c1 == c2)
     x1, x2 = _checked_euler(d1, n1), _checked_euler(d2, n2)
-    return InvarianceReport((i1, i2, i1 == i2), (e1, e2, e1 == e2),
-                            chi_y, (x1, x2, x1 == x2))
+    return InvarianceReport(
+        (i1, i2, lift(i1, r1, n1[2].var) == lift(i2, r2, n2[2].var)),
+        (e1, e2, lift(e1.value, r1, "t") == lift(e2.value, r2, "t")),
+        chi_y, (x1, x2, x1 == x2))
 
 
 # ---------------------------------------------------------------------

@@ -411,6 +411,52 @@ def test_stringy_compare_at_index_two(tmp_path, capsys):
         "first": "4/3", "second": "2", "equal": False}
 
 
+def test_stringy_compare_across_indices(tmp_path, capsys):
+    # index_r only has to make r * a_i integral, so one datum may be
+    # written at r = 1, 2 and 3; the rows compare at the lcm of the two
+    # indices, where t = L^(1/r) is t^(lcm/r), and print each datum's own
+    # values.  chi_y needs index 1 on both sides
+    one, two = FIXTURES / "a1_cone.json", FIXTURES / "a1_cone_r2.json"
+    three = tmp_path / "a1_cone_r3.json"
+    three.write_text(json.dumps({**json.loads(one.read_text()),
+                                 "index_r": 3}))
+    own = {one: ("L + L^2", "u*v + u^2*v^2"), two: ("t^2 + t^4",) * 2,
+           three: ("t^3 + t^6",) * 2}
+    for first in own:
+        for second in own:
+            code, out, err = run(capsys, "stringy", "compare", str(first),
+                                 str(second), "--output", "json")
+            assert (code, err) == (EXIT_OK, ""), (first, second)
+            report = json.loads(out)
+            for key, i in (("integral", 0), ("E-function", 1)):
+                assert report[key] == {"first": own[first][i],
+                                       "second": own[second][i],
+                                       "equal": True}
+            assert report["euler"]["equal"] is True
+            assert (report["chi_y"] is None) == (first != one or
+                                                 second != one)
+    # negative control: a changed stratum at another index still differs
+    changed = tmp_path / "changed_r2.json"
+    changed.write_text(json.dumps({**json.loads(two.read_text()), "strata": [
+        {"subset": [], "class": "L^2 - 1"},
+        {"subset": ["E"], "class": "L + 2"}]}))
+    for other in (one, three):
+        code, out, err = run(capsys, "stringy", "compare", str(other),
+                             str(changed), "--output", "json")
+        assert code == EXIT_MATH and err == ""
+        report = json.loads(out)
+        assert [report[key]["equal"] for key in
+                ("integral", "E-function", "euler")] == [False, False, False]
+    # at an lcm above 1, an atom named t on the index-1 side clashes too
+    data = json.loads((FIXTURES / "atom_t_index2.json").read_text())
+    data.update(index_r=1, components=[{"name": "E", "a": "1"}])
+    atom_t = tmp_path / "atom_t_index1.json"
+    atom_t.write_text(json.dumps(data))
+    assert run(capsys, "stringy", "compare", str(atom_t), str(two)) == \
+        (EXIT_VALIDATION, "",
+         "error: an atom named 't' clashes with t = L^(1/2)\n")
+
+
 def test_emit_table():
     assert emit_table([], header=("a", "bb")) == "a  bb\n-  --"
     text = emit_table([[1, "xx"], [22, "y"]], header=("n", "v"))

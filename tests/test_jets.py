@@ -13,7 +13,7 @@ from genera.jets import (JetSpec, cylinder_measure, oracle_integral,
 from genera.k0 import LEFSCHETZ, K0Class, lefschetz
 from genera.rings import MultiPoly, RationalFunction
 from genera.stringy import (ResolutionDatum, load_datum, motivic_integral,
-                            stringy_E, stringy_euler)
+                            stringy_chi_y, stringy_E, stringy_euler)
 from references import closed_integral, coordinate_datum, tail_bound_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -199,3 +199,38 @@ def test_repeated_stratum_objects_fold_like_copies():
         assert motivic_integral(datum) == motivic_integral(twin)
         assert stringy_E(datum) == stringy_E(twin)
         assert stringy_euler(datum) == stringy_euler(twin)
+
+
+def test_fraction_values_build_no_multipoly(monkeypatch):
+    # the fold's values reach their printed lowest terms on Dense parts:
+    # once the datum is loaded, the verbs and their text construct no
+    # MultiPoly, nor does the oracle's closed form
+    built = []
+    real = MultiPoly.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        real(self, *args)
+
+    verbs = {"blowup_c2_x8": (motivic_integral, stringy_E, stringy_chi_y),
+             "index2_half": (motivic_integral, stringy_E)}
+    for name, funcs in verbs.items():
+        d = load_datum(str(FIXTURES / f"{name}.json"))
+        monkeypatch.setattr(MultiPoly, "__init__", counted)
+        texts = [str(f(d)) for f in funcs]
+        monkeypatch.undo()
+        assert built == [], (name, len(built))
+        assert all(texts)
+    spec = JetSpec(3, (1, 2, 0), 8)
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    partial, closed, verdict = oracle_integral(spec, 8)
+    assert len(built) == 1  # the partial sum, returned as a MultiPoly
+    text = str(closed)
+    monkeypatch.undo()
+    assert len(built) == 1 and verdict
+    assert text == str(closed_integral(spec))
+    # negative control: the views are MultiPolys, built on first read
+    monkeypatch.setattr(MultiPoly, "__init__", counted)
+    closed.numerator
+    monkeypatch.undo()
+    assert len(built) == 3

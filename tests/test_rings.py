@@ -1,11 +1,15 @@
 """Exact-arithmetic foundation: polynomials, series, rational functions."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from genera import stringy
 from genera.dense import Dense
+from genera.k0 import LEFSCHETZ, Atom
+from genera.stringy import StringyValue, rewrite_uv
 from genera.rings import (ExactDivisionError, MultiPoly, RationalFunction,
                           TruncSeries)
 from references import binom_frac
@@ -390,6 +394,99 @@ def test_lowest_terms_against_sympy():
             Dense.from_poly(b, "x")).to_poly())
         want = sympy.gcd(to_sympy(sympy, a), to_sympy(sympy, b))
         assert sympy.expand(got - want) == 0 or sympy.expand(got + want) == 0
+
+
+def random_dense(rng, var, low=(0, 0), size=4, bound=5):
+    return Dense(var, rng.randint(*low),
+                 [rng.randint(-bound, bound) for _ in range(size)])
+
+
+def test_parts_constructor_against_lowest_terms():
+    # the parts route, sum(monomial * part) / (scale * den) handed to
+    # RationalFunction._of_parts, against RationalFunction(num, den) on
+    # the same value as MultiPolys: Laurent numerators in L and one or two
+    # other atoms, zero numerators, denominators times a power of L, and
+    # constant ones
+    rng = random.Random(31)
+    L = MultiPoly.var("L")
+    monomials = [(), (("C", 1),), (("C", -2),), (("T", 2),),
+                 (("C", 1), ("T", -1)), (("C", -1), ("T", 3))]
+    for trial in range(150):
+        parts = {m: random_dense(rng, "L", (-3, 2))
+                 for m in rng.sample(monomials, rng.randint(1, 3))}
+        den = random_dense(rng, "L", size=rng.choice((2, 3)))
+        if trial % 10 == 0:
+            parts = {m: Dense("L", 0, ()) for m in parts}  # zero numerator
+        elif trial % 10 < 4:  # a constant denominator, and a constant
+            den = Dense("L", 0, (rng.choice((-4, 1, 3, 6)),))
+            if trial % 10 == 1:
+                parts = {(): Dense("L", 0, (rng.choice((-9, 2, 12)),))}
+        # a factor that cancels, constant at times
+        common = Dense("L", 0, (rng.choice((-2, -1, 1, 2)),
+                                0 if trial % 10 in (2, 3, 5) else
+                                rng.choice((-2, 1, 3))))
+        den = den * common
+        parts = {m: p * common for m, p in parts.items()}
+        if not den.coeffs or den.low:  # a nonzero constant term
+            continue
+        scale, k = rng.choice((1, -1, 2, -6)), rng.randint(-2, 2)
+        got = RationalFunction._of_parts(
+            {m: p.shift(-k) for m, p in parts.items()}, den, scale)
+        num = sum((p.to_poly() * MultiPoly.monomial(dict(m))
+                   for m, p in parts.items()), MultiPoly.const(0))
+        want = RationalFunction(num, den.to_poly() * L ** k * scale)
+        assert got == want and want == got
+        assert hash(got) == hash(want)
+        assert str(got) == str(want)
+        assert (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)
+        # the views are the value in lowest terms: content 1, a positive
+        # leading coefficient and a nonzero constant term below
+        assert got.numerator * den.to_poly() * L ** k * scale == \
+            num * got.denominator
+        lowest = Dense.from_poly(got.denominator, "L")
+        assert lowest.low == 0 and lowest.coeffs[-1] > 0
+        assert math.gcd(*lowest.coeffs) == 1
+        # a value with denominator 1 is its Laurent polynomial, and a
+        # constant one its int
+        if got.denominator == 1:
+            assert got == got.numerator and hash(got) == hash(got.numerator)
+            if got.numerator.is_constant():
+                value = got.numerator.constant_value()
+                assert got == value and hash(got) == hash(value)
+                assert str(got) == str(value)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_realised_parts_against_stringy_value(r):
+    # stringy._realise builds the E-function's parts from fold parts in t
+    # times the atoms' E-polynomials, u*v -> t^r as it goes; the reference
+    # is StringyValue(num, den, r) on the same value as MultiPolys
+    rng = random.Random(70 + r)
+    u, v = MultiPoly.var("u"), MultiPoly.var("v")
+    atoms = {"L": LEFSCHETZ, "C": Atom("C", 1, 1 - 2 * u - 2 * v + u * v),
+             "P": Atom("P", 1, u + v), "T": Atom("T", 2, u * v * v - 1)}
+    monomials = [(), (("C", 1),), (("P", 2),), (("C", 1), ("T", 1)),
+                 (("P", 1), ("T", 1))]
+    checked = 0
+    for trial in range(40):
+        num = {m: random_dense(rng, "t", (0, 2))
+               for m in rng.sample(monomials, rng.randint(0, 3))}
+        den = math.prod((Dense("t", 0, (-1, *[0] * (n - 1), 1))
+                         for n in rng.sample(range(1, 6), rng.randint(0, 2))),
+                        start=Dense("t", 0, (1,)))
+        got = stringy._realise(atoms, num, den, r)
+        image = sum((p.to_poly() * math.prod(
+            (atoms[n].e_poly ** e for n, e in m), start=MultiPoly.const(1))
+            for m, p in num.items()), MultiPoly.const(0))
+        want = StringyValue(image, den.to_poly(), r)
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.num * den.to_poly() == \
+            rewrite_uv(image, r) * got.den
+        checked += not got.den.is_constant()
+    assert checked > 10
 
 
 def canonical(c) -> bool:
