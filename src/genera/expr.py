@@ -187,8 +187,10 @@ class _Parser:
         raise ExprError(f"unexpected token {payload!r}", offset)
 
 
-def parse_expr(text: str, variables=None) -> MultiPoly:
-    """Parse an expression into a canonical MultiPoly.
+def parse_terms(text: str, variables=None) -> dict:
+    """Parse an expression into its term dict: each sparse monomial, the
+    sorted (name, exponent) pairs with a nonzero exponent, maps to its
+    nonzero int or Fraction coefficient.
 
     ``variables``: optional iterable of allowed names; any other name is
     rejected with its byte offset.
@@ -201,4 +203,10 @@ def parse_expr(text: str, variables=None) -> MultiPoly:
     tok = parser.peek()
     if tok[0] != "end":
         raise ExprError(f"trailing input {tok[1]!r}", tok[2])
-    return _to_poly(value)
+    return value
+
+
+def parse_expr(text: str, variables=None) -> MultiPoly:
+    """Parse an expression into a canonical MultiPoly: the ``_to_poly``
+    of its ``parse_terms``."""
+    return _to_poly(parse_terms(text, variables))

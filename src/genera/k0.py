@@ -65,6 +65,20 @@ class Atom:
 LEFSCHETZ = Atom("L", 1, U * V)
 
 
+def _check_terms(terms, names, atoms: dict) -> None:
+    """K0's boundary check: each (exponents, coefficient) of terms has an
+    int coefficient and no negative exponent, and each of names is the
+    name of one of atoms; raises ValidationError."""
+    for expo, coeff in terms:
+        if not isinstance(coeff, int):
+            raise ValidationError("K0 classes have integer coefficients")
+        if min(expo, default=0) < 0:
+            raise ValidationError("negative atom powers are not in K0")
+    for name in names:
+        if name not in atoms:
+            raise ValidationError(f"unknown atom {name!r}")
+
+
 class K0Class:
     """Integer polynomial in atom names: ``poly`` is a MultiPoly whose
     variables are atom names, and ``atoms`` maps each of them to its Atom.
@@ -77,14 +91,7 @@ class K0Class:
     __slots__ = ("poly", "atoms")
 
     def __init__(self, poly: MultiPoly, atoms: dict):
-        for expo, coeff in poly.terms.items():
-            if not isinstance(coeff, int):
-                raise ValidationError("K0 classes have integer coefficients")
-            if min(expo, default=0) < 0:
-                raise ValidationError("negative atom powers are not in K0")
-        for name in poly.vars:
-            if name not in atoms:
-                raise ValidationError(f"unknown atom {name!r}")
+        _check_terms(poly.terms.items(), poly.vars, atoms)
         self.poly = poly
         self.atoms = {name: atoms[name] for name in poly.vars}
 

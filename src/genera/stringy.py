@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dense import Dense, _digits, _pack
-from .expr import parse_expr
-from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, euler_of_class, \
-    load_json_object, poly_to_class
+from .expr import _to_poly, parse_expr, parse_terms
+from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, _check_terms, \
+    load_json_object
 from .rings import ExactDivisionError, MultiPoly, RationalFunction, \
-    TruncSeries, _parts_in, exp_coeffs
+    TruncSeries, _parts_in, _scalar, exp_coeffs
 
 MAX_COMPONENTS = 14
 # the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
@@ -33,10 +33,11 @@ class ConsistencyError(ArithmeticError):
     """Two evaluation paths that must agree did not."""
 
 
-def _check_components(flavor: str, index_r: int, components) -> None:
+def _check_components(flavor: str, index_r: int, components) -> tuple:
     """Validate the flavor, the index and the (name, discrepancy)
     components of resolution data, including the budget on the degree of
-    the integral's denominator; raises ValidationError."""
+    the integral's denominator; raises ValidationError.  Returns the
+    degrees r(a_i + 1) of the denominator's factors, as ints."""
     if flavor not in ("stringy", "arc"):
         raise ValidationError(f"unknown flavor {flavor!r}")
     if index_r < 1:
@@ -47,7 +48,7 @@ def _check_components(flavor: str, index_r: int, components) -> None:
     names = [n for n, _ in components]
     if len(set(names)) != len(names):
         raise ValidationError("duplicate component names")
-    degree = 0  # the sum of r * (a_i + 1)
+    ns = []
     for name, a in components:
         a = Fraction(a)
         if a <= -1:
@@ -59,35 +60,138 @@ def _check_components(flavor: str, index_r: int, components) -> None:
         if flavor == "arc" and (a.denominator != 1 or a < 0):
             raise ValidationError(
                 "arc flavor needs nonnegative integer discrepancies")
-        degree += ra.numerator + index_r
-    if degree > MAX_DENOMINATOR_DEGREE:
+        ns.append(ra.numerator + index_r)
+    if sum(ns) > MAX_DENOMINATOR_DEGREE:
         raise ValidationError(
-            f"the sum of r * (a_i + 1) over the components is {degree}; "
+            f"the sum of r * (a_i + 1) over the components is {sum(ns)}; "
             f"at most {MAX_DENOMINATOR_DEGREE} is supported")
+    return tuple(ns)
 
 
-@dataclass(frozen=True)
+def _split(terms: dict, atoms: dict, used: dict, var: str, r: int) -> dict:
+    """A class with the term dict ``terms`` (``expr.parse_terms``) as the
+    fold reads it: per monomial in the atoms other than L, as sorted (name,
+    exponent) pairs, its coefficient in L, a Dense in var with L -> var^r.
+    K0's boundary check (``k0._check_terms``) holds against atoms; it
+    runs term by term only when some term fails it, so that the first one
+    raises.  Each atom the class names goes into used, where two
+    different atoms with one name raise ValidationError."""
+    rows, names, valid = {}, set(), True
+    for key, c in terms.items():
+        if type(c) is not int:
+            c = _scalar(c)
+            valid = valid and type(c) is int
+        e, rest = 0, key
+        for i, (name, power) in enumerate(key):
+            names.add(name)
+            valid = valid and power >= 0
+            if name == "L":
+                e, rest = power, key[:i] + key[i + 1:]
+        rows.setdefault(rest, {})[r * e] = c
+    names = sorted(names)
+    _check_terms(() if valid else (([e for _, e in key], _scalar(c))
+                                   for key, c in terms.items()), names, atoms)
+    for name in names:
+        atom = atoms[name]
+        have = used.setdefault(name, atom)
+        if have is not atom and have != atom:
+            raise ValidationError(f"two different atoms are named {name!r}")
+    return {key: Dense(var, min(row), [row.get(k, 0) for k in range(
+        min(row), max(row) + 1)]) for key, row in rows.items()}
+
+
 class ResolutionDatum:
     """Normal-crossing resolution data for a log-terminal pair.
 
     components: tuple of (name, discrepancy) with every discrepancy > -1
     and r * discrepancy integral; strata: tuple of the 2^k open-stratum
-    classes, indexed by bitmask: bit i of the index is set when component
-    i is in the subset.
+    classes (``K0Class``), indexed by bitmask: bit i of the index is set
+    when component i is in the subset.
+
+    The datum holds each stratum as the fold reads it: ``atoms``, the
+    atoms its classes name, by name, and ``parts``, per bitmask the
+    ``_split`` of the class, its Dense parts in ``var`` (L, or t with
+    L -> t^r when r > 1) by atom monomial.  Strata that share one class
+    object share one parts object.  The constructor splits each distinct
+    class once; the loader builds the parts from the class texts with
+    ``_of_parts``, and ``strata`` is then built on first read, one class
+    per distinct parts object.  == and the hash compare the held form.
     """
 
-    flavor: str
-    index_r: int
-    components: tuple
-    strata: tuple
+    __slots__ = ("flavor", "index_r", "components", "atoms", "parts", "_ns",
+                 "_strata")
 
-    def __post_init__(self):
-        _check_components(self.flavor, self.index_r, self.components)
-        k = len(self.components)
-        if not isinstance(self.strata, tuple) or len(self.strata) != 1 << k:
+    def __init__(self, flavor: str, index_r: int, components: tuple,
+                 strata: tuple):
+        ns = _check_components(flavor, index_r, components)
+        k = len(components)
+        if not isinstance(strata, tuple) or len(strata) != 1 << k:
             raise ValidationError(
                 f"strata must be a tuple of {1 << k} classes, "
                 f"one per subset of the components")
+        atoms, split, var = {}, {}, _variable(index_r)
+        for cls in strata:
+            # the strata tuple keeps every class alive, so ids stay distinct
+            if id(cls) not in split:
+                poly = cls.poly
+                split[id(cls)] = _split(
+                    {tuple(p for p in zip(poly.vars, expo) if p[1]): c
+                     for expo, c in poly.terms.items()},
+                    cls.atoms, atoms, var, index_r)
+        self._set(flavor, index_r, components, ns, atoms,
+                  tuple(split[id(cls)] for cls in strata), strata)
+
+    @classmethod
+    def _of_parts(cls, flavor: str, index_r: int, components: tuple,
+                  atoms: dict, parts: tuple) -> "ResolutionDatum":
+        """The datum whose 2^k strata are held as ``parts``, the
+        ``_split`` of their classes, which name the ``atoms``; only the
+        components are validated."""
+        return object.__new__(cls)._set(
+            flavor, index_r, components,
+            _check_components(flavor, index_r, components), atoms, parts,
+            None)
+
+    def _set(self, flavor, index_r, components, ns, atoms, parts, strata):
+        for name, value in zip(self.__slots__, (flavor, index_r, components,
+                                                atoms, parts, ns, strata)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, *a):
+        raise AttributeError("ResolutionDatum is immutable")
+
+    var = property(lambda self: _variable(self.index_r))
+
+    @property
+    def strata(self) -> tuple:
+        if self._strata is None:
+            r, classes = self.index_r, {}
+            for split in self.parts:
+                if id(split) not in classes:
+                    classes[id(split)] = K0Class(_to_poly({
+                        tuple(sorted(key + (("L", (part.low + i) // r),)))
+                        if part.low + i else key: c
+                        for key, part in split.items()
+                        for i, c in enumerate(part.coeffs) if c}), self.atoms)
+            object.__setattr__(self, "_strata", tuple(
+                classes[id(split)] for split in self.parts))
+        return self._strata
+
+    def __eq__(self, other):
+        if not isinstance(other, ResolutionDatum):
+            return NotImplemented
+        return (self.flavor, self.index_r, self.components, self.parts,
+                self.atoms) == (other.flavor, other.index_r,
+                                other.components, other.parts, other.atoms)
+
+    def __hash__(self):
+        return hash((self.flavor, self.index_r, self.components, tuple(
+            frozenset(split.items()) for split in self.parts)))
+
+    def __repr__(self):
+        return (f"ResolutionDatum({self.flavor!r}, {self.index_r!r}, "
+                f"{self.components!r}, {self.strata!r})")
 
     def discrepancy(self, i: int) -> Fraction:
         return Fraction(self.components[i][1])
@@ -96,6 +200,11 @@ class ResolutionDatum:
         """[E_I] = sum over J containing I of [E_J^o], I and J as bitmasks."""
         return sum((cls for j, cls in enumerate(self.strata)
                     if j & mask == mask), K0Class.zero())
+
+
+def _variable(r: int) -> str:
+    """The variable of a datum's parts and fold at index r: L = t^r."""
+    return "L" if r == 1 else "t"
 
 
 # ---------------------------------------------------------------------
@@ -191,33 +300,25 @@ def _fold(table: list, ins: list, outs: list):
     return table[0]
 
 
-def _factors(components, r: int, var: str):
-    """The degrees r(a_i + 1), one per (name, a_i) component, integers by
-    the components' validation, and the denominator, the product of the
-    factors var^{r(a_i+1)} - 1, as a dense polynomial."""
-    ns = [int(r * (Fraction(a) + 1)) for _, a in components]
-    return ns, math.prod((Dense(var, n, (1,)) - 1 for n in ns),
-                         start=Dense(var, 0, (1,)))
+def _denominator(ns, var: str) -> Dense:
+    """The product of the factors var^n - 1 over the degrees n = r(a_i + 1)
+    that ``_check_components`` returns, as a dense polynomial."""
+    return math.prod((Dense(var, n, (1,)) - 1 for n in ns),
+                     start=Dense(var, 0, (1,)))
 
 
-def _strata_tables(d: ResolutionDatum, var: str):
-    """Every stratum class split by ``rings._parts_in``, L -> var^r, once
-    per distinct class object: the atoms by name, and per atom monomial
-    the table of dense parts indexed by bitmask."""
-    r, size, zero = d.index_r, len(d.strata), Dense(var, 0, ())
-    atoms, tables, parts = {}, {}, {}
-    for m, cls in enumerate(d.strata):
-        # the strata tuple keeps every class alive, so ids stay distinct
-        split = parts.get(id(cls))
-        if split is None:
-            split = parts[id(cls)] = _parts_in(cls.poly, "L", var, r)
-            atoms.update(cls.atoms)
+def _strata_tables(d: ResolutionDatum):
+    """The datum's parts transposed: its atoms by name, and per atom
+    monomial the table of dense parts in ``d.var`` indexed by bitmask."""
+    size, zero = len(d.parts), Dense(d.var, 0, ())
+    tables = {}
+    for m, split in enumerate(d.parts):
         for key, part in split.items():
             table = tables.get(key)
             if table is None:
                 table = tables[key] = [zero] * size
             table[m] = part
-    return atoms, tables
+    return d.atoms, tables
 
 
 def _packed(tables: dict, k: int):
@@ -271,9 +372,8 @@ def checked_fold(flavor: str, r: int, components, tables: dict,
     """``_fold_tables`` of the tables of open-stratum parts over the (name,
     discrepancy) components, validated as a ``ResolutionDatum``'s, and the
     denominator, dense in var; a mismatch raises ConsistencyError."""
-    _check_components(flavor, r, components)
-    ns, den = _factors(components, r, var)
-    return _fold_tables(tables, ns, r, var), den
+    ns = _check_components(flavor, r, components)
+    return _fold_tables(tables, ns, r, var), _denominator(ns, var)
 
 
 def _sum_dense_parts(num: dict, image, var: str) -> Dense:
@@ -287,10 +387,9 @@ def _checked_integral(d: ResolutionDatum):
     """The one fold of d that every invariant reads: its atoms, numerator
     by atom monomial and denominator, dense in L (in t when r > 1), the
     open fold checked against the closed one by ``_fold_tables``."""
-    var = "L" if d.index_r == 1 else "t"
-    atoms, tables = _strata_tables(d, var)
-    ns, den = _factors(d.components, d.index_r, var)
-    return atoms, _fold_tables(tables, ns, d.index_r, var), den
+    atoms, tables = _strata_tables(d)
+    return (atoms, _fold_tables(tables, d._ns, d.index_r, d.var),
+            _denominator(d._ns, d.var))
 
 
 def _integral(atoms: dict, num: dict, den: Dense, r: int) -> RationalFunction:
@@ -364,16 +463,27 @@ def stringy_chi_y(d: ResolutionDatum) -> RationalFunction:
     return _chi_y(*_checked_integral(d))
 
 
+def _euler_of_parts(split: dict, atoms: dict) -> int:
+    """The Euler number E(1, 1) of a class held as its ``_split``: L and
+    t go to 1, and each other atom to its Euler number, the sum of its
+    E-polynomial's coefficients, as in ``k0.euler_of_class``."""
+    return sum(sum(part.coeffs) * math.prod(
+        sum(atoms[n].e_poly.terms.values()) ** e for n, e in key)
+        for key, part in split.items())
+
+
 def _euler_formula(d: ResolutionDatum) -> Fraction:
-    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1), with
-    one Euler number per distinct class object."""
-    k = len(d.components)
-    # the strata tuple keeps every class alive, so ids stay distinct
-    distinct = {id(cls): cls for cls in d.strata}
-    chis = {key: Fraction(euler_of_class(cls))
-            for key, cls in distinct.items()}
-    return _fold([chis[id(cls)] for cls in d.strata],
-                 [1 / (d.discrepancy(i) + 1) for i in range(k)], [1] * k)
+    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1), read
+    off the strata's parts with one Euler number per distinct parts
+    object.  With n_i = r(a_i + 1) each 1/(a_i + 1) is r/n_i, so the sum
+    is one fold of ints, sum over I of chi_I r^|I| prod_{i not in I} n_i,
+    over prod n_i."""
+    distinct = {id(split): split for split in d.parts}
+    chis = {key: _euler_of_parts(split, d.atoms)
+            for key, split in distinct.items()}
+    ns = d._ns
+    return Fraction(_fold([chis[id(split)] for split in d.parts],
+                          [d.index_r] * len(ns), ns), math.prod(ns))
 
 
 def _euler_limit(atoms: dict, num: dict, den: Dense, k: int) -> Fraction:
@@ -543,9 +653,10 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     if not isinstance(strata_list, list):
         raise ValidationError("strata must be a list of entries")
     strata = [None] * (1 << len(names))
-    # one K0Class per distinct class text, shared by its strata, so that
-    # the fold splits it once
-    parsed, variables = {}, tuple(atoms)
+    # one parts object per distinct class text, shared by its strata, so
+    # that the text is parsed and split once and the fold packs it once
+    parsed, variables, used = {}, tuple(atoms), {}
+    var = _variable(index_r)
     for entry in strata_list:
         if not isinstance(entry, dict):
             raise ValidationError(f"stratum entry {entry!r} is not an object")
@@ -563,15 +674,16 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
             raise ValidationError("duplicate stratum entry")
         text = entry["class"]
         if not isinstance(text, str) or text not in parsed:
-            # a non-string raises in parse_expr before it is stored
-            parsed[text] = poly_to_class(
-                parse_expr(text, variables=variables), atoms)
+            # a non-string raises in parse_terms before it is stored
+            parsed[text] = _split(parse_terms(text, variables=variables),
+                                  atoms, used, var, index_r)
         strata[mask] = parsed[text]
-    for mask, cls in enumerate(strata):
-        if cls is None:
+    for mask, split in enumerate(strata):
+        if split is None:
             missing = ", ".join(n for i, n in enumerate(names) if mask >> i & 1)
             raise ValidationError(f"missing stratum entry {{{missing}}}")
-    return ResolutionDatum(flavor, index_r, components, tuple(strata))
+    return ResolutionDatum._of_parts(flavor, index_r, components, used,
+                                     tuple(strata))
 
 
 def load_datum(path: str) -> ResolutionDatum:

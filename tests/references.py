@@ -1,8 +1,8 @@
 """Independent references that only the tests use: a generalized binomial
 coefficient, cell-decomposition and arc-tower classes, the naive motivic
 measure, the coordinate resolution datum of the jets oracle, its closed
-form and geometric tail bound, StringyValue from text and the resolution
-datum of a product."""
+form and geometric tail bound, StringyValue from text, the resolution
+datum of a product and the stringy Euler formula over Fraction."""
 
 import math
 from fractions import Fraction
@@ -10,9 +10,9 @@ from fractions import Fraction
 from genera.expr import parse_expr
 from genera.jets import JetSpec, _closed_parts, _coordinate_strata, _partial
 from genera.k0 import (K0Class, LEFSCHETZ, TowerDatum, ValidationError,
-                       lefschetz, pro_grothendieck)
+                       euler_of_class, lefschetz, pro_grothendieck)
 from genera.rings import RationalFunction
-from genera.stringy import ResolutionDatum, StringyValue
+from genera.stringy import ResolutionDatum, StringyValue, _fold
 
 
 def binom_frac(a: Fraction, k: int) -> Fraction:
@@ -95,3 +95,11 @@ def product_datum(d1: ResolutionDatum, d2: ResolutionDatum) -> ResolutionDatum:
         components.append((name, a))
     strata = tuple(s1 * s2 for s2 in d2.strata for s1 in d1.strata)
     return ResolutionDatum(d1.flavor, d1.index_r, tuple(components), strata)
+
+
+def euler_formula(d: ResolutionDatum) -> Fraction:
+    """Sum over strata of chi(E_I^o) * prod_{i in I} 1/(a_i + 1), one
+    fold over Fraction of the Euler numbers of the datum's K0 classes."""
+    k = len(d.components)
+    return _fold([Fraction(euler_of_class(cls)) for cls in d.strata],
+                 [1 / (d.discrepancy(i) + 1) for i in range(k)], [1] * k)

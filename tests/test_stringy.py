@@ -10,14 +10,16 @@ import pytest
 
 from genera import stringy
 from genera.cli import EXIT_VALIDATION, main
-from genera.k0 import K0Class, chi_y_of_class, lefschetz
-from genera.rings import MultiPoly, RationalFunction, TruncSeries
+from genera.expr import parse_expr
+from genera.k0 import (Atom, K0Class, LEFSCHETZ, chi_y_of_class,
+                       lefschetz)
+from genera.rings import MultiPoly, RationalFunction, TruncSeries, _parts_in
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             ValidationError, datum_from_dict,
                             invariance_check, jacobian_factor_limit,
                             load_datum, motivic_integral, rewrite_uv,
                             stringy_E, stringy_chi_y, stringy_euler)
-from references import product_datum, stringy_value_from_expr
+from references import euler_formula, product_datum, stringy_value_from_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -273,12 +275,13 @@ def test_jacobian_check_is_live(monkeypatch):
 
 
 def test_euler_formula_reads_each_class_once(monkeypatch):
-    # the 256 strata of the eight-fold blow-up share nine class objects
+    # the 256 strata of the eight-fold blow-up share nine parts objects
     d = load_datum(str(FIXTURES / "blowup_c2_x8.json"))
     calls = []
-    real = stringy.euler_of_class
-    monkeypatch.setattr(stringy, "euler_of_class",
-                        lambda cls: calls.append(cls) or real(cls))
+    real = stringy._euler_of_parts
+    monkeypatch.setattr(stringy, "_euler_of_parts",
+                        lambda split, atoms: calls.append(split)
+                        or real(split, atoms))
     assert stringy_euler(d) == 1
     assert 0 < len(calls) <= 9
 
@@ -384,6 +387,7 @@ def test_loader_parses_each_class_text_once():
     d = load_datum(str(FIXTURES / "blowup_c2_x8.json"))
     assert len(d.strata) == 256
     assert len({id(cls) for cls in d.strata}) == 9
+    assert len({id(split) for split in d.parts}) == 9
     # the fixture is the 8-fold product of blowup_c2.json
     blow = load_datum(str(FIXTURES / "blowup_c2.json"))
     product = blow
@@ -423,3 +427,149 @@ def test_repeated_bad_class_exits_3(tmp_path, capsys, texts):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+# the resolution-datum fixtures that load
+LOADING_FIXTURES = (
+    "a1_cone", "a1_cone_r2", "atom_t_index2", "big_coefficients",
+    "blowup_c2", "blowup_c2_bad", "blowup_c2_x8", "budget_edge",
+    "budget_eight", "curve_atom", "identity_c2", "index2_half")
+
+
+def random_text_datum(k: int, r: int, seed: int) -> dict:
+    """JSON datum with k components at index r whose class texts are
+    random sums of monomials in L and the atoms C and T, a third of the
+    strata drawing from a pool of three shared texts."""
+    rng = random.Random(seed)
+
+    def text():
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            mono = "*".join(f"{n}^{rng.randint(1, 3)}" for n in "LCT"
+                            if rng.random() < 0.5)
+            c = rng.randint(-5, 5)
+            terms.append(f"{c}*{mono}" if mono else str(c))
+        return " + ".join(terms)
+
+    pool = [text() for _ in range(3)]
+    names = [f"E{i}" for i in range(k)]
+    return {"flavor": "stringy", "index_r": r,
+            "atoms": [{"name": "C", "dim": 1, "e": "1 - 2*u - 2*v + u*v"},
+                      {"name": "T", "dim": 1, "e": "u*v - 1"}],
+            "components": [{"name": n, "a": f"{rng.randint(1 - r, 2 * r)}/{r}"}
+                           for n in names],
+            "strata": [{"subset": [n for i, n in enumerate(names)
+                                   if m >> i & 1],
+                        "class": rng.choice(pool) if rng.random() < 0.3
+                        else text()} for m in range(1 << k)]}
+
+
+def held_form_cases() -> list:
+    cases = [json.loads((FIXTURES / f"{name}.json").read_text())
+             for name in LOADING_FIXTURES]
+    return cases + [random_text_datum(k, r, 10 * k + r)
+                    for r in (1, 2, 3) for k in range(5)]
+
+
+def constructed(data: dict) -> ResolutionDatum:
+    """The datum of the JSON data through the public constructor: one
+    K0Class per stratum, each class text parsed on its own."""
+    atoms = {"L": LEFSCHETZ}
+    for a in data.get("atoms", ()):
+        atoms[a["name"]] = Atom(a["name"], a["dim"],
+                                parse_expr(a["e"], variables=("u", "v")))
+    names = [c["name"] for c in data["components"]]
+    classes = [None] * (1 << len(names))
+    for entry in data["strata"]:
+        mask = sum(1 << names.index(n) for n in entry["subset"])
+        classes[mask] = K0Class(
+            parse_expr(entry["class"], variables=tuple(atoms)), atoms)
+    return ResolutionDatum(
+        data["flavor"], data["index_r"],
+        tuple((c["name"], Fraction(str(c["a"]))) for c in data["components"]),
+        tuple(classes))
+
+
+@pytest.mark.parametrize("data", held_form_cases())
+def test_loader_parts_are_the_constructor_split(data):
+    d, built = datum_from_dict(data), constructed(data)
+    r = d.index_r
+    assert d.var == ("L" if r == 1 else "t")
+    # rings._parts_in of each parsed class is the reference split
+    assert list(d.parts) == [_parts_in(cls.poly, "L", d.var, r)
+                             for cls in built.strata]
+    assert built.parts == d.parts and built.atoms == d.atoms
+    assert built == d and hash(built) == hash(d)
+    # the K0Class view, built from the parts, prints each class as given
+    assert d.strata == built.strata
+    assert list(map(str, d.strata)) == list(map(str, built.strata))
+    # one view class per distinct parts object
+    assert len(set(map(id, d.strata))) == len(set(map(id, d.parts)))
+
+
+@pytest.mark.parametrize("data", held_form_cases())
+def test_int_euler_formula_against_the_fraction_fold(data):
+    d = datum_from_dict(data)
+    assert stringy._euler_formula(d) == euler_formula(d)
+
+
+def test_datum_equality_follows_the_held_form():
+    d = load_datum(str(FIXTURES / "curve_atom.json"))
+    strata = list(d.strata)
+    twin = ResolutionDatum(d.flavor, d.index_r, d.components, tuple(strata))
+    assert twin == d and hash(twin) == hash(d) and len({twin, d}) == 1
+    strata[3] = strata[3] + 1
+    assert ResolutionDatum(d.flavor, d.index_r, d.components,
+                           tuple(strata)) != d
+    assert ResolutionDatum(d.flavor, 2, d.components, d.strata) != d
+    with pytest.raises(AttributeError):
+        d.index_r = 2
+
+
+def test_two_atoms_with_one_name_are_rejected():
+    other = Atom("C", 1, MultiPoly.var("u") * MultiPoly.var("v"))
+    curve = load_datum(str(FIXTURES / "curve_atom.json")).strata[1]
+    with pytest.raises(ValidationError, match="two different atoms"):
+        ResolutionDatum("stringy", 1, (("E", 1),),
+                        (curve, K0Class.atom(other)))
+    with pytest.raises(ValidationError, match="unknown atom 'X'"):
+        stringy._split({(("X", 1),): 1}, {"L": LEFSCHETZ}, {}, "L", 1)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/2*L", "K0 classes have integer coefficients"),
+    ("L^-1 + 1", "negative atom powers are not in K0"),
+    ("1/2*L + L^-1", "K0 classes have integer coefficients"),
+    ("L^-1 + 1/2*L", "negative atom powers are not in K0"),
+    ("X + 1", "unknown variable 'X' (at offset 0)"),
+    ("1/2 + X", "unknown variable 'X' (at offset 6)"),
+])
+def test_bad_class_text_exits_3_with_its_message(tmp_path, capsys, text,
+                                                 message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(repeated(text, "L", "L", "1")))
+    assert main(["stringy", "integral", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integral_fractions_are_integer_coefficients():
+    # 2/2 and 1/2 + 1/2 are the ints K0 asks for
+    d = datum_from_dict(repeated("2/2*L + L^0", "1/2 + 1/2", "L", "1"))
+    assert d == datum_from_dict(repeated("L + 1", "1", "L", "1"))
+
+
+def test_loading_and_euler_build_no_class_per_stratum(monkeypatch):
+    # the loader splits the class texts straight into the parts, and the
+    # Euler formula reads them: no MultiPoly and no K0Class
+    built = {MultiPoly: 0, K0Class: 0}
+    for cls in built:
+        def counted(self, *args, cls=cls, real=cls.__init__):
+            built[cls] += 1
+            real(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    d = load_datum(str(FIXTURES / "blowup_c2_x8.json"))
+    assert stringy_euler(d) == 1
+    assert built == {MultiPoly: 0, K0Class: 0}
+    # negative control: the K0Class view builds one class per parts object
+    assert len(d.strata) == 256
+    assert built == {MultiPoly: 9, K0Class: 9}

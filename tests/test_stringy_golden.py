@@ -1,11 +1,13 @@
 """Golden CLI outputs of the stringy invariants.
 
 Every case runs ``genera stringy integral|efun|chiy|euler|compare
---output json`` on a fixture or on a product datum written here, and its
-exit code, stdout and stderr must match ``golden/stringy_cli.json`` byte
-for byte.  The product data are built by multiplying the class
-expressions of their factors, so they do not depend on
-``product_datum`` of ``tests/references.py``.
+--output json`` on a fixture or on a product datum written here, or
+``genera stringy integral --relative --output json``, which prints the
+open-stratum classes, on each resolution-datum fixture; its exit code,
+stdout and stderr must match ``golden/stringy_cli.json`` byte for byte.
+The product data are built by multiplying the class expressions of
+their factors, so they do not depend on ``product_datum`` of
+``tests/references.py``.
 
 Regenerate the golden file (only when an output is meant to change) with
 ``PYTHONPATH=src python tests/test_stringy_golden.py``.
@@ -25,6 +27,12 @@ FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "stringy_cli.json"
 
 DATUM_FIXTURES = ("a1_cone", "blowup_c2", "blowup_c2_bad", "identity_c2")
+# every fixture that is a resolution datum, the two invalid ones included
+RELATIVE_FIXTURES = (
+    "a1_cone", "a1_cone_r2", "atom_bad_dim", "atom_fractional_e",
+    "atom_t_index2", "big_coefficients", "blowup_c2", "blowup_c2_bad",
+    "blowup_c2_x8", "budget_edge", "budget_eight", "curve_atom",
+    "identity_c2", "index2_half")
 ACTIONS = ("integral", "efun", "chiy", "euler")
 
 HALF = {
@@ -68,7 +76,7 @@ def product(factors):
 def data() -> dict:
     """File name -> JSON datum, for every datum a case reads."""
     fixtures = {name: json.loads((FIXTURES / f"{name}.json").read_text())
-                for name in DATUM_FIXTURES}
+                for name in DATUM_FIXTURES + RELATIVE_FIXTURES}
     blowup, identity = fixtures["blowup_c2"], fixtures["identity_c2"]
     out = {f"{name}.json": d for name, d in fixtures.items()}
     for k in range(2, 6):
@@ -81,9 +89,6 @@ def data() -> dict:
     for k in range(1, 4):
         out[f"half_x{k}.json"] = product([HALF] * k)
     out["several_atoms.json"] = SEVERAL_ATOMS
-    # class coefficients past 10^30 of both signs, and a curve atom
-    out["big_coefficients.json"] = json.loads(
-        (FIXTURES / "big_coefficients.json").read_text())
     return out
 
 
@@ -99,7 +104,9 @@ def cases() -> list:
         [f"blowup_x{k}_identity.json" for k in range(0, 5)] + \
         [f"blowup_x{k}_a1.json" for k in range(0, 5)] + \
         [f"half_x{k}.json" for k in range(1, 4)] + \
-        ["several_atoms.json", "big_coefficients.json"]
+        ["several_atoms.json",
+         # class coefficients past 10^30 of both signs, and a curve atom
+         "big_coefficients.json"]
     for name in single:
         for action in ACTIONS:
             add(action, name)
@@ -112,6 +119,8 @@ def cases() -> list:
         add("compare", f"blowup_x{k - 1}_a1.json", blowup)
     add("compare", "several_atoms.json", "several_atoms.json")
     add("compare", "big_coefficients.json", "big_coefficients.json")
+    for name in RELATIVE_FIXTURES:
+        add("integral", f"{name}.json", "--relative")
     return out
 
 

@@ -121,10 +121,9 @@ def test_superset_sums_are_closed_strata(k, r):
     for m, closed in enumerate(table):
         assert closed == d.closed_stratum(m)
     # the superset sums of the split open strata split the closed strata
-    var = "t" if r > 1 else "L"
-    parts = stringy._strata_tables(d, var)[1]
+    parts = stringy._strata_tables(d)[1]
     closed_parts = stringy._strata_tables(
-        ResolutionDatum(d.flavor, r, d.components, tuple(table)), var)[1]
+        ResolutionDatum(d.flavor, r, d.components, tuple(table)))[1]
     assert {key: stringy._superset_sums(t) for key, t in parts.items()} == \
         closed_parts
 
@@ -162,6 +161,17 @@ def test_kronecker_round_trip_at_the_bound(bits):
     assert not any(dense._digits(0, bits))
     # one past the edge carries into the next digit
     assert Dense("x", 0, dense._digits(edge + 1, bits)) != edge + 1
+
+
+def test_one_byte_digits_match_the_wide_read():
+    # bits = 8 reads the bytes back in one pass; the same digits spread to
+    # two bytes each by _widen are read by from_bytes, one call a digit
+    rng = random.Random(8)
+    for _ in range(200):
+        coeffs = [rng.randint(-128, 127) for _ in range(rng.randint(1, 40))]
+        value = dense._value(coeffs, 1 << 8)
+        assert dense._digits(value, 8) == \
+            dense._digits(dense._widen(value, 8, 16), 16)
 
 
 def random_dense_tables(k: int, r: int, seed: int, var: str):
@@ -331,24 +341,34 @@ def test_fold_perturbation_is_caught(monkeypatch, r):
 def test_one_E_function_per_datum_in_compare(monkeypatch, r):
     # each class is realised once per datum, by its one open fold, and the
     # data in L alone hold one atom monomial: one open and one closed fold
-    # of dense parts per datum
-    calls, folds = [], []
+    # of dense parts per datum, and the one int fold of its Euler formula
+    calls, folds, formula_folds, inside = [], [], [], []
     real_tables, real_fold = stringy._strata_tables, stringy._fold
+    real_formula = stringy._euler_formula
 
-    def strata_tables(d, var):
+    def strata_tables(d):
         calls.append(d)
-        return real_tables(d, var)
+        return real_tables(d)
 
     def fold(table, ins, outs):
-        folds.append(table)
+        (formula_folds if inside else folds).append(table)
         return real_fold(table, ins, outs)
+
+    def euler_formula(d):
+        inside.append(d)
+        try:
+            return real_formula(d)
+        finally:
+            inside.pop()
 
     sums = recording_sums(monkeypatch)
     monkeypatch.setattr(stringy, "_strata_tables", strata_tables)
     monkeypatch.setattr(stringy, "_fold", fold)
+    monkeypatch.setattr(stringy, "_euler_formula", euler_formula)
     d1, d2 = random_datum(3, r, seed=11), random_datum(2, r, seed=12)
     report = invariance_check(d1, d2)
     assert calls == [d1, d2]
+    assert len(formula_folds) == 2
     assert sum(is_open_table(sums, t) for t in folds) == 2
     assert sum(any(t is u for u in sums) for t in folds) == 2
     assert (report.chi_y is None) == (r > 1)
@@ -361,7 +381,7 @@ def test_standalone_verbs_run_the_closed_check(monkeypatch, with_curve):
     # one closed fold per atom monomial's table, chi_y only at index 1
     for r in (1, 2):
         d = random_datum(3, r, seed=31 + r, with_curve=with_curve)
-        tables = stringy._strata_tables(d, "t")[1]
+        tables = stringy._strata_tables(d)[1]
         verbs = (stringy_E, stringy_euler) + ((stringy_chi_y,) if r == 1
                                               else ())
         for verb in verbs:
