@@ -278,18 +278,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_pro)
 
+    parser.verbs = sub.choices  # each verb's parser by name, for _parse
     return parser
 
 
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on first use: ``parse_args``
-    keeps no state in it between calls."""
+    """The parser of this process, built on first use: parsing keeps no
+    state in it or in its verb parsers between calls."""
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of one query. The parser of the verb in argv[0] reads
+    argv[1:], as the full parser would hand them to it, and prints the
+    same help and errors; an argv with no verb first, or with an argument
+    left over, goes to the full parser, which prints argparse's usage,
+    help and errors for it. Only the full parser sets ``command``, which
+    nothing reads."""
+    parser = _parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except stringy.ConsistencyError as exc:

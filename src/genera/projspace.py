@@ -5,7 +5,7 @@ top-coefficient extraction, and HRR / generalized-HRR verification.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from math import comb
 
 from .catalog import builtin_series, ghrr_integrand
 from .graded import GradedRing
@@ -64,8 +64,12 @@ class ProjSpaceRing(GradedRing):
 
 def count_monomials(n_vars: int, degree: int) -> int:
     """Dimension of the space of degree-d monomials in n_vars variables,
-    by direct enumeration (the sheaf-cohomology oracle for O(d) on P^n)."""
-    return sum(1 for _ in combinations_with_replacement(range(n_vars), degree))
+    C(n_vars + d - 1, d) by stars and bars (the sheaf-cohomology oracle
+    for O(d) on P^n, independent of the ring integral); no variables give
+    the one monomial 1 in degree 0 and none in higher degree."""
+    if n_vars <= 0:
+        return int(degree == 0)
+    return comb(n_vars + degree - 1, degree)
 
 
 def hrr_check(n: int, d: int):

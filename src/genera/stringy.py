@@ -653,6 +653,11 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     if not isinstance(strata_list, list):
         raise ValidationError("strata must be a list of entries")
     strata = [None] * (1 << len(names))
+    # each name's bit; a repeated name keeps its first, so that the strata
+    # on its later bits are reported missing
+    bits = {}
+    for i, name in enumerate(names):
+        bits.setdefault(name, 1 << i)
     # one parts object per distinct class text, shared by its strata, so
     # that the text is parsed and split once and the fold packs it once
     parsed, variables, used = {}, tuple(atoms), {}
@@ -667,9 +672,10 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
             raise ValidationError("stratum subset must be a list of names")
         mask = 0
         for name in entry["subset"]:
-            if name not in names:
+            bit = bits.get(name) if isinstance(name, str) else None
+            if bit is None:
                 raise ValidationError(f"unknown component {name!r}")
-            mask |= 1 << names.index(name)
+            mask |= bit
         if strata[mask] is not None:
             raise ValidationError("duplicate stratum entry")
         text = entry["class"]

@@ -2,10 +2,12 @@
 coefficient, cell-decomposition and arc-tower classes, the naive motivic
 measure, the coordinate resolution datum of the jets oracle, its closed
 form and geometric tail bound, StringyValue from text, the resolution
-datum of a product and the stringy Euler formula over Fraction."""
+datum of a product, the stringy Euler formula over Fraction and the
+count of monomials by enumeration."""
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from genera.expr import parse_expr
 from genera.jets import JetSpec, _closed_parts, _coordinate_strata, _partial
@@ -103,3 +105,9 @@ def euler_formula(d: ResolutionDatum) -> Fraction:
     k = len(d.components)
     return _fold([Fraction(euler_of_class(cls)) for cls in d.strata],
                  [1 / (d.discrepancy(i) + 1) for i in range(k)], [1] * k)
+
+
+def count_monomials(n_vars: int, degree: int) -> int:
+    """The number of degree-d monomials in n_vars variables, by enumerating
+    them as multisets of variable indices."""
+    return sum(1 for _ in combinations_with_replacement(range(n_vars), degree))

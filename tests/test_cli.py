@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from genera import cli
 from genera.cli import (EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_VALIDATION,
-                        emit_table, main)
+                        build_parser, emit_table, main)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = FIXTURES.parent / "src"
@@ -216,6 +218,25 @@ def test_validation_error_from_datum(tmp_path, capsys):
     }))
     code, _, _ = run(capsys, "stringy", "integral", str(bad))
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("names, subsets", [
+    (["E", "E"], [[], ["E"]]),
+    (["E", "E"], [[], ["E"], ["E", "E"]]),
+    (["E", "F", "E"], [[], ["E"], ["F"], ["E", "F"]]),
+])
+def test_repeated_component_name_exits_3(tmp_path, capsys, names, subsets):
+    # a repeated name stands for its first component, so no subset reaches
+    # the strata on its later bits
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({
+        "flavor": "stringy", "index_r": 1,
+        "components": [{"name": name, "a": "1"} for name in names],
+        "strata": [{"subset": s, "class": "1"} for s in subsets]}))
+    expected = "duplicate stratum entry" if ["E", "E"] in subsets else \
+        "missing stratum entry {E}"
+    assert run(capsys, "stringy", "euler", str(path)) == \
+        (EXIT_VALIDATION, "", f"error: {expected}\n")
 
 
 GOOD_DATUM = {
@@ -466,6 +487,68 @@ def test_emit_table():
     assert emit_table([]) == ""
 
 
+DISPATCH_ARGV = [
+    [], [""], ["-h"], ["nosuch"], ["genus"], ["genus", "-h"],
+    ["genus", "--series", "todd", "--n", "3", "extra"],   # left over
+    ["--output", "json", "ty", "--n", "2"],                # no verb first
+    ["genus", "--ser", "todd", "--n", "2"],                # abbreviation
+    ["genus", "--series", "nosuch", "--n", "3"],           # bad choice
+    ["hrr", "--n", "2"],                                   # missing --d
+    ["jets", "oracle", "--dim", "x", "--exponents", "1"],  # bad int
+    ["jets", "oracle", "--dim", "1", "--exponents", "1", "--pmax", "4"],
+    ["stringy", "integral", "--relative", str(FIXTURES / "a1_cone.json")],
+    ["k0", "eval", "--", "-L"],
+    ["hrr", "--n", "11", "--d", "30", "--output", "json"],
+]
+
+
+def argv_id(argv):
+    return " ".join(a.replace(str(FIXTURES), "fixtures") or '""'
+                    for a in argv) or "(none)"
+
+
+def outcome(capsys, parse, argv):
+    """(parsed value or exit code, stdout, stderr) of one parse."""
+    try:
+        value = parse(list(argv))
+    except SystemExit as exc:
+        value = exc.code
+    out = capsys.readouterr()
+    return value, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=argv_id)
+def test_dispatch_reads_argv_as_the_full_parser(capsys, argv):
+    # main parses with the verb's own parser where it can: each argv must
+    # get the full parser's exit code, help and errors, or its arguments
+    # apart from the command name, which nothing reads
+    reference = outcome(capsys, build_parser().parse_args, argv)
+    if not isinstance(reference[0], argparse.Namespace):
+        assert outcome(capsys, main, argv) == reference
+        return
+    parsed, out, err = outcome(capsys, cli._parse, argv)
+    assert (out, err) == ("", "")
+    assert {k: v for k, v in vars(parsed).items() if k != "command"} == \
+        {k: v for k, v in vars(reference[0]).items() if k != "command"}
+    assert outcome(capsys, main, argv)[0] == EXIT_OK
+
+
+def test_a_verb_query_skips_the_full_parser(monkeypatch, capsys):
+    def full_parse(argv=None):
+        raise AssertionError("full parser")
+
+    monkeypatch.setattr(cli._parser(), "parse_args", full_parse)
+    monkeypatch.setattr(sys, "argv", ["genera", "ty", "--n", "2"])
+    assert run(capsys, "genus", "--series", "todd", "--n", "3") == \
+        (EXIT_OK, "1\n", "")
+    assert main() == EXIT_OK
+    assert capsys.readouterr().out == "1 - y + y^2\n"
+    for argv in (["--output", "json", "ty", "--n", "2"],
+                 ["ty", "--n", "2", "extra"]):
+        with pytest.raises(AssertionError, match="full parser"):
+            main(argv)
+
+
 def test_cached_parser_keeps_no_state(capsys):
     # one parser serves every call of a process: each call must still
     # match a fresh process, whatever the calls before it did
@@ -475,6 +558,10 @@ def test_cached_parser_keeps_no_state(capsys):
         ["genus", "--series", "hirzebruch", "--n", "5"],
         ["ty", "--n", "4", "--output", "json"],
         ["stringy", "euler", str(FIXTURES / "blowup_c2.json")],
+        ["genus", "--series", "todd", "--n", "3", "extra"],   # argparse: 2
+        ["--output", "json", "ty", "--n", "2"],                # argparse: 2
+        ["jets", "oracle", "--dim", "x", "--exponents", "1"],  # argparse: 2
+        ["hrr", "--n", "11", "--d", "30"],
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -490,4 +577,5 @@ def test_cached_parser_keeps_no_state(capsys):
         assert (code, out.out, out.err) == \
             (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(code)
-    assert codes == [2, EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert codes == [2, EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_OK, 2, 2, 2,
+                     EXIT_OK]

@@ -8,6 +8,7 @@ from genera.projspace import (ProjSpaceRing, count_monomials,
                               ghrr_normalization_check, hrr_check,
                               ty_class_degree)
 from genera.rings import MultiPoly, TruncSeries
+from references import count_monomials as enumerated_monomials
 
 Y = MultiPoly.var("y")
 
@@ -35,6 +36,17 @@ def test_monomial_counting_oracle():
     assert count_monomials(3, 2) == 6
     assert count_monomials(1, 7) == 1
     assert count_monomials(4, 0) == 1
+    assert count_monomials(0, 0) == 1
+    assert count_monomials(0, 3) == 0
+    # O(30) on P^11: C(41, 30) monomials, past any enumeration
+    assert count_monomials(12, 30) == 3159461968
+
+
+def test_monomial_count_against_enumeration():
+    for n_vars in range(14):
+        for d in range(10):
+            assert count_monomials(n_vars, d) == \
+                enumerated_monomials(n_vars, d), (n_vars, d)
 
 
 def test_hrr_grid():
