@@ -201,22 +201,16 @@ class Dense:
         """The gcd in Z[var], with content 1 and a positive leading
         coefficient: var^min(low) times the gcd of the primitive
         coefficient tuples a and b; with zero, the other one.  Otherwise
-        it is the heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989):
-        at xi >= 2 min(|a|, |b|) + 2 in max-norms, the balanced xi-adic
-        digits of gcd(a(xi), b(xi)), made primitive, are the gcd g once
-        they divide a and b exactly.  The first xi is 2 min(|a|, |b|) +
-        29, as in sympy, so that a gcd with coefficients a little above
-        the norms, such as (L - 1)^3 against norms of 1, needs one point.
-        No tuple length is better served by 2 min(|a|, |b|) + 2.  On
-        the 276 gcds that reduce the integrals and E-functions of 150
-        seeded random resolution data (r = 1 and 2, denominator degree up
-        to 4096) and of fixtures/budget_*.json, +2 needed a second point
-        218 times against 88 and took 874 ms against 518 on the 272 gcds
-        of up to 4096 coefficients; on the 4 longer ones, all at the
-        denominator budget, it took 50 ms against 51 (the least of three
-        timings each, Python 3.11 on a shared 2-vCPU host).  Until they
-        divide, xi grows by a factor near 1 + sqrt(3); past
-        2 |res(a/g, b/g)| |g| they always do."""
+        it is the heuristic gcd (GCDHEU; Char, Geddes and Gonnet, 1989) on
+        the packed format of this module: at xi = 2^B >= 2 min(|a|, |b|)
+        + 2 in max-norms, the balanced digits (``_digits``) of gcd(a(xi),
+        b(xi)), both values ``_pack``ed, made primitive, are the gcd g
+        once they divide a and b exactly.  The first B is the least
+        multiple of 8 with 2^B >= 2 min(|a|, |b|) + 29, sympy's first
+        point rounded up, so that a gcd with coefficients a little above
+        the norms, such as (L - 1)^3 against norms of 1, needs one point;
+        until the digits divide, B grows by 8.  Past xi >= 2 |res(a/g,
+        b/g)| |g| they always do."""
         return self._gcd(other)[0]
 
     def _gcd(self, other: "Dense"):
@@ -230,18 +224,18 @@ class Dense:
             g = a or b
             return (Dense(var, low, [-c for c in g] if g and g[-1] < 0 else g),
                     None, None)
-        xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+        # the least multiple of 8 with 2^bits >= 2 min(|a|, |b|) + 29
+        need = (2 * min(max(map(abs, a)), max(map(abs, b))) + 28).bit_length()
+        bits = -(-need // 8) * 8
         while True:
-            h, g = math.gcd(_value(a, xi), _value(b, xi)), []
-            half = (xi - 1) // 2  # digits in (-xi/2, xi/2]
-            while h:
-                h, d = divmod(h + half, xi)
-                g.append(d - half)
+            g = _digits(math.gcd(_pack(a, bits), _pack(b, bits)), bits)
+            while not g[-1]:
+                g.pop()
             g = _primitive(g)
             try:
                 qa, qb = _long_quotient(a, g), _long_quotient(b, g)
             except ExactDivisionError:
-                xi = xi * 73794 // 27011
+                bits += 8
                 continue
             ca, cb = math.gcd(*self.coeffs), math.gcd(*other.coeffs)
             return (Dense(var, low, g),
@@ -274,17 +268,9 @@ def _primitive(coeffs) -> list:
     return [c // g for c in coeffs]
 
 
-def _value(coeffs, x: int) -> int:
-    """The tuple's polynomial at x: Horner's rule, or two halves by x^m."""
-    if len(coeffs) <= 64:
-        return reduce(lambda s, c: s * x + c, reversed(coeffs), 0)
-    m = len(coeffs) // 2
-    return _value(coeffs[:m], x) + _value(coeffs[m:], x) * x ** m
-
-
 def _pack(coeffs, bits: int) -> int:
-    """The tuple's polynomial at 2^bits, as ``_value`` computes it at any
-    x, with shifts for the products by 2^bits."""
+    """The tuple's polynomial at 2^bits: Horner's rule on shifts, or two
+    halves joined by one shift of m * bits."""
     if len(coeffs) <= 64:
         return reduce(lambda s, c: (s << bits) + c, reversed(coeffs), 0)
     m = len(coeffs) // 2

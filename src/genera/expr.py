@@ -11,12 +11,13 @@ Grammar (EBNF):
 
 Names are variables (or declared atoms); rational literals are written
 "p/q".  Negative exponents are accepted as a Laurent extension so that
-canonical serialization round-trips.  Errors carry the byte offset of the
-first offending token.
+canonical serialization round-trips.  Factors nest at most MAX_NESTING
+deep.  Errors carry the byte offset of the first offending token.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -92,9 +93,38 @@ def _add_into(a: dict, b: dict, sign: int) -> dict:
     return a
 
 
-def _pow(base: dict, n: int) -> dict:
+MAX_POWER_BITS = 8192
+MAX_POWER_TERMS = 10 ** 4
+
+
+def _check_power(base: dict, size: int, offset: int) -> None:
+    """The budget on a power |n| = size of base, which is expanded in full:
+    its coefficients have at most size log2(N) bits, N the 1-norm of the
+    base with its denominators cleared, and it has at most C(size + k - 1,
+    k - 1) terms, k the terms of the base, and at most the product of
+    size s + 1 over its variables, s the base's degree span in each; past
+    it, ExprError at offset."""
+    coeffs = base.values()
+    norm = sum(abs(c.numerator) for c in coeffs) * \
+        math.lcm(*(c.denominator for c in coeffs))
+    bits, box = size * (norm - 1).bit_length(), 1
+    for name in {name for key in base for name, _ in key}:
+        expos = [dict(key).get(name, 0) for key in base]
+        box *= size * (max(expos) - min(expos)) + 1
+    terms = min(math.comb(size + max(len(base), 1) - 1, size), box)
+    if bits > MAX_POWER_BITS or terms > MAX_POWER_TERMS:
+        raise ExprError(
+            f"a power of up to {terms} terms of {bits} bits; at most "
+            f"{MAX_POWER_TERMS} terms of {MAX_POWER_BITS} bits are "
+            f"supported", offset)
+
+
+def _pow(base: dict, n: int, offset: int) -> dict:
     """A monomial to a power n >= 0 on the dict; any other power is
-    MultiPoly.__pow__, which inverts a monomial for n < 0."""
+    MultiPoly.__pow__, which inverts a monomial for n < 0.  Unless base is
+    a monomial with coefficient 1 or -1, ``_check_power`` runs first."""
+    if len(base) != 1 or abs(next(iter(base.values()))) != 1:
+        _check_power(base, abs(n), offset)
     if n >= 0 and len(base) == 1:
         (key, c), = base.items()
         return {tuple((name, e * n) for name, e in key) if n else (): c ** n}
@@ -115,11 +145,17 @@ def _to_poly(terms: dict) -> MultiPoly:
     return MultiPoly(names, dense)
 
 
+# every "(" and unary "-" opens one more factor, in which the parser
+# recurses; the cap keeps it well inside Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens, allowed):
         self.tokens = tokens
         self.pos = 0
         self.allowed = allowed
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -146,18 +182,24 @@ class _Parser:
         return value
 
     def parse_factor(self):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprError(f"factors nested more than {MAX_NESTING} deep",
+                            self.peek()[2])
         if self.peek()[0] == "-":
             self.take()
-            return _add_into({}, self.parse_factor(), -1)
-        value = self.parse_primary()
-        if self.peek()[0] == "^":
-            self.take()
-            sign = 1
-            if self.peek()[0] == "-":
+            value = _add_into({}, self.parse_factor(), -1)
+        else:
+            value = self.parse_primary()
+            if self.peek()[0] == "^":
                 self.take()
-                sign = -1
-            tok = self.take("int")
-            value = _pow(value, sign * tok[1])
+                sign = 1
+                if self.peek()[0] == "-":
+                    self.take()
+                    sign = -1
+                tok = self.take("int")
+                value = _pow(value, sign * tok[1], tok[2])
+        self.depth -= 1
         return value
 
     def parse_primary(self):

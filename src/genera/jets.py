@@ -179,11 +179,13 @@ def oracle_integral(spec: JetSpec, p_max: int):
     against L^-p, the closed form, and agreement of the closed form with
     the stratum-sum motivic integral of the coordinate strata, stringy's
     checked fold of their Dense table; the verdict is one
-    cross-multiplication of the unreduced parts."""
-    partial = _partial(spec, p_max)
-    cnum, cden = _closed_parts(spec)
+    cross-multiplication of the unreduced parts.  The fold runs first:
+    it checks the denominator budget before the partial sum and the
+    closed form build polynomials of the exponents' degree."""
     components, table = _coordinate_strata(spec)
     num, den = checked_fold("arc", 1, components, {(): table}, "L")
+    partial = _partial(spec, p_max)
+    cnum, cden = _closed_parts(spec)
     verdict = cnum * den == num[()] * cden
     closed = RationalFunction._of_parts({(): cnum}, cden)
     return partial.to_poly(), closed, verdict

@@ -25,13 +25,17 @@ class ValidationError(ValueError):
 
 def load_json_object(path: str) -> dict:
     """The JSON object in the file ``path``.  An OSError propagates;
-    text that is not JSON, or JSON that is not an object, raises a
-    ValidationError naming the file."""
+    text that is not JSON, JSON nested past the decoder's recursion
+    limit, or JSON that is not an object, raises a ValidationError
+    naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ValidationError(f"invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ValidationError(
+                f"invalid JSON in {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{path} must hold a JSON object")
     return data
@@ -160,8 +164,11 @@ class K0Class:
         return K0Class(self.poly ** n, self.atoms)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        # an int is its point class and hashes like it; an Atom, whose hash
+        # is its own, is not coerced
+        if isinstance(other, int):
+            other = K0Class.point(other)
+        elif not isinstance(other, K0Class):
             return NotImplemented
         return self.poly == other.poly and self.atoms == other.atoms
 

@@ -24,8 +24,9 @@ from .rings import ExactDivisionError, MultiPoly, RationalFunction, \
 
 MAX_COMPONENTS = 14
 # the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
-# integral variable; at 4096, compare X X takes 0.3-0.8 s through the CLI
-# (2-vCPU host); of its in-process part, 60-90% reduces the values
+# integral variable, and of each stratum class in it; at 4096, compare X X
+# takes 0.3-0.8 s through the CLI (2-vCPU host); of its in-process part,
+# 60-90% reduces the values
 MAX_DENOMINATOR_DEGREE = 4096
 
 
@@ -36,8 +37,9 @@ class ConsistencyError(ArithmeticError):
 def _check_components(flavor: str, index_r: int, components) -> tuple:
     """Validate the flavor, the index and the (name, discrepancy)
     components of resolution data, including the budget on the degree of
-    the integral's denominator; raises ValidationError.  Returns the
-    degrees r(a_i + 1) of the denominator's factors, as ints."""
+    the integral's denominator, but not that the names are distinct;
+    raises ValidationError.  Returns the degrees r(a_i + 1) of the
+    denominator's factors, as ints."""
     if flavor not in ("stringy", "arc"):
         raise ValidationError(f"unknown flavor {flavor!r}")
     if index_r < 1:
@@ -45,9 +47,6 @@ def _check_components(flavor: str, index_r: int, components) -> tuple:
     if len(components) > MAX_COMPONENTS:
         raise ValidationError(
             f"at most {MAX_COMPONENTS} components are supported")
-    names = [n for n, _ in components]
-    if len(set(names)) != len(names):
-        raise ValidationError("duplicate component names")
     ns = []
     for name, a in components:
         a = Fraction(a)
@@ -75,7 +74,8 @@ def _split(terms: dict, atoms: dict, used: dict, var: str, r: int) -> dict:
     K0's boundary check (``k0._check_terms``) holds against atoms; it
     runs term by term only when some term fails it, so that the first one
     raises.  Each atom the class names goes into used, where two
-    different atoms with one name raise ValidationError."""
+    different atoms with one name raise ValidationError, and so does a
+    degree in var above the budget MAX_DENOMINATOR_DEGREE."""
     rows, names, valid = {}, set(), True
     for key, c in terms.items():
         if type(c) is not int:
@@ -96,6 +96,11 @@ def _split(terms: dict, atoms: dict, used: dict, var: str, r: int) -> dict:
         have = used.setdefault(name, atom)
         if have is not atom and have != atom:
             raise ValidationError(f"two different atoms are named {name!r}")
+    top = max((max(row) for row in rows.values()), default=0)
+    if top > MAX_DENOMINATOR_DEGREE:
+        raise ValidationError(
+            f"a stratum class has degree {top} in {var}; at most "
+            f"{MAX_DENOMINATOR_DEGREE} is supported")
     return {key: Dense(var, min(row), [row.get(k, 0) for k in range(
         min(row), max(row) + 1)]) for key, row in rows.items()}
 
@@ -124,6 +129,9 @@ class ResolutionDatum:
     def __init__(self, flavor: str, index_r: int, components: tuple,
                  strata: tuple):
         ns = _check_components(flavor, index_r, components)
+        names = [n for n, _ in components]
+        if len(set(names)) != len(names):
+            raise ValidationError("duplicate component names")
         k = len(components)
         if not isinstance(strata, tuple) or len(strata) != 1 << k:
             raise ValidationError(
@@ -143,14 +151,12 @@ class ResolutionDatum:
 
     @classmethod
     def _of_parts(cls, flavor: str, index_r: int, components: tuple,
-                  atoms: dict, parts: tuple) -> "ResolutionDatum":
+                  ns: tuple, atoms: dict, parts: tuple) -> "ResolutionDatum":
         """The datum whose 2^k strata are held as ``parts``, the
-        ``_split`` of their classes, which name the ``atoms``; only the
-        components are validated."""
+        ``_split`` of their classes, which name the ``atoms``, over the
+        components that ``_check_components`` validated into ``ns``."""
         return object.__new__(cls)._set(
-            flavor, index_r, components,
-            _check_components(flavor, index_r, components), atoms, parts,
-            None)
+            flavor, index_r, components, ns, atoms, parts, None)
 
     def _set(self, flavor, index_r, components, ns, atoms, parts, strata):
         for name, value in zip(self.__slots__, (flavor, index_r, components,
@@ -646,10 +652,10 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
     names = [name for name, _ in components]
     if not all(isinstance(name, str) for name in names):
         raise ValidationError("component names must be strings")
-    if len(components) > MAX_COMPONENTS:
-        # before parsing the 2^k stratum classes, which dominate loading
-        raise ValidationError(
-            f"at most {MAX_COMPONENTS} components are supported")
+    # before the 2^k strata are listed, parsed and split, which dominate
+    # loading and grow with k and the index r; a repeated name fails on
+    # the strata below
+    ns = _check_components(flavor, index_r, components)
     if not isinstance(strata_list, list):
         raise ValidationError("strata must be a list of entries")
     strata = [None] * (1 << len(names))
@@ -688,7 +694,7 @@ def datum_from_dict(data: dict) -> ResolutionDatum:
         if split is None:
             missing = ", ".join(n for i, n in enumerate(names) if mask >> i & 1)
             raise ValidationError(f"missing stratum entry {{{missing}}}")
-    return ResolutionDatum._of_parts(flavor, index_r, components, used,
+    return ResolutionDatum._of_parts(flavor, index_r, components, ns, used,
                                      tuple(strata))
 
 

@@ -2,11 +2,13 @@
 coefficient, cell-decomposition and arc-tower classes, the naive motivic
 measure, the coordinate resolution datum of the jets oracle, its closed
 form and geometric tail bound, StringyValue from text, the resolution
-datum of a product, the stringy Euler formula over Fraction and the
-count of monomials by enumeration."""
+datum of a product, the stringy Euler formula over Fraction, the
+count of monomials by enumeration and a polynomial's value at any
+integer by Horner's rule."""
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from genera.expr import parse_expr
@@ -111,3 +113,10 @@ def count_monomials(n_vars: int, degree: int) -> int:
     """The number of degree-d monomials in n_vars variables, by enumerating
     them as multisets of variable indices."""
     return sum(1 for _ in combinations_with_replacement(range(n_vars), degree))
+
+
+def horner_value(coeffs, x: int) -> int:
+    """The polynomial with the coefficient tuple coeffs, lowest first, at
+    x, by Horner's rule with products by x: the reference for
+    ``dense._pack``, which takes x = 2^bits and shifts."""
+    return reduce(lambda s, c: s * x + c, reversed(coeffs), 0)

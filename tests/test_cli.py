@@ -380,6 +380,8 @@ FILE_VERBS = (("pro",), ("k0", "pro"), ("k0", "blowup-check"),
     ("{", EXIT_VALIDATION, "invalid JSON in {path}: Expecting property "
      "name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("[1, 2]", EXIT_VALIDATION, "{path} must hold a JSON object"),
+    pytest.param('{"a": ' + "[" * 2000 + "]" * 2000 + "}", EXIT_VALIDATION,
+                 "invalid JSON in {path}: nested too deeply", id="deep"),
 ])
 def test_file_faults_read_the_same_for_every_verb(tmp_path, capsys, content,
                                                    code, message):
@@ -405,6 +407,64 @@ def test_denominator_budget(tmp_path, capsys, a, code):
         if code == EXIT_VALIDATION:
             assert err == "error: the sum of r * (a_i + 1) over the " \
                 "components is 4097; at most 4096 is supported\n"
+
+
+def strata(*classes):
+    """The strata entries of GOOD_DATUM's one component E."""
+    return [{"subset": [], "class": classes[0]},
+            {"subset": ["E"], "class": classes[1]}]
+
+
+@pytest.mark.parametrize("data, message", [
+    # the index and the components are checked before any class is split
+    ({**GOOD_DATUM, "index_r": 0, "strata": strata("C", "L + 1")},
+     "index r must be a positive integer"),
+    ({**GOOD_DATUM, "index_r": -10 ** 5}, "index r must be a positive integer"),
+    ({**GOOD_DATUM, "index_r": 10 ** 5}, "the sum of r * (a_i + 1) over the "
+     "components is 200000; at most 4096 is supported"),
+    ({**GOOD_DATUM, "components": [{"name": "E", "a": "5000"}],
+      "strata": strata("L^5000", "C")},
+     "the sum of r * (a_i + 1) over the components is 5001; at most 4096 "
+     "is supported"),
+    # a class is split into dense parts of its degree in the integral's
+    # variable, which the budget bounds too
+    ({**GOOD_DATUM, "index_r": 10 ** 5, "components": [],
+      "strata": [{"subset": [], "class": "L^2 - 1"}]},
+     "a stratum class has degree 200000 in t; at most 4096 is supported"),
+    ({**GOOD_DATUM, "strata": strata("L^100000 - 1", "L + 1")},
+     "a stratum class has degree 100000 in L; at most 4096 is supported"),
+    ({**GOOD_DATUM, "index_r": 2, "strata": strata("1", "L^2049")},
+     "a stratum class has degree 4098 in t; at most 4096 is supported"),
+], ids=["index-0-unknown-atom", "index-negative", "index-huge",
+        "components-past-budget", "no-components-huge-index",
+        "class-degree-huge", "class-degree-at-index-2"])
+def test_budgets_are_checked_before_the_classes_are_split(tmp_path, capsys,
+                                                          data, message):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    for verb in STRINGY_VERBS:
+        assert run(capsys, "stringy", verb, str(path)) == \
+            (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
+def test_a_class_at_the_degree_budget_loads(tmp_path, capsys):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({**GOOD_DATUM, "index_r": 2,
+                                "strata": strata("1", "L^2048")}))
+    code, out, err = run(capsys, "stringy", "euler", str(path))
+    assert (code, err) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(" * 250 + "L" + ")" * 250,
+     "factors nested more than 100 deep (at offset 100)"),
+    ("-" * 1000 + "L", "factors nested more than 100 deep (at offset 100)"),
+    ("(L+1)^15000", "a power of up to 15001 terms of 15000 bits; at most "
+     "10000 terms of 8192 bits are supported (at offset 6)"),
+], ids=["parens", "minus", "power"])
+def test_expression_past_a_budget_exits_3(capsys, text, message):
+    assert run(capsys, "k0", "eval", "--", text) == \
+        (EXIT_VALIDATION, "", f"error: {message}\n")
 
 
 def test_stringy_compare_at_index_two(tmp_path, capsys):

@@ -21,7 +21,7 @@ from genera import jets  # noqa: E402
 from genera.jets import (  # noqa: E402
     JetSpec, cylinder_measure, oracle_integral, partition_check)
 from genera.rings import ExactDivisionError, MultiPoly, RationalFunction  # noqa: E402
-from references import closed_integral  # noqa: E402
+from references import closed_integral, horner_value  # noqa: E402
 
 X = MultiPoly.var("x")
 L = MultiPoly.var("L")
@@ -313,33 +313,49 @@ def x_power_products(ks) -> Dense:
                      start=Dense("x", 0, (1,)))
 
 
-# products of x^k - 1 over the two lists of k, found by a seeded search:
-# the gcd of the values at the first evaluation points gives candidates
-# that do not divide both polynomials, so the gcd takes that many points
+def shifted_pair(g: Dense, p: Dense, widths) -> tuple:
+    """(g p, g (p + D)), D the lcm of the values of p at 2^B for the B in
+    widths: at each such 2^B, p(2^B) divides the values of both
+    cofactors, so the gcd of the values packed at B holds g p, whose
+    digits do not divide g (p + D)."""
+    d = math.lcm(*(horner_value(p.coeffs, 1 << bits) << p.low * bits
+                   for bits in widths))
+    return g * p, g * (p + d)
+
+
+X1 = Dense("x", 1, (1,))
+
+# pairs whose gcd takes that many widths B = 8, 16, ... of the packed
+# values: the first four are products of x^k - 1 over two lists of k,
+# found by a seeded search, where the digits at B = 8 do not divide both
+# polynomials; the last three are built to fail at every width they name
 RETRIED_PAIRS = [
-    ((1, 5, 7, 7, 8), (3, 4, 6, 8), 2),
-    ((8,), (1, 3, 3, 5, 5), 2),
-    ((3, 5), (2, 4, 7, 8), 2),
-    ((1, 1, 2, 3, 3), (1, 4, 4, 5), 2),
-    ((5, 5, 6, 6), (1, 1, 4, 4, 7), 3),
-    ((5, 5, 6, 8, 8), (2, 2, 2, 7, 8), 3),
-    ((1, 3, 4, 4, 6, 7, 9), (1, 2, 2, 2, 10, 10, 10), 4),
+    (x_power_products((6, 9, 10, 10)),
+     x_power_products((2, 2, 3, 6, 6, 6)), 2),
+    (x_power_products((1, 2, 4, 6, 8, 8, 8)),
+     x_power_products((2, 5, 8, 9, 10)), 2),
+    (x_power_products((1, 3, 3, 4, 6, 7)),
+     x_power_products((1, 5, 9, 10)), 2),
+    (x_power_products((1, 2, 4, 6, 6, 7)),
+     x_power_products((3, 3, 5, 9)), 2),
+    (*shifted_pair(X1 - 1, X1 ** 3 - X1 + 1, (8, 16)), 3),
+    (*shifted_pair((X1 + 1) ** 3, X1 ** 2 - 2 * X1 + 2, (8, 16)), 3),
+    (*shifted_pair(X1 - 1, X1 ** 3 - X1 + 1, (8, 16, 24)), 4),
 ]
 
 
 @pytest.mark.parametrize("a,b,points", RETRIED_PAIRS)
 def test_gcd_after_a_failed_candidate(monkeypatch, a, b, points):
-    original, values = dense._value, []
+    original, widths = dense._pack, []
 
-    def value(coeffs, x):
-        values.append(x)
-        return original(coeffs, x)
+    def pack(coeffs, bits):
+        widths.append(bits)
+        return original(coeffs, bits)
 
-    a, b = x_power_products(a), x_power_products(b)
-    monkeypatch.setattr(dense, "_value", value)
+    monkeypatch.setattr(dense, "_pack", pack)
     a.gcd(b)
     monkeypatch.undo()
-    assert len(set(values)) == points
+    assert sorted(set(widths)) == list(range(8, 8 * points + 1, 8))
     check_gcd(a, b)
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from genera.expr import ExprError, parse_expr
+from genera.expr import (MAX_NESTING, MAX_POWER_BITS, MAX_POWER_TERMS,
+                         ExprError, parse_expr)
 from genera.rings import ExactDivisionError, MultiPoly
 
 
@@ -33,6 +34,57 @@ def test_error_positions():
     with pytest.raises(ExprError) as err:
         parse_expr("x y")
     assert "trailing" in str(err.value)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(" * 250 + "L" + ")" * 250, 100),
+    ("-" * 1000 + "L", 100),
+    ("1 + " + "-(" * 60 + "L" + ")" * 60, 104),
+])
+def test_nesting_past_the_cap_is_an_expression_error(text, offset):
+    # each "(" and unary "-" opens one more factor
+    with pytest.raises(ExprError) as err:
+        parse_expr(text)
+    assert err.value.position == offset
+    assert f"factors nested more than {MAX_NESTING} deep" in str(err.value)
+
+
+@pytest.mark.parametrize("text, terms, bits", [
+    ("(L+1)^8193", 8194, 8193),
+    ("(1 - L)^-8193", 8194, 8193),
+    ("(2*L)^8193", 1, 8193),
+    ("(1/2)^8193", 1, 8193),
+    ("(L^3 - 2*L + 1)^3334", 10003, 6668),
+    ("(x + y + z)^140", 10011, 280),
+])
+def test_a_power_past_the_budget_is_an_expression_error(text, terms, bits):
+    # the bound is checked before the power is expanded
+    with pytest.raises(ExprError) as err:
+        parse_expr(text)
+    assert err.value.position == text.rindex("^") + 1 + text.endswith(
+        "-8193")
+    assert str(err.value).startswith(
+        f"a power of up to {terms} terms of {bits} bits; at most "
+        f"{MAX_POWER_TERMS} terms of {MAX_POWER_BITS} bits are supported")
+
+
+def test_a_power_at_the_budget_parses():
+    L = MultiPoly.var("L")
+    assert len(parse_expr("(L+1)^8192").terms) == 8193
+    assert len(parse_expr("(L^3 - 2*L + 1)^3333").terms) == 9999
+    assert parse_expr("L^1000000000") == L ** 1000000000
+    assert parse_expr("(-L)^-1000000000") == L ** -1000000000
+    assert parse_expr("2^8192") == 2 ** 8192
+
+
+def test_nesting_at_the_cap_parses():
+    L = MultiPoly.var("L")
+    top = MAX_NESTING - 1
+    assert parse_expr("(" * top + "L" + ")" * top) == L
+    assert parse_expr("-" * top + "L^2") == -L ** 2
+    assert parse_expr("-(" * 48 + "L" + ")" * 48) == L
+    # the depth is the nesting, not the count: siblings do not add up
+    assert parse_expr(" * ".join(["(" * top + "L" + ")" * top] * 3)) == L ** 3
 
 
 @pytest.mark.parametrize("text", ["L^\u00b2", "L^\u0663", "L^1\u0663"])

@@ -178,6 +178,20 @@ def test_denominator_budget_on_the_oracle(capsys):
     assert "verdict  True" in capsys.readouterr().out
 
 
+def test_the_budget_is_checked_before_the_closed_form(monkeypatch):
+    # the closed form and the partial sum build polynomials of the
+    # exponents' degree; past the budget neither may be reached
+    def unreachable(*args):
+        raise AssertionError("built past the denominator budget")
+
+    monkeypatch.setattr(jets, "_closed_parts", unreachable)
+    monkeypatch.setattr(jets, "_partial", unreachable)
+    for exponents in ((4096,), (10 ** 9,), (3, 4093)):
+        spec = JetSpec(len(exponents), exponents)
+        with pytest.raises(ValueError, match="at most 4096 is supported"):
+            oracle_integral(spec, 4)
+
+
 def copied(datum: ResolutionDatum) -> ResolutionDatum:
     """The datum with every stratum an equal but distinct object."""
     strata = tuple(K0Class(cls.poly, cls.atoms) for cls in datum.strata)

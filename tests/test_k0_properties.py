@@ -71,6 +71,16 @@ def test_constant_class_hashes_like_its_integer():
     assert len({K0Class.point(3), 3}) == 1
 
 
+def test_class_of_an_atom_is_not_equal_to_the_atom():
+    # an Atom hashes by its own fields, so a class that compared equal to
+    # it would break the hash contract; arithmetic still coerces atoms
+    for atom in ATOMS.values():
+        cls = K0Class.atom(atom)
+        assert cls != atom and atom != cls
+        assert len({cls, atom}) == 2
+        assert cls + atom == 2 * cls and cls * atom == K0Class.atom(atom, 2)
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(classes())
 def test_euler_is_the_e_polynomial_at_one(a):

@@ -19,7 +19,7 @@ from genera.rings import MultiPoly, RationalFunction, TruncSeries
 from genera.stringy import (ConsistencyError, ResolutionDatum, StringyValue,
                             invariance_check, motivic_integral, rewrite_uv,
                             stringy_E, stringy_chi_y, stringy_euler)
-from references import binom_frac, product_datum
+from references import binom_frac, horner_value, product_datum
 
 C = Atom("C", 1, MultiPoly.var("u") * MultiPoly.var("v")
          - MultiPoly.var("u") - MultiPoly.var("v") + 1)
@@ -155,7 +155,7 @@ def test_kronecker_round_trip_at_the_bound(bits):
     for coeffs in ([edge], [-edge], [-edge - 1], [edge, -edge, 0, edge],
                    [0, 0, -edge, 1], [3, -edge, edge, -edge - 1],
                    [rng.randint(-edge, edge) for _ in range(50)] + [edge]):
-        value = dense._value(coeffs, 1 << bits)
+        value = horner_value(coeffs, 1 << bits)
         digits = dense._digits(value, bits)
         assert Dense("x", 0, digits) == Dense("x", 0, coeffs)
     assert not any(dense._digits(0, bits))
@@ -169,7 +169,7 @@ def test_one_byte_digits_match_the_wide_read():
     rng = random.Random(8)
     for _ in range(200):
         coeffs = [rng.randint(-128, 127) for _ in range(rng.randint(1, 40))]
-        value = dense._value(coeffs, 1 << 8)
+        value = horner_value(coeffs, 1 << 8)
         assert dense._digits(value, 8) == \
             dense._digits(dense._widen(value, 8, 16), 16)
 
@@ -213,7 +213,7 @@ def test_packed_folds_against_dense_folds(k, r):
     bits, packed = stringy._packed(tables, k)
 
     def pack(p):
-        return dense._value(p.coeffs, 1 << bits) << p.low * bits
+        return horner_value(p.coeffs, 1 << bits) << p.low * bits
 
     stringy._check_closed(packed, {key: pack(p) for key, p in closed.items()},
                           ns, r, bits)
