@@ -12,7 +12,9 @@ Grammar (EBNF):
 Names are variables (or declared atoms); rational literals are written
 "p/q".  Negative exponents are accepted as a Laurent extension so that
 canonical serialization round-trips.  Factors nest at most MAX_NESTING
-deep.  Errors carry the byte offset of the first offending token.
+deep, and a power or a product is expanded only within the budget of
+MAX_POWER_TERMS terms of MAX_POWER_BITS bits.  Errors carry the byte
+offset of the first offending token.
 """
 
 from __future__ import annotations
@@ -97,6 +99,30 @@ MAX_POWER_BITS = 8192
 MAX_POWER_TERMS = 10 ** 4
 
 
+def _norm_bits(terms: dict) -> int:
+    """The bit length of N - 1, N the 1-norm of the term dict with its
+    denominators cleared, and 0 for the zero dict; a product of values of
+    such norms has at most the sum of their bits."""
+    coeffs = terms.values()
+    norm = sum(abs(c.numerator) for c in coeffs) * \
+        math.lcm(*(c.denominator for c in coeffs))
+    return max(norm - 1, 0).bit_length()
+
+
+def _span(terms: dict, name: str) -> int:
+    """The range of the exponents of name over the monomials of terms."""
+    expos = [dict(key).get(name, 0) for key in terms]
+    return max(expos) - min(expos)
+
+
+def _check_budget(kind: str, terms: int, bits: int, offset: int) -> None:
+    if bits > MAX_POWER_BITS or terms > MAX_POWER_TERMS:
+        raise ExprError(
+            f"{kind} of up to {terms} terms of {bits} bits; at most "
+            f"{MAX_POWER_TERMS} terms of {MAX_POWER_BITS} bits are "
+            f"supported", offset)
+
+
 def _check_power(base: dict, size: int, offset: int) -> None:
     """The budget on a power |n| = size of base, which is expanded in full:
     its coefficients have at most size log2(N) bits, N the 1-norm of the
@@ -104,19 +130,24 @@ def _check_power(base: dict, size: int, offset: int) -> None:
     k - 1) terms, k the terms of the base, and at most the product of
     size s + 1 over its variables, s the base's degree span in each; past
     it, ExprError at offset."""
-    coeffs = base.values()
-    norm = sum(abs(c.numerator) for c in coeffs) * \
-        math.lcm(*(c.denominator for c in coeffs))
-    bits, box = size * (norm - 1).bit_length(), 1
+    box = 1
     for name in {name for key in base for name, _ in key}:
-        expos = [dict(key).get(name, 0) for key in base]
-        box *= size * (max(expos) - min(expos)) + 1
+        box *= size * _span(base, name) + 1
     terms = min(math.comb(size + max(len(base), 1) - 1, size), box)
-    if bits > MAX_POWER_BITS or terms > MAX_POWER_TERMS:
-        raise ExprError(
-            f"a power of up to {terms} terms of {bits} bits; at most "
-            f"{MAX_POWER_TERMS} terms of {MAX_POWER_BITS} bits are "
-            f"supported", offset)
+    _check_budget("a power", terms, size * _norm_bits(base), offset)
+
+
+def _check_product(a: dict, b: dict, offset: int) -> None:
+    """The budget on the product of two nonzero term dicts, before it is
+    formed: the bits of both cleared 1-norms added, and the lesser of
+    |a| |b| terms and the product over the variables of s_a + s_b + 1,
+    s the degree spans of the factors; past it, ExprError at offset."""
+    terms, bits = len(a) * len(b), _norm_bits(a) + _norm_bits(b)
+    if terms > MAX_POWER_TERMS or bits > MAX_POWER_BITS:
+        box = 1
+        for name in {name for key in (*a, *b) for name, _ in key}:
+            box *= _span(a, name) + _span(b, name) + 1
+        _check_budget("a product", min(terms, box), bits, offset)
 
 
 def _pow(base: dict, n: int, offset: int) -> dict:
@@ -177,8 +208,11 @@ class _Parser:
     def parse_term(self):
         value = self.parse_factor()
         while self.peek()[0] == "*":
-            self.take()
-            value = _mul(value, self.parse_factor())
+            offset = self.take()[2]
+            factor = self.parse_factor()
+            if value and factor:
+                _check_product(value, factor, offset)
+            value = _mul(value, factor)
         return value
 
     def parse_factor(self):

@@ -468,8 +468,8 @@ def coeff_div_exact(value, a):
     """value / a where the quotient is known to exist in the coefficient
     ring: scalar division when a is a scalar or a constant polynomial,
     exact (Laurent) polynomial division when a is any other polynomial,
-    and exact division over Z, with its remainder check, when a is a
-    dense.Dense.  A quotient of two ints is an int when it divides."""
+    and plain ``/`` for any other coefficient, such as a
+    RationalFunction.  A quotient of two ints is an int when it divides."""
     if isinstance(a, MultiPoly):
         if not a.is_constant():
             return MultiPoly._coerce(value).laurent_div_exact(a)

@@ -467,6 +467,15 @@ def test_expression_past_a_budget_exits_3(capsys, text, message):
         (EXIT_VALIDATION, "", f"error: {message}\n")
 
 
+def test_product_past_the_budget_exits_3(capsys):
+    # each factor is within the power budget, their product is not
+    code, out, err = run(capsys, "k0", "eval", "(L+1)^8000*(L+1)^8000")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "error: a product of up to 16001 terms of 16000 bits; " \
+        "at most 10000 terms of 8192 bits are supported (at offset 10)\n"
+    assert "Traceback" not in err
+
+
 def test_stringy_compare_at_index_two(tmp_path, capsys):
     # chi_y is not defined at index 2: the other three rows decide
     path = FIXTURES / "index2_half.json"

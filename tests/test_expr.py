@@ -359,3 +359,38 @@ def test_a_sum_of_monomials_builds_one_multipoly(monkeypatch):
     assert str(value) == "-7 - 2*L^2 + 1/2*C^2*L + 3*C*L^4 + C^3*L^3"
     # a negative power inverts through MultiPoly, still with no sum
     assert str(parse_expr("L^-1 - 2*L^-2")) == "-2*L^-2 + L^-1"
+
+
+@pytest.mark.parametrize("text, terms, bits", [
+    ("(L+1)^8000*(L+1)^8000", 16001, 16000),
+    ("2^4096*2^4097", 1, 8193),
+    ("(L+1)^4096 * L * (L+1)^4097", 8194, 8193),
+    ("(x+1)^101*(y+1)^100", 10302, 201),
+    ("(1/2 + 1/3*x)^10*(y+1)^2000", 22011, 2033),
+])
+def test_a_product_past_the_budget_is_an_expression_error(text, terms, bits):
+    # the bound is checked at the "*" before the product is formed
+    with pytest.raises(ExprError) as err:
+        parse_expr(text)
+    assert err.value.position == text.rindex("*")
+    assert str(err.value).startswith(
+        f"a product of up to {terms} terms of {bits} bits; at most "
+        f"{MAX_POWER_TERMS} terms of {MAX_POWER_BITS} bits are supported")
+
+
+def test_a_product_at_the_budget_parses():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    # 100 x 100 terms in a 100 x 100 box, and 4096 + 4096 bits
+    text = "(" + " + ".join(f"x^{i}" for i in range(100)) + ") * (" + \
+        " + ".join(f"y^{j}" for j in range(100)) + ")"
+    assert len(parse_expr(text).terms) == MAX_POWER_TERMS
+    assert parse_expr("2^4096*2^4096") == 2 ** 8192
+    assert parse_expr("(x+1)^99*(y+1)^99") == (x + 1) ** 99 * (y + 1) ** 99
+    # a zero factor makes the product zero whatever the other factor
+    assert parse_expr("0*2^8192*(x+1)^8192") == 0
+
+
+def test_a_power_of_zero_is_within_the_budget():
+    # zero has no bits to multiply, whatever the exponent
+    assert parse_expr("0^9000") == 0
+    assert parse_expr("(L - L)^100000") == 0
