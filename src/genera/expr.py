@@ -150,11 +150,18 @@ def _check_product(a: dict, b: dict, offset: int) -> None:
         _check_budget("a product", min(terms, box), bits, offset)
 
 
+def _unit(terms: dict) -> bool:
+    """A monomial with coefficient 1 or -1: its powers and its products
+    with a dict of any size keep that size and 1-norm, so neither budget
+    applies to them."""
+    return len(terms) == 1 and abs(next(iter(terms.values()))) == 1
+
+
 def _pow(base: dict, n: int, offset: int) -> dict:
     """A monomial to a power n >= 0 on the dict; any other power is
     MultiPoly.__pow__, which inverts a monomial for n < 0.  Unless base is
     a monomial with coefficient 1 or -1, ``_check_power`` runs first."""
-    if len(base) != 1 or abs(next(iter(base.values()))) != 1:
+    if not _unit(base):
         _check_power(base, abs(n), offset)
     if n >= 0 and len(base) == 1:
         (key, c), = base.items()
@@ -210,7 +217,7 @@ class _Parser:
         while self.peek()[0] == "*":
             offset = self.take()[2]
             factor = self.parse_factor()
-            if value and factor:
+            if value and factor and not (_unit(factor) or _unit(value)):
                 _check_product(value, factor, offset)
             value = _mul(value, factor)
         return value

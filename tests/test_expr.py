@@ -394,3 +394,15 @@ def test_a_power_of_zero_is_within_the_budget():
     # zero has no bits to multiply, whatever the exponent
     assert parse_expr("0^9000") == 0
     assert parse_expr("(L - L)^100000") == 0
+
+
+def test_a_unit_monomial_factor_is_within_the_budget():
+    # a monomial with coefficient 1 or -1 only moves exponents, so its
+    # product with a sum past the term budget is not checked, as its
+    # powers are not
+    long_sum = "(" + " + ".join(
+        f"x^{i}" for i in range(MAX_POWER_TERMS + 1)) + ")"
+    for text in (f"L*{long_sum}", f"{long_sum}*-L^2", f"-1*{long_sum}"):
+        assert len(parse_expr(text).terms) == MAX_POWER_TERMS + 1
+    with pytest.raises(ExprError):
+        parse_expr(f"2*{long_sum}")
