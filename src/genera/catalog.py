@@ -17,9 +17,7 @@ from math import comb
 from operator import mul
 
 from .dense import _digits, _pack
-from .graded import GradedRing
-from .rings import (ExactDivisionError, MultiPoly, TruncSeries,
-                    coeff_div_exact, exp_coeffs)
+from .rings import ExactDivisionError, MultiPoly, TruncSeries, coeff_div_exact
 
 Y = MultiPoly.var("y")
 
@@ -227,83 +225,12 @@ def genus_on_projective(f: TruncSeries, n: int):
         raise ValueError(
             f"series order {f.order} too small; need at least {n}")
     # [z^n] f^(n+1) reads f only through z^n
-    head = f.truncate(n)
-    coeff = _power_coefficient_over_z(head, n + 1)
+    coeff = _power_coefficient_over_z(f.truncate(n), n + 1)
     if coeff is None:
-        coeff = (head ** (n + 1))[n]
+        raise ValueError(
+            "genus_on_projective takes a series whose coefficients are "
+            "rationals or polynomials in one and the same variable")
     a = f.constant_term()
     if a == 1:
         return coeff
     return coeff_div_exact(coeff, a)
-
-
-def genus_logarithm(f: TruncSeries, order: int) -> TruncSeries:
-    """g(t) = sum_i Phi_f(P^i) t^(i+1)/(i+1), through t^order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    coeffs = [Fraction(0)]
-    for i in range(order):
-        coeffs.append(genus_on_projective(f, i) * Fraction(1, i + 1))
-    return TruncSeries("t", order, coeffs)
-
-
-def hirzebruch_specialize(y0, order: int = 16) -> TruncSeries:
-    """The Hirzebruch series with y specialized to the rational y0."""
-    y0 = Fraction(y0)
-    h = _hirzebruch_series(order)
-
-    def subst(c):
-        c = MultiPoly._coerce(c)
-        return c.substitute_map({"y": y0}).constant_value()
-
-    return h.map_coeffs(subst)
-
-
-def rescaled_series(f: TruncSeries, a) -> TruncSeries:
-    """f(az)/a for a unit a: coefficient c_k goes to c_k * a^(k-1).
-    Raises ValueError unless a divides the constant term c_0."""
-    c0, *rest = f.coeffs
-    try:
-        coeffs = [coeff_div_exact(c0, a)]
-    except ExactDivisionError:
-        raise ValueError(f"a = {a} does not divide the constant term "
-                         f"{c0}") from None
-    power = MultiPoly.const(1)  # a^(k-1), one product per step
-    for k, c in enumerate(rest, 1):
-        if k > 1:
-            power = power * a
-        coeffs.append(c * power)
-    return TruncSeries(f.var, f.order, coeffs)
-
-
-def unnormalize_invariance_check(f: TruncSeries, a, n_max: int | None = None) -> bool:
-    """True iff f and f(az)/a induce the same genus for all n up to the
-    truncation bound (the rescaling rule for non-normalized series);
-    raises ValueError unless a divides the constant term of f."""
-    g = rescaled_series(f, a)
-    bound = f.order if n_max is None else n_max
-    return all(genus_on_projective(f, n) == genus_on_projective(g, n)
-               for n in range(bound + 1))
-
-
-def ghrr_integrand(order: int) -> TruncSeries:
-    """(1 + y e^{-z}) * z/(1 - e^{-z}): the non-normalized series whose
-    genus is chi_y; its constant term is 1 + y."""
-    emz = TruncSeries("z", order, exp_coeffs(-1, order))
-    return (emz * Y + 1) * _todd_series(order)
-
-
-def twisted_chi_y(n: int, k_order: int) -> MultiPoly:
-    """Twisted chi_y genus of P^n: the integral of
-    e^{-k c1(T)} ch(Lambda_y T^*) td(T), as a polynomial in y truncated in
-    the formal twist variable k at k_order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    order = n
-    f = ghrr_integrand(order)  # (1+y e^{-z}) z/(1-e^{-z})
-    kvar = MultiPoly.var("k")
-    # e^{-k(n+1)z} truncated in z (k degree grows with z degree)
-    expk = TruncSeries("z", order, exp_coeffs(kvar * (-(n + 1)), order))
-    total = expk * (f ** (n + 1))
-    value = MultiPoly._coerce(total[n]).laurent_div_exact(1 + Y)
-    return GradedRing({"k": 1}, k_order).reduce(value)

@@ -128,12 +128,16 @@ def _check_power(base: dict, size: int, offset: int) -> None:
     its coefficients have at most size log2(N) bits, N the 1-norm of the
     base with its denominators cleared, and it has at most C(size + k - 1,
     k - 1) terms, k the terms of the base, and at most the product of
-    size s + 1 over its variables, s the base's degree span in each; past
-    it, ExprError at offset."""
+    size s + 1 over its variables, s the base's degree span in each.  A
+    base in one variable is charged size s + 1 terms however few it has,
+    as ``MultiPoly.__pow__`` powers it as a ``Dense`` of that length.
+    Past the budget, ExprError at offset."""
+    names = {name for key in base for name, _ in key}
     box = 1
-    for name in {name for key in base for name, _ in key}:
+    for name in names:
         box *= size * _span(base, name) + 1
-    terms = min(math.comb(size + max(len(base), 1) - 1, size), box)
+    terms = box if len(names) == 1 else \
+        min(math.comb(size + max(len(base), 1) - 1, size), box)
     _check_budget("a power", terms, size * _norm_bits(base), offset)
 
 
@@ -267,6 +271,8 @@ class _Parser:
                 raise ExprError("expected ')'", tok[2])
             self.take()
             return value
+        if kind == "end":
+            raise ExprError("unexpected token: end of input", offset)
         raise ExprError(f"unexpected token {payload!r}", offset)
 
 

@@ -23,9 +23,6 @@ class GradedRing:
         self.cutoff = cutoff
         self.bounds = dict(bounds or {})
 
-    def weighted_degree(self, variables, expo) -> int:
-        return sum(self.weights.get(v, 0) * e for v, e in zip(variables, expo))
-
     def reduce(self, poly) -> MultiPoly:
         """poly without its terms past the cutoff or a bound; poly itself
         when it keeps every term."""
@@ -39,26 +36,6 @@ class GradedRing:
                 and all(e[i] <= bound for i, bound in bounds)}
         return poly if len(kept) == len(poly.terms) else \
             MultiPoly(poly.vars, kept)
-
-    def has_positive_weight(self, poly) -> bool:
-        """True when every term has weighted degree >= 1 (nilpotent)."""
-        poly = self.reduce(poly) if isinstance(poly, MultiPoly) else MultiPoly.const(poly)
-        return all(self.weighted_degree(poly.vars, e) >= 1 for e in poly.terms)
-
-    def exp_nilpotent(self, poly) -> MultiPoly:
-        """exp of an element of positive weight (a finite sum here)."""
-        if not self.has_positive_weight(poly):
-            raise ValueError("exp needs an element of positive graded weight")
-        out = MultiPoly.const(1)
-        power = MultiPoly.const(1)
-        fact = 1
-        for m in range(1, self.cutoff + 1):
-            power = self.mul(power, poly)
-            if power.is_zero():
-                break
-            fact *= m
-            out = out + power * Fraction(1, fact)
-        return out
 
     def mul(self, a, b) -> MultiPoly:
         """reduce(a * b), by the truncated product of ``_product`` on
@@ -201,12 +178,6 @@ class GradedRing:
                     result[tuple(expo)] = c
         return result
 
-    def prod(self, elts) -> MultiPoly:
-        out = MultiPoly.const(1)
-        for e in elts:
-            out = self.mul(out, e)
-        return out
-
 
 def _widths(norm: int, n: int) -> list:
     """For m = 0..n, the bit length of norm^m plus 1, rounded up to a
@@ -221,18 +192,3 @@ def _cleared(terms: dict):
     d = math.lcm(*(c.denominator for c in terms.values()))
     return d, {e: c.numerator * (d // c.denominator)
                for e, c in terms.items()}
-
-
-class ChernRing(GradedRing):
-    """Abstract ring of Chern classes c1..cr, with deg(c_i) = i, truncated
-    at a total-degree cutoff.  Extra weight-zero variables (y, t, ...) pass
-    through unharmed."""
-
-    def __init__(self, rank: int, cutoff: int):
-        self.rank = rank
-        super().__init__({f"c{i}": i for i in range(1, rank + 1)}, cutoff)
-
-    def chern_class(self, i: int) -> MultiPoly:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"c{i} is out of range for rank {self.rank}")
-        return MultiPoly.var(f"c{i}")

@@ -1,16 +1,14 @@
 """Grothendieck ring of varieties modelled by atoms with E-polynomials,
-relative classes and constructible functions over finite stratified bases,
 and proalgebraic towers.
 
 A variety enters only through its class: an atom is a (name, dimension,
-E-polynomial) triple and nothing else.  Maps have constant fibers per
-stratum pair; refine the stratification to encode anything else.
+E-polynomial) triple and nothing else.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .rings import MultiPoly, _monomial_text, _poly_text
@@ -253,192 +251,6 @@ def blowup_relation_check(x: K0Class, y: K0Class, bl: K0Class,
                           exc: K0Class) -> bool:
     """[Bl_Y X] - [E] = [X] - [Y] in K0."""
     return bl - exc == x - y
-
-
-# ---------------------------------------------------------------------
-# stratified spaces, maps, constructible functions
-
-
-@dataclass(frozen=True)
-class StratifiedSpace:
-    """Finite list of (name, class) strata; the space's class is the sum."""
-
-    name: str
-    strata: tuple  # of (name, K0Class)
-
-    def __post_init__(self):
-        names = [n for n, _ in self.strata]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate stratum names")
-
-    def stratum_class(self, name: str) -> K0Class:
-        for n, c in self.strata:
-            if n == name:
-                return c
-        raise KeyError(name)
-
-    def stratum_names(self):
-        return tuple(n for n, _ in self.strata)
-
-    def total_class(self) -> K0Class:
-        out = K0Class.zero()
-        for _, c in self.strata:
-            out = out + c
-        return out
-
-
-@dataclass(frozen=True)
-class StratifiedMap:
-    """Stratum-to-stratum map with a constant fiber class per source
-    stratum; validated so that [source stratum] = [target stratum]*[fiber]."""
-
-    source: StratifiedSpace
-    target: StratifiedSpace
-    assignment: tuple  # of (source_name, target_name, fiber K0Class)
-
-    def __post_init__(self):
-        seen = set()
-        for sname, tname, fiber in self.assignment:
-            seen.add(sname)
-            sclass = self.source.stratum_class(sname)
-            tclass = self.target.stratum_class(tname)
-            if sclass != tclass * fiber:
-                raise ValidationError(
-                    f"stratum {sname!r}: class must equal target class "
-                    f"times fiber class")
-        if seen != set(self.source.stratum_names()):
-            raise ValidationError("every source stratum needs an assignment")
-
-    def fiber_over(self, source_name: str):
-        for sname, tname, fiber in self.assignment:
-            if sname == source_name:
-                return tname, fiber
-        raise KeyError(source_name)
-
-    @staticmethod
-    def identity(space: StratifiedSpace) -> "StratifiedMap":
-        return StratifiedMap(space, space, tuple(
-            (n, n, K0Class.point()) for n in space.stratum_names()))
-
-    def compose(self, then: "StratifiedMap") -> "StratifiedMap":
-        """The map `then o self` (self first)."""
-        if then.source is not self.target and \
-                then.source != self.target:
-            raise ValidationError("maps are not composable")
-        assignment = []
-        for sname, tname, fiber in self.assignment:
-            t2, fiber2 = then.fiber_over(tname)
-            assignment.append((sname, t2, fiber * fiber2))
-        return StratifiedMap(self.source, then.target, tuple(assignment))
-
-
-@dataclass(frozen=True)
-class ConstructibleFunction:
-    """Integer value per stratum of a stratified space."""
-
-    base: StratifiedSpace
-    values: tuple  # of (stratum_name, int)
-
-    def __post_init__(self):
-        if set(n for n, _ in self.values) != set(self.base.stratum_names()):
-            raise ValidationError("values must cover exactly the strata")
-
-    def value(self, name: str) -> int:
-        for n, v in self.values:
-            if n == name:
-                return v
-        raise KeyError(name)
-
-    @staticmethod
-    def indicator(space: StratifiedSpace) -> "ConstructibleFunction":
-        return ConstructibleFunction(space, tuple(
-            (n, 1) for n in space.stratum_names()))
-
-    def euler_integral(self) -> int:
-        """chi(X; alpha) = sum over strata of value * chi_c(stratum)."""
-        return sum(v * euler_of_class(self.base.stratum_class(n))
-                   for n, v in self.values)
-
-
-def pushforward_cf(f: StratifiedMap,
-                   alpha: ConstructibleFunction) -> ConstructibleFunction:
-    """f_*(alpha): fiberwise Euler integration."""
-    if alpha.base != f.source:
-        raise ValidationError("function lives on the wrong base")
-    acc = {n: 0 for n in f.target.stratum_names()}
-    for sname, tname, fiber in f.assignment:
-        acc[tname] += alpha.value(sname) * euler_of_class(fiber)
-    return ConstructibleFunction(f.target, tuple(sorted(acc.items())))
-
-
-@dataclass(frozen=True)
-class RelativeClass:
-    """Relative K0 class over a stratified base: the constant fiber class
-    over each stratum (the class over a point of that stratum)."""
-
-    base: StratifiedSpace
-    fibers: tuple  # of (stratum_name, K0Class)
-
-    def __post_init__(self):
-        if set(n for n, _ in self.fibers) != set(self.base.stratum_names()):
-            raise ValidationError("fibers must cover exactly the strata")
-
-    def fiber(self, name: str) -> K0Class:
-        for n, c in self.fibers:
-            if n == name:
-                return c
-        raise KeyError(name)
-
-    @staticmethod
-    def unit(space: StratifiedSpace) -> "RelativeClass":
-        """[X -> id X]: point fiber everywhere."""
-        return RelativeClass(space, tuple(
-            (n, K0Class.point()) for n in space.stratum_names()))
-
-    def absolute(self) -> K0Class:
-        """Push to a point: sum of [stratum]*[fiber]."""
-        out = K0Class.zero()
-        for n, c in self.fibers:
-            out = out + self.base.stratum_class(n) * c
-        return out
-
-
-def pushforward_rel(f: StratifiedMap, a: RelativeClass) -> RelativeClass:
-    """Regroup along f, weighting each stratum by its fiber class."""
-    if a.base != f.source:
-        raise ValidationError("class lives on the wrong base")
-    acc = {n: K0Class.zero() for n in f.target.stratum_names()}
-    for sname, tname, fiber in f.assignment:
-        acc[tname] = acc[tname] + a.fiber(sname) * fiber
-    return RelativeClass(f.target, tuple(sorted(acc.items())))
-
-
-def pullback_rel(f: StratifiedMap, a: RelativeClass) -> RelativeClass:
-    """Fiber product: each source stratum inherits the class over its image."""
-    if a.base != f.target:
-        raise ValidationError("class lives on the wrong base")
-    fibers = []
-    for sname, tname, _ in f.assignment:
-        fibers.append((sname, a.fiber(tname)))
-    return RelativeClass(f.source, tuple(sorted(fibers)))
-
-
-def epsilon(a: RelativeClass) -> ConstructibleFunction:
-    """Fiberwise Euler characteristic: sends the relative unit to 1_X."""
-    return ConstructibleFunction(a.base, tuple(
-        (n, euler_of_class(c)) for n, c in a.fibers))
-
-
-def exterior_product(a: RelativeClass, b: RelativeClass) -> RelativeClass:
-    """Relative class over the product base (product stratification)."""
-    strata = tuple(
-        (f"{n1}*{n2}", c1 * c2)
-        for n1, c1 in a.base.strata for n2, c2 in b.base.strata)
-    base = StratifiedSpace(f"{a.base.name}*{b.base.name}", strata)
-    fibers = tuple(
-        (f"{n1}*{n2}", a.fiber(n1) * b.fiber(n2))
-        for n1, _ in a.base.strata for n2, _ in b.base.strata)
-    return RelativeClass(base, fibers)
 
 
 # ---------------------------------------------------------------------

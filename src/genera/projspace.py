@@ -1,5 +1,5 @@
 """Cohomology-ring models of products of projective spaces, integration by
-top-coefficient extraction, and HRR / generalized-HRR verification.
+top-coefficient extraction, and HRR verification.
 """
 
 from __future__ import annotations
@@ -7,11 +7,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .catalog import builtin_series, ghrr_integrand
+from .catalog import builtin_series
 from .graded import GradedRing
 from .rings import MultiPoly, TruncSeries, exp_coeffs
-
-Y = MultiPoly.var("y")
 
 
 class ProjSpaceRing(GradedRing):
@@ -85,20 +83,6 @@ def hrr_check(n: int, d: int):
     rhs = ring.integrate(ring.mul(ch_line, ring.tangent_class(todd)))
     rhs = rhs.constant_value()
     return lhs, rhs, lhs == rhs
-
-
-def ghrr_normalization_check(order: int) -> bool:
-    """Verify (1 + y e^{-z(1+y)})/(1+y) * z/(1 - e^{-z(1+y)})
-    = z(1+y)/(1 - e^{-z(1+y)}) - z*y as series over Q[y] through z^order."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
-    unnorm = ghrr_integrand(order).scale_variable(1 + Y)
-    lhs_cs = []
-    for c in unnorm.coeffs:
-        lhs_cs.append(MultiPoly._coerce(c).laurent_div_exact(1 + Y))
-    lhs = TruncSeries("z", order, lhs_cs)
-
-    return lhs == builtin_series("hirzebruch", order)
 
 
 def ty_class_degree(n: int) -> MultiPoly:

@@ -447,23 +447,6 @@ def _parts_in(poly: MultiPoly, v: str, var: str = "", r: int = 1,
 # ---------------------------------------------------------------------
 # coefficient-ring glue shared by TruncSeries / RationalFunction
 
-def coeff_inverse(c):
-    """Multiplicative inverse of a unit coefficient."""
-    if isinstance(c, (int, Fraction)):
-        if c == 0:
-            raise ZeroDivisionError("zero is not a unit")
-        return _div(1, c)
-    if isinstance(c, MultiPoly):
-        if c.is_constant():
-            return MultiPoly.const(coeff_inverse(c.constant_value()))
-        if len(c.terms) == 1:
-            return c.monomial_inverse()
-        raise ExactDivisionError(f"constant term {c} is not a unit")
-    if isinstance(c, RationalFunction):
-        return c.reciprocal()
-    raise TypeError(f"no inverse for {c!r}")
-
-
 def coeff_div_exact(value, a):
     """value / a where the quotient is known to exist in the coefficient
     ring: scalar division when a is a scalar or a constant polynomial,
@@ -629,8 +612,10 @@ class TruncSeries:
         return out
 
     def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        inv0 = coeff_inverse(self.coeffs[0])
+        """Multiplicative inverse; the constant term must be a unit: a
+        nonzero scalar or RationalFunction, or a monomial."""
+        c = self.coeffs[0]
+        inv0 = c.monomial_inverse() if isinstance(c, MultiPoly) else _div(1, c)
         out = [inv0] + [0] * self.order
         for n in range(1, self.order + 1):
             acc = 0

@@ -1,7 +1,7 @@
 """Stringy invariants of log-terminal pairs from normal-crossing
 resolution data: motivic integrals in closed form, the stringy E-function,
-its chi_y and Euler specializations, the per-component Jacobian factor of
-the degree-level elliptic limit, and cross-resolution invariance reports.
+its chi_y and Euler specializations, and cross-resolution invariance
+reports.
 
 A resolution datum lists the exceptional components with their
 discrepancies and the class of every open stratum; everything else is
@@ -20,7 +20,7 @@ from .expr import _to_poly, parse_expr, parse_terms
 from .k0 import Atom, K0Class, LEFSCHETZ, ValidationError, _check_terms, \
     load_json_object
 from .rings import ExactDivisionError, MultiPoly, RationalFunction, \
-    TruncSeries, _parts_in, _scalar, exp_coeffs
+    _parts_in, _scalar
 
 MAX_COMPONENTS = 14
 # the degree of the integral's denominator prod (L^{r(a_i+1)} - 1) in the
@@ -217,23 +217,6 @@ def _variable(r: int) -> str:
 # values with a fractional-power variable
 
 
-def rewrite_uv(poly: MultiPoly, r: int) -> MultiPoly:
-    """Canonical representative modulo u*v = t^r: in every monomial,
-    min(deg_u, deg_v) is moved into the t exponent."""
-    poly = MultiPoly._coerce(poly)
-    if "u" not in poly.vars or "v" not in poly.vars:
-        return poly
-    names, terms, _ = poly._align(MultiPoly.var("t"))
-    iu, iv, it = (names.index(var) for var in "uvt")
-    out = {}
-    for expo, coeff in terms.items():
-        new = list(expo)
-        m = min(new[iu], new[iv])
-        new[iu], new[iv], new[it] = new[iu] - m, new[iv] - m, new[it] + r * m
-        out[tuple(new)] = out.get(tuple(new), 0) + coeff
-    return MultiPoly(names, out)
-
-
 _UV, _ONE = MultiPoly.monomial({"u": 1, "v": 1}), MultiPoly.const(1)
 
 
@@ -252,17 +235,11 @@ class StringyValue:
     """Exact fraction num/den with u*v = t^r and den in t: r and ``value``,
     a ``RationalFunction`` with no monomial in both u and v, a form that
     division by a polynomial in t keeps.  So == and the hash compare the
-    unique lowest terms; ``num`` and ``den`` are its views."""
+    unique lowest terms; ``num`` and ``den`` are its views.  Only
+    ``_realise`` builds one, from the parts of an integral."""
 
     value: RationalFunction
     r: int
-
-    def __init__(self, num, den, r: int):
-        den = MultiPoly._coerce(den)
-        if set(den.vars) - {"t"}:
-            raise ValidationError(
-                f"stringy denominator must be a polynomial in t, got {den}")
-        self._set(RationalFunction(rewrite_uv(num, r), den), r)
 
     def _set(self, value: RationalFunction, r: int) -> "StringyValue":
         object.__setattr__(self, "value", value)
@@ -537,39 +514,6 @@ def stringy_euler(d: ResolutionDatum) -> Fraction:
     disagreement raises ConsistencyError.
     """
     return _checked_euler(d, _checked_integral(d))
-
-
-# ---------------------------------------------------------------------
-# per-component Jacobian factor of the degree-level elliptic limit
-
-
-def jacobian_factor_limit(a, e_order: int) -> TruncSeries:
-    """(y-1)(1 - y^{a+1} e^{-e}) / ((y^{a+1}-1)(1 - y e^{-e})) as a series
-    in the nilpotent variable e with rational-function-in-y coefficients.
-
-    The equivalent form 1 + (y - y^{a+1})(1 - e^{-e})/((y^{a+1}-1)(1 - y e^{-e}))
-    is evaluated alongside; a termwise mismatch raises ConsistencyError.
-    For a = 0 the factor is identically 1.
-    """
-    a = Fraction(a)
-    if a <= -1:
-        raise ValidationError("discrepancy must be > -1")
-    if a.denominator != 1:
-        raise ValidationError(
-            "the degree-level factor needs an integral discrepancy")
-    y = MultiPoly.var("y")
-    ya1 = y ** (int(a) + 1)
-    if a == 0:
-        return TruncSeries.one("e", e_order).map_coeffs(RationalFunction)
-    # e^{-e}, over rational functions of y so that the inverse exists
-    exp = TruncSeries("e", e_order, exp_coeffs(-1, e_order)).map_coeffs(
-        RationalFunction)
-    inv = ((1 - exp * y) * (ya1 - 1)).invert()
-    form1 = (1 - exp * ya1) * (y - 1) * inv
-    form2 = (1 - exp) * (y - ya1) * inv + 1
-    if form1 != form2:
-        raise ConsistencyError("the two Jacobian-factor forms disagree")
-    return form1
 
 
 # ---------------------------------------------------------------------

@@ -6,11 +6,11 @@ from math import comb as binomial, factorial
 
 import pytest
 
-from genera.catalog import (builtin_series, genus_logarithm,
-                            genus_on_projective, ghrr_integrand,
-                            hirzebruch_specialize, rescaled_series,
-                            twisted_chi_y, unnormalize_invariance_check)
+from genera.catalog import builtin_series, genus_on_projective
 from genera.rings import MultiPoly, TruncSeries
+from references import (genus_logarithm, ghrr_integrand,
+                        hirzebruch_specialize, rescaled_series,
+                        twisted_chi_y, unnormalize_invariance_check)
 
 Y = MultiPoly.var("y")
 
@@ -55,6 +55,16 @@ def test_genus_values():
 def test_genus_truncation_guard():
     with pytest.raises(ValueError):
         genus_on_projective(builtin_series("todd", 3), 5)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, MultiPoly.var("x") * MultiPoly.var("y") * MultiPoly.var("z")],
+    [1 + Y, MultiPoly.var("k")]], ids=["1+x*y*z", "1+y, k"])
+def test_genus_of_a_series_in_several_variables_is_a_value_error(coeffs):
+    f = TruncSeries.from_coeffs("z", coeffs, 3)
+    with pytest.raises(ValueError, match="rationals or polynomials in one "
+                                         "and the same variable"):
+        genus_on_projective(f, 2)
 
 
 def test_genus_logarithm():

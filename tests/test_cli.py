@@ -461,10 +461,20 @@ def test_a_class_at_the_degree_budget_loads(tmp_path, capsys):
     ("-" * 1000 + "L", "factors nested more than 100 deep (at offset 100)"),
     ("(L+1)^15000", "a power of up to 15001 terms of 15000 bits; at most "
      "10000 terms of 8192 bits are supported (at offset 6)"),
-], ids=["parens", "minus", "power"])
+    # three terms, but powered as a Dense of 2 * 16000000 + 1 slots
+    ("(L^16000000+1)^2", "a power of up to 32000001 terms of 2 bits; at "
+     "most 10000 terms of 8192 bits are supported (at offset 15)"),
+], ids=["parens", "minus", "power", "sparse-power"])
 def test_expression_past_a_budget_exits_3(capsys, text, message):
     assert run(capsys, "k0", "eval", "--", text) == \
         (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["", "L +", "(L*"])
+def test_expression_that_ends_early_exits_3(capsys, text):
+    assert run(capsys, "k0", "eval", "--", text) == (
+        EXIT_VALIDATION, "",
+        f"error: unexpected token: end of input (at offset {len(text)})\n")
 
 
 def test_product_past_the_budget_exits_3(capsys):

@@ -56,6 +56,10 @@ def test_nesting_past_the_cap_is_an_expression_error(text, offset):
     ("(1/2)^8193", 1, 8193),
     ("(L^3 - 2*L + 1)^3334", 10003, 6668),
     ("(x + y + z)^140", 10011, 280),
+    # a base in one variable powers as a Dense of n s + 1 slots, however
+    # sparse: 2 * 5000 + 1 here, and 2 * 16000000 + 1
+    ("(L^5000 + 1)^2", 10001, 2),
+    ("(L^16000000+1)^2", 32000001, 2),
 ])
 def test_a_power_past_the_budget_is_an_expression_error(text, terms, bits):
     # the bound is checked before the power is expanded
@@ -71,6 +75,7 @@ def test_a_power_past_the_budget_is_an_expression_error(text, terms, bits):
 def test_a_power_at_the_budget_parses():
     L = MultiPoly.var("L")
     assert len(parse_expr("(L+1)^8192").terms) == 8193
+    assert parse_expr("(L^4999+1)^2") == (L ** 4999 + 1) ** 2
     assert len(parse_expr("(L^3 - 2*L + 1)^3333").terms) == 9999
     assert parse_expr("L^1000000000") == L ** 1000000000
     assert parse_expr("(-L)^-1000000000") == L ** -1000000000
@@ -96,6 +101,14 @@ def test_integers_are_ascii_digits(text):
     assert err.value.position == offset
     assert str(err.value) == \
         f"unexpected character {text[offset]!r} (at offset {offset})"
+
+
+@pytest.mark.parametrize("text", ["", "L +", "(L*", "2^3 -"])
+def test_input_that_ends_early_names_the_end(text):
+    with pytest.raises(ExprError) as err:
+        parse_expr(text)
+    assert str(err.value) == \
+        f"unexpected token: end of input (at offset {len(text)})"
 
 
 def test_unknown_variable_rejected():
@@ -254,6 +267,8 @@ class _MultiPolyParser:
                 raise ExprError("expected ')'", tok[2])
             self.take()
             return value
+        if kind == "end":
+            raise ExprError("unexpected token: end of input", offset)
         raise ExprError(f"unexpected token {payload!r}", offset)
 
 

@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from genera.k0 import (Atom, ConstructibleFunction, K0Class, LEFSCHETZ,
-                       RelativeClass, StratifiedMap, StratifiedSpace,
-                       TowerDatum, ValidationError, blowup_relation_check,
-                       chi_y_of_class, e_polynomial, epsilon, euler_of_class,
-                       exterior_product, lefschetz, poly_to_class, pro_euler,
-                       pro_grothendieck, pullback_rel, pushforward_cf,
-                       pushforward_rel)
+from genera.k0 import (Atom, K0Class, LEFSCHETZ, TowerDatum,
+                       ValidationError, blowup_relation_check,
+                       chi_y_of_class, e_polynomial, euler_of_class,
+                       lefschetz, poly_to_class, pro_euler, pro_grothendieck)
 from genera.rings import MultiPoly
-from references import (arc_tower_class, naive_motivic_measure,
-                        projective_space_class)
+from references import (ConstructibleFunction, RelativeClass, StratifiedMap,
+                        StratifiedSpace, arc_tower_class, epsilon,
+                        exterior_product, naive_motivic_measure,
+                        projective_space_class, pullback_rel, pushforward_cf,
+                        pushforward_rel)
 
 U = MultiPoly.var("u")
 V = MultiPoly.var("v")

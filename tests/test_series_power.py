@@ -151,7 +151,8 @@ def test_integer_genus_on_projective_against_generic(f):
 
 
 def test_integer_genus_power_edge_cases():
-    # a multivariate or rational-function series keeps the generic power
+    # a multivariate or rational-function series is not taken, and
+    # genus_on_projective raises ValueError on it
     two_vars = TruncSeries.from_coeffs("z", [1, X, Y], 2)
     assert _power_coefficient_over_z(two_vars, 3) is None
     ratfun = TruncSeries.from_coeffs("z", [1, RationalFunction(1, 1 + X)], 1)
